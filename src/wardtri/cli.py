@@ -2,8 +2,7 @@
 
 Subcommands: gen, check, identities, conjecture, bfile-compare, bench.
 Exit codes: 0 success/agreement, 1 mismatch or identity failure, 2 usage
-error (argparse errors, unsupported strategy names, unreadable files, and
-the partition-transform size guard).
+error (argparse errors, unsupported strategy names, unreadable files).
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ from pathlib import Path
 from . import bfile as bfile_mod
 from . import identities, triangles
 from .triangles import Kind, Strategy
-
-# Partition counts grow superpolynomially; refuse transform builds past
-# this many rows unless --force is given.
-TRANSFORM_ROW_GUARD = 40
 
 _KINDS = {k.value.replace("-", ""): k for k in Kind}
 _STRATEGIES = {s.value.replace("-", ""): s for s in Strategy}
@@ -61,14 +56,6 @@ def _parse_strategy_list(text: str) -> list[Strategy] | None:
     return [parse_strategy(part) for part in text.split(",") if part.strip()]
 
 
-def _guard_transform(parser: argparse.ArgumentParser, strategies, rows: int, force: bool) -> None:
-    if Strategy.PARTITION_TRANSFORM in strategies and rows > TRANSFORM_ROW_GUARD and not force:
-        parser.error(
-            f"partition-transform above {TRANSFORM_ROW_GUARD} rows is refused "
-            f"(combinatorial blow-up); pass --force to override"
-        )
-
-
 def _render_triangle(tri: triangles.Triangle, fmt: str, offset: int) -> str:
     if fmt == "table":
         return "\n".join(" ".join(str(v) for v in row) for row in tri.rows)
@@ -85,7 +72,6 @@ def _render_triangle(tri: triangles.Triangle, fmt: str, offset: int) -> str:
 
 
 def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _guard_transform(parser, {args.strategy}, args.rows, args.force)
     try:
         tri = triangles.triangle(args.kind, args.rows, args.strategy)
     except triangles.UnsupportedStrategyError as exc:
@@ -112,7 +98,6 @@ def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         if len(strategies) < 2:
             print(f"note: {kind.value}: fewer than two applicable strategies, skipped")
             continue
-        _guard_transform(parser, strategies, args.rows, args.force)
         for a, b in itertools.combinations(strategies, 2):
             report = identities.compare_strategies(kind, args.rows, a, b)
             print(report.human())
@@ -166,7 +151,6 @@ def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace
         parser.error(f"{args.file}: {exc}")
     max_pos = bf.offset + len(bf.values) - 1 - args.offset + 1
     rows = bfile_mod.rows_needed(max(max_pos, 0))
-    _guard_transform(parser, {args.strategy}, rows, args.force)
     try:
         tri = triangles.triangle(args.kind, rows, args.strategy)
     except triangles.UnsupportedStrategyError as exc:
@@ -202,7 +186,6 @@ def _cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             parser.error(
                 f"{args.kind.value} does not support: {', '.join(s.value for s in missing)}"
             )
-    _guard_transform(parser, strategies, args.rows, args.force)
     print("kind strategy rows entries max_bits seconds")
     for strategy in strategies:
         triangles.clear_caches()
@@ -231,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
     p_gen.add_argument("--format", choices=["table", "csv", "bfile"], default="table")
     p_gen.add_argument("--offset", type=int, default=1, help="first b-file index")
-    p_gen.add_argument("--force", action="store_true")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_check = sub.add_parser("check", help="pairwise strategy cross-validation")
@@ -240,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--rows", type=int, default=15)
     p_check.add_argument("--strategies", type=_parse_strategy_list, default=None,
                          help="comma-separated strategies or 'all' (default)")
-    p_check.add_argument("--force", action="store_true")
     p_check.set_defaults(func=_cmd_check)
 
     p_ident = sub.add_parser("identities", help="run the identity suite")
@@ -258,14 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
     p_cmp.add_argument("--file", required=True)
     p_cmp.add_argument("--offset", type=int, default=1)
-    p_cmp.add_argument("--force", action="store_true")
     p_cmp.set_defaults(func=_cmd_bfile_compare)
 
     p_bench = sub.add_parser("bench", help="time triangle construction per strategy")
     p_bench.add_argument("--kind", type=parse_kind, required=True)
     p_bench.add_argument("--rows", type=int, required=True)
     p_bench.add_argument("--strategies", type=_parse_strategy_list, default=None)
-    p_bench.add_argument("--force", action="store_true")
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

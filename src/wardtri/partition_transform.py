@@ -9,14 +9,26 @@ rational for every index j >= 1) to a triangular array:
 
 with the trailing part q_{len(q)} taken as 0.  The three argument families
 used by the Ward triangles are provided as named rules.
+
+The sum is evaluated without listing partitions.  Partitions that agree
+from their d-th part on share that tail's factor, so the sum factors over
+tails: with p the d-th part and r the sum of the parts after it,
+
+    G(d, p, 0) = a_d^p
+    G(d, p, r) = a_d^p * sum_{q=1..min(p, r)} C(p, q) * G(d+1, q, r-q)
+
+and P(n, k) = (-1)^k * G(1, k, n-k).  This is the defining sum regrouped,
+not a recurrence of the triangles, so the route stays independent of the
+others.  A triangle of N rows needs O(N^2 log N) values of G and O(N^3)
+products in all, where listing partitions grows faster than any polynomial.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from fractions import Fraction
 from typing import Callable, Iterator
-
-from .exact_arith import binomial
 
 # Rule mapping index j >= 1 to the j-th argument term.
 ArgumentRule = Callable[[int], Fraction]
@@ -64,20 +76,81 @@ def enumerate_partitions(n: int, k: int) -> list[tuple[int, ...]]:
     return [(k, *rest) for rest in _bounded_partitions(n - k, k)]
 
 
+class _TailTable:
+    """The values G(d, p, r) of one argument rule, grown on demand.
+
+    A value enters `g` only once it is final, so readers may look it up
+    without the lock; `lock` serialises the growth.
+    """
+
+    def __init__(self, rule: ArgumentRule) -> None:
+        self.rule = rule
+        self.lock = threading.Lock()
+        self.g: dict[tuple[int, int, int], Fraction] = {}
+        self._terms: list[Fraction] = []  # a_1, a_2, ...
+        self._powers: dict[tuple[int, int], Fraction] = {}
+
+    def _power(self, d: int, p: int) -> Fraction:
+        power = self._powers.get((d, p))
+        if power is None:
+            while len(self._terms) < d:
+                self._terms.append(Fraction(self.rule(len(self._terms) + 1)))
+            power = self._powers[(d, p)] = self._terms[d - 1] ** p
+        return power
+
+    def fill(self, root: tuple[int, int, int]) -> Fraction:
+        """G at `root`, filling in every value it depends on.  Call with
+        `lock` held.  An explicit stack replaces recursion, whose depth
+        would grow with n."""
+        g = self.g
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in g:
+                stack.pop()
+                continue
+            d, p, r = node
+            tails = [(d + 1, q, r - q) for q in range(1, min(p, r) + 1)]
+            missing = [tail for tail in tails if tail not in g]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            total = sum(math.comb(p, q) * g[tail] for q, tail in enumerate(tails, 1)) if r else 1
+            g[node] = self._power(d, p) * total
+        return g[root]
+
+
+_tables: dict[ArgumentRule, _TailTable] = {}
+_tables_lock = threading.Lock()
+
+
+def clear_tables() -> None:
+    """Drop the memoized tail tables of every rule."""
+    with _tables_lock:
+        _tables.clear()
+
+
 def partition_transform(n: int, k: int, rule: ArgumentRule) -> Fraction:
     """Evaluate the Partition transformation at (n, k) for one argument rule.
 
-    Returns 1 for n = k = 0 (boundary convention) and 0 whenever the
-    enumeration is empty.
+    Returns 1 for n = k = 0 (boundary convention) and 0 whenever no
+    partition of n has largest part k.  Values are memoized per rule (one
+    table serves every (n, k)) until `clear_tables`.
     """
+    if n < 0 or k < 0:
+        raise ValueError(f"partition bounds must be nonnegative, got ({n}, {k})")
     if n == 0 and k == 0:
         return Fraction(1)
-    sign = -1 if k % 2 else 1
-    total = Fraction(0)
-    for q in enumerate_partitions(n, k):
-        parts = (*q, 0)
-        term = Fraction(1)
-        for j in range(len(q)):
-            term *= binomial(parts[j], parts[j + 1]) * rule(j + 1) ** parts[j]
-        total += sign * term
-    return total
+    if k == 0 or k > n:
+        return Fraction(0)
+    table = _tables.get(rule)
+    if table is None:
+        with _tables_lock:
+            table = _tables.setdefault(rule, _TailTable(rule))
+    root = (1, k, n - k)
+    value = table.g.get(root)
+    if value is None:
+        with table.lock:
+            value = table.fill(root)
+    return -value if k % 2 else value

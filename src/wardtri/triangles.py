@@ -22,11 +22,14 @@ All triangles share the same boundary: T(0,0) = 1, T(n,0) = T(0,k) = 0 for
 n, k >= 1, and T(n,k) = 0 for k > n.
 
 Construction is row by row into per-(kind, strategy) caches of immutable
-tuples; completed rows never change, so concurrent readers are safe.
+tuples.  One thread at a time grows a cache, under that cache's lock, and
+a row is appended only once complete; completed rows never change, so a
+reader of rows already built takes no lock.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,6 +37,7 @@ from fractions import Fraction
 from .exact_arith import as_integer, binomial, exact_div, factorial, falling_factorial
 from .partition_transform import (
     ArgumentRule,
+    clear_tables,
     constant_one,
     partition_transform,
     ward_first_kind,
@@ -159,14 +163,18 @@ class Triangle:
 
 
 _cache: dict[tuple[Kind, Strategy], list[tuple[int, ...]]] = {}
+_cache_locks = {(kind, s): threading.Lock() for kind, routes in SUPPORTED.items() for s in routes}
+_classical_lock = threading.Lock()
 _stirling1_rows: list[tuple[int, ...]] = []
 _stirling2_rows: list[tuple[int, ...]] = []
 _lah_rows: list[tuple[int, ...]] = []
 
 
 def clear_caches() -> None:
-    """Drop all memoized rows (used by benchmarks to time cold builds)."""
+    """Drop all memoized rows and partition-transform tables (used by
+    benchmarks to time cold builds)."""
     _cache.clear()
+    clear_tables()
     _stirling1_rows.clear()
     _stirling2_rows.clear()
     _lah_rows.clear()
@@ -293,9 +301,13 @@ def _build_row(kind: Kind, strategy: Strategy, n: int, rows: list[tuple[int, ...
 
 
 def _rows_upto(kind: Kind, strategy: Strategy, n: int) -> list[tuple[int, ...]]:
-    rows = _cache.setdefault((kind, strategy), [])
-    while len(rows) <= n:
-        rows.append(_build_row(kind, strategy, len(rows), rows))
+    rows = _cache.get((kind, strategy))
+    if rows is not None and len(rows) > n:
+        return rows
+    with _cache_locks[(kind, strategy)]:
+        rows = _cache.setdefault((kind, strategy), [])
+        while len(rows) <= n:
+            rows.append(_build_row(kind, strategy, len(rows), rows))
     return rows
 
 
@@ -325,17 +337,20 @@ def triangle(kind: Kind, rows: int, strategy: Strategy = Strategy.RECURRENCE) ->
 
 
 def _classical_rows(rows: list[tuple[int, ...]], step, n: int) -> int:
-    while len(rows) <= n:
-        m = len(rows)
-        if m == 0:
-            rows.append((1,))
-            continue
-        prev = rows[m - 1]
+    if len(rows) > n:
+        return n
+    with _classical_lock:
+        while len(rows) <= n:
+            m = len(rows)
+            if m == 0:
+                rows.append((1,))
+                continue
+            prev = rows[m - 1]
 
-        def p(j: int) -> int:
-            return prev[j] if 0 <= j < len(prev) else 0
+            def p(j: int) -> int:
+                return prev[j] if 0 <= j < len(prev) else 0
 
-        rows.append((0, *(step(m, k, p) for k in range(1, m + 1))))
+            rows.append((0, *(step(m, k, p) for k in range(1, m + 1))))
     return n
 
 

@@ -22,8 +22,7 @@ from wardtri.triangles import Kind, Strategy, supported_strategies, triangle, va
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-TRANSFORM_ROWS = 18
-OTHER_ROWS = 60
+ROWS = 60
 
 
 def criterion(num, title):
@@ -42,19 +41,14 @@ def criterion(num, title):
     return deco
 
 
-@criterion(1, "strategy equivalence (n<=18 with transform, n<=60 otherwise)")
+@criterion(1, "strategy equivalence (n<=60)")
 def test_criterion_01_strategy_equivalence():
     start = time.perf_counter()
     for kind in Kind:
         for a, b in itertools.combinations(
             sorted(supported_strategies(kind), key=lambda s: s.value), 2
         ):
-            rows = (
-                TRANSFORM_ROWS
-                if Strategy.PARTITION_TRANSFORM in (a, b)
-                else OTHER_ROWS
-            )
-            report = ids.compare_strategies(kind, rows, a, b)
+            report = ids.compare_strategies(kind, ROWS, a, b)
             assert report.passed, report.human()
     assert time.perf_counter() - start < 60
 

@@ -207,25 +207,13 @@ def test_bench_structure(capsys):
         float(seconds)
 
 
-def test_bench_transform_guard():
-    with pytest.raises(SystemExit) as err:
-        main(["bench", "--kind", "ward1", "--rows", "2000",
-              "--strategies", "partition-transform"])
-    assert err.value.code == 2
-
-
-def test_gen_transform_guard_and_force(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["gen", "--kind", "ward1", "--rows", "41",
-              "--strategy", "partition-transform", "--format", "table"])
-    assert err.value.code == 2
+def test_gen_transform_past_40_rows(capsys):
     code, out = run(capsys, "gen", "--kind", "ward-lah", "--rows", "41",
-                    "--strategy", "partition-transform", "--format", "table", "--force")
+                    "--strategy", "partition-transform", "--format", "table")
     assert code == 0
     assert len(out.splitlines()) == 42
-    # spot-check the forced build against the explicit route
     row41 = [int(v) for v in out.splitlines()[41].split()]
-    assert row41[1] == value(Kind.WARD_LAH, 41, 1, Strategy.EXPLICIT)
+    assert row41 == [value(Kind.WARD_LAH, 41, k, Strategy.EXPLICIT) for k in range(42)]
 
 
 def test_bench_rejects_zero_rows():

@@ -12,7 +12,7 @@ from wardtri.partition_transform import (
     ward_first_kind,
     ward_second_kind,
 )
-from wardtri.triangles import Kind, Strategy, value
+from wardtri.triangles import Kind, Strategy, clear_caches, value
 
 
 def all_partitions(n):
@@ -29,6 +29,31 @@ def all_partitions(n):
 
     # ascending internals, reversed to weakly decreasing
     return [tuple(reversed(p)) for p in gen(n, 1)] if n else [()]
+
+
+def enumerated_transform(n, k, rule):
+    """The Partition transformation summed term by term over the partitions
+    listed by `all_partitions`: the reference for `partition_transform`."""
+    sign = -1 if k % 2 else 1
+    total = Fraction(0)
+    for q in all_partitions(n):
+        if (q[0] if q else 0) != k:
+            continue
+        parts = (*q, 0)
+        term = Fraction(1)
+        for j in range(len(q)):
+            term *= binomial(parts[j], parts[j + 1]) * rule(j + 1) ** parts[j]
+        total += sign * term
+    return total
+
+
+def squares_over_three(j):
+    """A rule outside the Ward families, with numerators and denominators
+    that vary with j."""
+    return Fraction(j * j + 1, 3)
+
+
+RULES = [constant_one, ward_first_kind, ward_second_kind, squares_over_three]
 
 
 def test_enumeration_examples():
@@ -108,3 +133,39 @@ def test_scaled_transform_is_integral(rule):
         for k in range(1, n + 1):
             scaled = (-1) ** k * falling_factorial(n + k, n) * partition_transform(n, k, rule)
             assert scaled.denominator == 1, (rule.__name__, n, k)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_transform_matches_enumerated_sum(rule):
+    for n in range(21):
+        for k in range(n + 2):
+            assert partition_transform(n, k, rule) == enumerated_transform(n, k, rule), (n, k)
+
+
+def test_transform_rejects_negative():
+    with pytest.raises(ValueError):
+        partition_transform(-1, 0, constant_one)
+    with pytest.raises(ValueError):
+        partition_transform(3, -1, constant_one)
+
+
+def test_long_single_partition_needs_no_deep_recursion():
+    # the only partition with largest part 1 is 1^n, and a_1...a_n = 1/(n+1)
+    assert partition_transform(1500, 1, ward_first_kind) == Fraction(-1, 1501)
+
+
+def test_clear_caches_drops_transform_tables():
+    calls = []
+
+    def rule(j):
+        calls.append(j)
+        return Fraction(j, j + 2)
+
+    partition_transform(12, 3, rule)
+    first = len(calls)
+    partition_transform(12, 3, rule)
+    assert len(calls) == first  # memoized
+    clear_caches()
+    partition_transform(12, 3, rule)
+    assert len(calls) == 2 * first
+

@@ -1,14 +1,22 @@
+import functools
 import itertools
+import random
+import sys
+import threading
+import time
+from fractions import Fraction
 
 import pytest
 
 from wardtri.exact_arith import binomial, exact_div, factorial, falling_factorial
+from wardtri.partition_transform import partition_transform
 from wardtri.triangles import (
     SUPPORTED,
     Kind,
     Strategy,
     UnsupportedStrategyError,
     central,
+    clear_caches,
     lah,
     stirling1_unsigned,
     stirling2,
@@ -213,3 +221,75 @@ def test_central_values():
         central("bell", 2)
     with pytest.raises(ValueError):
         central("lah", -1)
+
+
+
+def _run_in_threads(tasks):
+    """Results of the callables in `tasks`, each run in its own thread, all
+    at once, with a short switch interval so that unsynchronised growth of
+    a shared cache shows."""
+    results, errors = [None] * len(tasks), []
+
+    def worker(i):
+        try:
+            results[i] = tasks[i]()
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(i,)) for i in range(len(tasks))]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert errors == []
+    return results
+
+
+@pytest.mark.parametrize(
+    "kind,strategy,rows",
+    [
+        (Kind.VARIED_WARD1, Strategy.SCALING, 60),
+        (Kind.WARD2, Strategy.PARTITION_TRANSFORM, 30),
+    ],
+)
+def test_concurrent_cold_builds_match_a_serial_build(kind, strategy, rows):
+    clear_caches()
+    expected = triangle(kind, rows, strategy).rows
+    for _ in range(3):
+        clear_caches()
+        results = _run_in_threads([lambda: triangle(kind, rows, strategy).rows] * 8)
+        assert results == [expected] * 8
+
+
+def test_concurrent_classical_builds_match_a_serial_build():
+    def table():
+        return [(stirling1_unsigned(n, k), stirling2(n, k), lah(n, k)) for n in range(80) for k in range(n + 1)]
+
+    clear_caches()
+    expected = table()
+    for _ in range(3):
+        clear_caches()
+        assert _run_in_threads([table] * 8) == [expected] * 8
+
+
+def test_concurrent_transform_table_growth_matches_a_serial_build():
+    def rule(j):
+        time.sleep(0.001)  # lets other threads run while the table grows
+        return Fraction(j * j + 1, 3)
+
+    cells = [(n, k) for n in range(19) for k in range(n + 2)]
+    # a distinct rule object gets a table of its own
+    expected = {cell: partition_transform(*cell, lambda j: Fraction(j * j + 1, 3)) for cell in cells}
+
+    def evaluate(seed):
+        order = random.Random(seed).sample(cells, len(cells))
+        return {cell: partition_transform(*cell, rule) for cell in order}
+
+    results = _run_in_threads([functools.partial(evaluate, seed) for seed in range(8)])
+    assert results == [expected] * 8
