@@ -10,7 +10,6 @@ from .exact_arith import (
 )
 from .partition_transform import (
     constant_one,
-    enumerate_partitions,
     partition_transform,
     ward_first_kind,
     ward_second_kind,
@@ -40,7 +39,6 @@ __all__ = [
     "binomial",
     "central",
     "constant_one",
-    "enumerate_partitions",
     "exact_div",
     "factorial",
     "falling_factorial",

@@ -17,6 +17,11 @@ class BFileParseError(ValueError):
     """Malformed b-file text (bad line, or indices not contiguous)."""
 
 
+def abbreviate(text: str) -> str:
+    """`text` for a message: past 60 characters, its two ends and its length."""
+    return text if len(text) <= 60 else f"{text[:30]}...{text[-30:]} ({len(text)} characters)"
+
+
 @dataclass(frozen=True)
 class BFile:
     offset: int
@@ -44,11 +49,11 @@ def parse_bfile(text: str) -> BFile:
         in_header = False
         parts = line.split()
         if len(parts) != 2:
-            raise BFileParseError(f"line {lineno}: expected 'index value', got {raw!r}")
+            raise BFileParseError(f"line {lineno}: expected 'index value', got {abbreviate(raw)!r}")
         try:
             index, val = int(parts[0]), int(parts[1])
         except ValueError:
-            raise BFileParseError(f"line {lineno}: non-integer token in {raw!r}") from None
+            raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}") from None
         if offset is None:
             offset = index
         elif index != offset + len(values):

@@ -2,7 +2,8 @@
 
 Subcommands: gen, check, identities, conjecture, bfile-compare, bench.
 Exit codes: 0 success/agreement, 1 mismatch or identity failure, 2 usage
-error (argparse errors, unsupported strategy names, unreadable files).
+error (argparse errors, negative row counts, unsupported strategy names,
+unreadable or malformed files).
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ def parse_strategy(text: str) -> Strategy:
         raise argparse.ArgumentTypeError(
             f"unknown strategy {text!r}; choose from {', '.join(s.value for s in Strategy)}"
         ) from None
+
+
+def _count(text: str) -> int:
+    """A row count or a bound: a nonnegative integer."""
+    if not text.isdecimal():  # digits only: int() cannot fail and the count is >= 0
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_kind_list(text: str) -> list[Kind]:
@@ -166,7 +174,8 @@ def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace
             n, k = bfile_mod.index_to_entry(index, args.offset)
             print(
                 f"mismatch at index {index} (n={n}, k={k}): "
-                f"expected {expected}, found {found}"
+                f"expected {bfile_mod.abbreviate(str(expected))}, "
+                f"found {bfile_mod.abbreviate(str(found))}"
             )
             return 1
     print(f"{args.file}: {len(bf.values)} entries agree with {args.kind.value}/{args.strategy.value}")
@@ -210,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="print one triangle")
     p_gen.add_argument("--kind", type=parse_kind, required=True)
-    p_gen.add_argument("--rows", type=int, required=True)
+    p_gen.add_argument("--rows", type=_count, required=True)
     p_gen.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
     p_gen.add_argument("--format", choices=["table", "csv", "bfile"], default="table")
     p_gen.add_argument("--offset", type=int, default=1, help="first b-file index")
@@ -219,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="pairwise strategy cross-validation")
     p_check.add_argument("--kind", dest="kinds", type=_parse_kind_list, default=list(Kind),
                          help="comma-separated kinds or 'all' (default)")
-    p_check.add_argument("--rows", type=int, default=15)
+    p_check.add_argument("--rows", type=_count, default=15)
     p_check.add_argument("--strategies", type=_parse_strategy_list, default=None,
                          help="comma-separated strategies or 'all' (default)")
     p_check.set_defaults(func=_cmd_check)
@@ -231,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conj = sub.add_parser("conjecture", help="row-sum evidence reports")
     p_conj.add_argument("which", choices=sorted(_CONJECTURES))
-    p_conj.add_argument("--max-n", type=int, default=15)
+    p_conj.add_argument("--max-n", type=_count, default=15)
     p_conj.set_defaults(func=_cmd_conjecture)
 
     p_cmp = sub.add_parser("bfile-compare", help="compare a b-file against a triangle")
@@ -251,6 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Entries outgrow CPython's 4300-digit limit on int<->str conversion
+    # (1600! alone has over 4400); lift it for this process only.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(parser, args)

@@ -82,8 +82,3 @@ def as_integer(q: Fraction | int) -> int:
     if q.denominator != 1:
         raise ExactnessError(f"expected an integer, got {q}")
     return q.numerator
-
-
-def rational_str(q: Fraction) -> str:
-    """Render as "p/q", or "p" when the value is integral."""
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

@@ -5,9 +5,9 @@ Every check sweeps a parameter range, honours the side conditions under
 which its identity is stated (tuples outside them are skipped and counted,
 never evaluated), and reports the first counterexample on failure.  Checks
 accept an ``entry`` override so tests can inject faults; by default entries
-come from an independent computation route (explicit formula where one
-exists, scaling from the base Ward triangle otherwise) so a check never
-validates a recurrence against values built by that same recurrence.
+come from the kind's `triangles.reference_route` (explicit, scaling or
+partition transform, never the recurrence), so a check never validates a
+recurrence against values built by that same recurrence.
 
 Conjectured relations are flagged as such: their reports are evidence, and
 a disagreement is surfaced rather than treated as a library bug.
@@ -22,26 +22,14 @@ from typing import Callable
 from .exact_arith import factorial, rising_factorial
 from .exact_arith import binomial as binom
 from .series import PowerSeries, one_minus_x
-from .triangles import Kind, Strategy, central, lah, value
+from .triangles import Kind, Strategy, central, lah, reference_route, value
 
 EntryFn = Callable[[int, int], int]
 
-_DEFAULT_ROUTE = {
-    Kind.WARD1: Strategy.RECURRENCE,
-    Kind.WARD2: Strategy.RECURRENCE,
-    Kind.WARD_LAH: Strategy.EXPLICIT,
-    Kind.VARIED_WARD1: Strategy.SCALING,
-    Kind.VARIED_WARD2: Strategy.SCALING,
-    Kind.VARIED_WARD_LAH: Strategy.EXPLICIT,
-    Kind.BINOMIAL_WARD1: Strategy.SCALING,
-    Kind.BINOMIAL_WARD2: Strategy.SCALING,
-    Kind.BINOMIAL_WARD_LAH: Strategy.EXPLICIT,
-}
-
 
 def default_entry(kind: Kind) -> EntryFn:
-    """Entry lookup for a kind via its default verification route."""
-    strategy = _DEFAULT_ROUTE[kind]
+    """Entry lookup for a kind via its reference route."""
+    strategy = reference_route(kind)
     return lambda n, k: value(kind, n, k, strategy)
 
 
@@ -455,18 +443,19 @@ def check_lah_variedwardlah(max_n: int, *, entry: EntryFn | None = None) -> Chec
     return sweep.report()
 
 
+# Central numbers the row sums of each binomial kind are compared with.
+_ROWSUM_CENTRAL = {
+    Kind.BINOMIAL_WARD1: "stirling1",
+    Kind.BINOMIAL_WARD2: "stirling2",
+    Kind.BINOMIAL_WARD_LAH: "lah",
+}
+
+
 def rowsum_pairs(kind: Kind, max_n: int, *, entry: EntryFn | None = None) -> list[tuple[int, int, int]]:
     """(n, row sum, reference central value) for the row-sum relations."""
     e = entry or default_entry(kind)
-    reference = {
-        Kind.BINOMIAL_WARD1: lambda n: central("stirling1", n),
-        Kind.BINOMIAL_WARD2: lambda n: central("stirling2", n),
-        Kind.BINOMIAL_WARD_LAH: lambda n: central("lah", n),
-    }[kind]
-    out = []
-    for n in range(max_n + 1):
-        out.append((n, sum(e(n, k) for k in range(n + 1)), reference(n)))
-    return out
+    which = _ROWSUM_CENTRAL[kind]
+    return [(n, sum(e(n, k) for k in range(n + 1)), central(which, n)) for n in range(max_n + 1)]
 
 
 def check_conjecture_rowsums_stirling(
@@ -477,9 +466,9 @@ def check_conjecture_rowsums_stirling(
 
     Reported as evidence; a failure is a finding, not a bug.
     """
-    if kind not in (Kind.BINOMIAL_WARD1, Kind.BINOMIAL_WARD2):
+    which = _ROWSUM_CENTRAL.get(kind)
+    if which not in ("stirling1", "stirling2"):
         raise ValueError(f"row-sum conjecture applies to binomial Ward kinds, not {kind.value}")
-    which = "stirling1" if kind is Kind.BINOMIAL_WARD1 else "stirling2"
     sweep = _Sweep(f"conjecture-rowsums-{kind.value}-{which}", f"0<=n<={max_n}", conjecture=True)
     for n, rowsum, ref in rowsum_pairs(kind, max_n, entry=entry):
         sweep.compare(rowsum, ref, n, 0)

@@ -1,5 +1,5 @@
-"""Integer partitions with a fixed largest part, and Luschny's Partition
-transformation over them.
+"""Luschny's Partition transformation over the integer partitions with a
+fixed largest part.
 
 The transformation maps an argument sequence a_1, a_2, ... (a rule giving a
 rational for every index j >= 1) to a triangular array:
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 # Rule mapping index j >= 1 to the j-th argument term.
 ArgumentRule = Callable[[int], Fraction]
@@ -47,33 +47,6 @@ def ward_first_kind(j: int) -> Fraction:
 def ward_second_kind(j: int) -> Fraction:
     """a_j = 1/(j+1): the rule behind second-kind Ward triangles."""
     return Fraction(1, j + 1)
-
-
-def _bounded_partitions(total: int, cap: int) -> Iterator[tuple[int, ...]]:
-    # Partitions of `total` with every part <= cap, in decreasing
-    # lexicographic order.
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(cap, total), 0, -1):
-        for rest in _bounded_partitions(total - first, first):
-            yield (first, *rest)
-
-
-def enumerate_partitions(n: int, k: int) -> list[tuple[int, ...]]:
-    """All partitions of n whose largest part is exactly k.
-
-    Parts are weakly decreasing tuples of positive integers, listed in
-    decreasing lexicographic order.  Empty for k > n and for k = 0 with
-    n > 0; the single empty partition for n = k = 0.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"partition bounds must be nonnegative, got ({n}, {k})")
-    if n == 0 and k == 0:
-        return [()]
-    if k == 0 or k > n:
-        return []
-    return [(k, *rest) for rest in _bounded_partitions(n - k, k)]
 
 
 class _TailTable:

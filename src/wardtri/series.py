@@ -62,13 +62,6 @@ class PowerSeries:
         a, b = self._aligned(other)
         return PowerSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        a, b = self._aligned(other)
-        return PowerSeries(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         a, b = self._aligned(other)
         n = a.order
@@ -118,11 +111,6 @@ class PowerSeries:
             raise ValueError("shift must be nonnegative")
         coeffs = (Fraction(0),) * m + self.coeffs
         return PowerSeries(coeffs[: self.order + 1])
-
-
-def geometric(order: int) -> PowerSeries:
-    """1/(1-x) to the given truncation order."""
-    return PowerSeries.from_list([1] * (order + 1))
 
 
 def one_minus_x(order: int) -> PowerSeries:

@@ -1,22 +1,19 @@
 """The nine Ward-related triangles, each computable by several independent
 strategies, plus the classical Stirling/Lah reference triangles.
 
-Kinds and the strategies each one supports:
+Each triangle is one of three bases (ward1, ward2, ward-lah) under one of
+three rescalings (none, varied, binomial), and `SPEC` records that pair for
+every kind.  The routes of a kind follow from it: `recurrence` and
+`partition-transform` always, `explicit` when the base is ward-lah (the only
+base with a closed form), `scaling` (the rescaling factor times the base
+triangle) when the kind is rescaled, and `alternating-sum` (a signed sum of
+Lah numbers) for ward-lah itself.
 
-    ward1               recurrence, partition-transform
-    ward2               recurrence, partition-transform
-    ward-lah            recurrence, explicit, partition-transform, alternating-sum
-    varied-ward1        recurrence, partition-transform, scaling
-    varied-ward2        recurrence, partition-transform, scaling
-    varied-ward-lah     recurrence, explicit, partition-transform, scaling
-    binomial-ward1      recurrence, partition-transform, scaling
-    binomial-ward2      recurrence, partition-transform, scaling
-    binomial-ward-lah   recurrence, explicit, partition-transform, scaling
-
-Only the routes with an actual closed form or recurrence exist; there is no
-explicit formula for ward1/ward2, so none is offered.  Entries are always
-nonnegative integers; every rational-coefficient recurrence is evaluated in
-exact rationals and the result asserted integral rather than rearranged.
+The recurrences and explicit formulas are written out per kind, as the
+paper states them, and never derived from the rescaling factor: they are
+the independent routes that check it.  A rational-coefficient recurrence is
+an integer numerator over `exact_div`, so a result that is not an integer
+raises `ExactnessError` rather than being rounded.
 
 All triangles share the same boundary: T(0,0) = 1, T(n,0) = T(0,k) = 0 for
 n, k >= 1, and T(n,k) = 0 for k > n.
@@ -24,7 +21,9 @@ n, k >= 1, and T(n,k) = 0 for k > n.
 Construction is row by row into per-(kind, strategy) caches of immutable
 tuples.  One thread at a time grows a cache, under that cache's lock, and
 a row is appended only once complete; completed rows never change, so a
-reader of rows already built takes no lock.
+reader of rows already built takes no lock.  A row that needs the base
+triangle (scaling, the binomial diagonal) takes the base's lock inside its
+own, and a base's builders take no other, so locks are taken in one order.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from typing import Callable
 
 from .exact_arith import as_integer, binomial, exact_div, factorial, falling_factorial
 from .partition_transform import (
@@ -69,77 +68,57 @@ class UnsupportedStrategyError(ValueError):
     """Raised when a (kind, strategy) pair has no computation route."""
 
 
-SUPPORTED: dict[Kind, frozenset[Strategy]] = {
-    Kind.WARD1: frozenset({Strategy.RECURRENCE, Strategy.PARTITION_TRANSFORM}),
-    Kind.WARD2: frozenset({Strategy.RECURRENCE, Strategy.PARTITION_TRANSFORM}),
-    Kind.WARD_LAH: frozenset(
-        {
-            Strategy.RECURRENCE,
-            Strategy.EXPLICIT,
-            Strategy.PARTITION_TRANSFORM,
-            Strategy.ALTERNATING_SUM,
-        }
-    ),
-    Kind.VARIED_WARD1: frozenset(
-        {Strategy.RECURRENCE, Strategy.PARTITION_TRANSFORM, Strategy.SCALING}
-    ),
-    Kind.VARIED_WARD2: frozenset(
-        {Strategy.RECURRENCE, Strategy.PARTITION_TRANSFORM, Strategy.SCALING}
-    ),
-    Kind.VARIED_WARD_LAH: frozenset(
-        {
-            Strategy.RECURRENCE,
-            Strategy.EXPLICIT,
-            Strategy.PARTITION_TRANSFORM,
-            Strategy.SCALING,
-        }
-    ),
-    Kind.BINOMIAL_WARD1: frozenset(
-        {Strategy.RECURRENCE, Strategy.PARTITION_TRANSFORM, Strategy.SCALING}
-    ),
-    Kind.BINOMIAL_WARD2: frozenset(
-        {Strategy.RECURRENCE, Strategy.PARTITION_TRANSFORM, Strategy.SCALING}
-    ),
-    Kind.BINOMIAL_WARD_LAH: frozenset(
-        {
-            Strategy.RECURRENCE,
-            Strategy.EXPLICIT,
-            Strategy.PARTITION_TRANSFORM,
-            Strategy.SCALING,
-        }
-    ),
+class Base(Enum):
+    """An unrescaled triangle and the argument rule of its partition transform."""
+
+    WARD1 = (Kind.WARD1, ward_first_kind)
+    WARD2 = (Kind.WARD2, ward_second_kind)
+    WARD_LAH = (Kind.WARD_LAH, constant_one)
+
+    def __init__(self, kind: Kind, rule: ArgumentRule) -> None:
+        self.kind = kind
+        self.rule = rule
+
+
+class Rescaling(Enum):
+    NONE = "none"
+    VARIED = "varied"
+    BINOMIAL = "binomial"
+
+    def factor(self, n: int, k: int) -> int:
+        """Rescaled T(n, k) over base T(n, k): 1, (2n)_(n-k) * k! or C(2n, n+k)."""
+        if self is Rescaling.VARIED:
+            return falling_factorial(2 * n, n - k) * factorial(k)
+        if self is Rescaling.BINOMIAL:
+            return binomial(2 * n, n + k)
+        return 1
+
+
+SPEC: dict[Kind, tuple[Base, Rescaling]] = {
+    Kind.WARD1: (Base.WARD1, Rescaling.NONE),
+    Kind.WARD2: (Base.WARD2, Rescaling.NONE),
+    Kind.WARD_LAH: (Base.WARD_LAH, Rescaling.NONE),
+    Kind.VARIED_WARD1: (Base.WARD1, Rescaling.VARIED),
+    Kind.VARIED_WARD2: (Base.WARD2, Rescaling.VARIED),
+    Kind.VARIED_WARD_LAH: (Base.WARD_LAH, Rescaling.VARIED),
+    Kind.BINOMIAL_WARD1: (Base.WARD1, Rescaling.BINOMIAL),
+    Kind.BINOMIAL_WARD2: (Base.WARD2, Rescaling.BINOMIAL),
+    Kind.BINOMIAL_WARD_LAH: (Base.WARD_LAH, Rescaling.BINOMIAL),
 }
 
-# Argument rule feeding the partition-transform route of each kind.
-_RULE: dict[Kind, ArgumentRule] = {
-    Kind.WARD1: ward_first_kind,
-    Kind.WARD2: ward_second_kind,
-    Kind.WARD_LAH: constant_one,
-    Kind.VARIED_WARD1: ward_first_kind,
-    Kind.VARIED_WARD2: ward_second_kind,
-    Kind.VARIED_WARD_LAH: constant_one,
-    Kind.BINOMIAL_WARD1: ward_first_kind,
-    Kind.BINOMIAL_WARD2: ward_second_kind,
-    Kind.BINOMIAL_WARD_LAH: constant_one,
-}
 
-# Base triangle each rescaled family scales from.
-_SCALING_BASE: dict[Kind, Kind] = {
-    Kind.VARIED_WARD1: Kind.WARD1,
-    Kind.VARIED_WARD2: Kind.WARD2,
-    Kind.VARIED_WARD_LAH: Kind.WARD_LAH,
-    Kind.BINOMIAL_WARD1: Kind.WARD1,
-    Kind.BINOMIAL_WARD2: Kind.WARD2,
-    Kind.BINOMIAL_WARD_LAH: Kind.WARD_LAH,
-}
+def _routes(base: Base, rescaling: Rescaling) -> frozenset[Strategy]:
+    routes = {Strategy.RECURRENCE, Strategy.PARTITION_TRANSFORM}
+    if base is Base.WARD_LAH:
+        routes.add(Strategy.EXPLICIT)
+    if rescaling is not Rescaling.NONE:
+        routes.add(Strategy.SCALING)
+    elif base is Base.WARD_LAH:
+        routes.add(Strategy.ALTERNATING_SUM)
+    return frozenset(routes)
 
-# Diagonal of the binomial recurrences is not covered by the recurrence
-# (it needs n-k >= 1); it is seeded from the scaling relation instead.
-_DIAGONAL_BASE: dict[Kind, Kind] = {
-    Kind.BINOMIAL_WARD1: Kind.WARD1,
-    Kind.BINOMIAL_WARD2: Kind.WARD2,
-    Kind.BINOMIAL_WARD_LAH: Kind.WARD_LAH,
-}
+
+SUPPORTED: dict[Kind, frozenset[Strategy]] = {kind: _routes(*spec) for kind, spec in SPEC.items()}
 
 
 @dataclass(frozen=True)
@@ -154,12 +133,6 @@ class Triangle:
     def n_rows(self) -> int:
         """Largest row index present."""
         return len(self.rows) - 1
-
-    def entry(self, n: int, k: int) -> int:
-        """T(n, k) with zeros outside the triangle."""
-        if n < 0 or k < 0 or k > n or n > self.n_rows:
-            return 0
-        return self.rows[n][k]
 
 
 _cache: dict[tuple[Kind, Strategy], list[tuple[int, ...]]] = {}
@@ -184,6 +157,13 @@ def supported_strategies(kind: Kind) -> frozenset[Strategy]:
     return SUPPORTED[kind]
 
 
+def reference_route(kind: Kind) -> Strategy:
+    """The route a kind's recurrences and identities are checked against:
+    explicit, else scaling, else partition-transform; never the recurrence."""
+    preference = (Strategy.EXPLICIT, Strategy.SCALING, Strategy.PARTITION_TRANSFORM)
+    return next(s for s in preference if s in SUPPORTED[kind])
+
+
 def _check_supported(kind: Kind, strategy: Strategy) -> None:
     if strategy not in SUPPORTED[kind]:
         raise UnsupportedStrategyError(
@@ -192,112 +172,94 @@ def _check_supported(kind: Kind, strategy: Strategy) -> None:
         )
 
 
-def _recurrence_entry(kind: Kind, n: int, k: int, prev: tuple[int, ...]) -> int:
-    def p(j: int) -> int:
-        return prev[j] if 0 <= j < len(prev) else 0
+# T(n, k) from a = T(n-1, k) and b = T(n-1, k-1).  The ward-lah one is the
+# integer-coefficient recurrence; its weighted variants are verified as
+# identities, not used to build.  The binomial ones hold for n-k >= 1 only.
+_RECURRENCE: dict[Kind, Callable[[int, int, int, int], int]] = {
+    Kind.WARD1: lambda n, k, a, b: (n + k - 1) * (a + b),
+    Kind.WARD2: lambda n, k, a, b: k * a + (n + k - 1) * b,
+    Kind.WARD_LAH: lambda n, k, a, b: 2 * (n + k - 1) * b + (n + 2 * k - 1) * a,
+    Kind.VARIED_WARD1: lambda n, k, a, b: exact_div(
+        2 * n * (2 * n - 1) * ((n + k - 1) * a + k * b), n + k
+    ),
+    Kind.VARIED_WARD2: lambda n, k, a, b: exact_div(2 * n * k * (2 * n - 1) * (a + b), n + k),
+    Kind.VARIED_WARD_LAH: lambda n, k, a, b: 2 * n * (2 * n - 1) * (a + b),
+    Kind.BINOMIAL_WARD1: lambda n, k, a, b: exact_div(
+        2 * n * (2 * n - 1) * ((n + k - 1) * a + (n - k) * b), (n + k) * (n - k)
+    ),
+    Kind.BINOMIAL_WARD2: lambda n, k, a, b: exact_div(
+        2 * n * (2 * n - 1) * (k * a + (n - k) * b), (n + k) * (n - k)
+    ),
+    Kind.BINOMIAL_WARD_LAH: lambda n, k, a, b: exact_div(
+        2 * n * (2 * n - 1) * (k * a + (n - k) * b), k * (n - k)
+    ),
+}
 
-    if kind is Kind.WARD1:
-        return (n + k - 1) * (p(k) + p(k - 1))
-    if kind is Kind.WARD2:
-        return k * p(k) + (n + k - 1) * p(k - 1)
-    if kind is Kind.WARD_LAH:
-        # The integer-coefficient recurrence; the weighted variants are
-        # verified as identities, not used to build.
-        return 2 * (n + k - 1) * p(k - 1) + (n + 2 * k - 1) * p(k)
-    if kind is Kind.VARIED_WARD1:
-        return as_integer(
-            Fraction(2 * n * (2 * n - 1), n + k) * ((n + k - 1) * p(k) + k * p(k - 1))
-        )
-    if kind is Kind.VARIED_WARD2:
-        return as_integer(
-            Fraction(2 * n * k * (2 * n - 1), n + k) * (p(k) + p(k - 1))
-        )
-    if kind is Kind.VARIED_WARD_LAH:
-        return 2 * n * (2 * n - 1) * (p(k) + p(k - 1))
-    if kind is Kind.BINOMIAL_WARD1:
-        if k == n:
-            return value(_DIAGONAL_BASE[kind], n, n, Strategy.RECURRENCE)
-        return as_integer(
-            Fraction(2 * n * (2 * n - 1), n + k)
-            * (Fraction(n + k - 1, n - k) * p(k) + p(k - 1))
-        )
-    if kind is Kind.BINOMIAL_WARD2:
-        if k == n:
-            return value(_DIAGONAL_BASE[kind], n, n, Strategy.RECURRENCE)
-        return as_integer(
-            Fraction(2 * n * (2 * n - 1), n + k)
-            * (Fraction(k, n - k) * p(k) + p(k - 1))
-        )
-    if kind is Kind.BINOMIAL_WARD_LAH:
-        if k == n:
-            return value(_DIAGONAL_BASE[kind], n, n, Strategy.RECURRENCE)
-        return as_integer(
-            2 * n * (2 * n - 1) * (Fraction(p(k), n - k) + Fraction(p(k - 1), k))
-        )
-    raise AssertionError(kind)
+# Closed forms of the kinds over the ward-lah base, given f = (2n)!.
+_EXPLICIT: dict[Kind, Callable[[int, int, int], int]] = {
+    Kind.WARD_LAH: lambda n, k, f: exact_div(factorial(n + k), factorial(k)) * binomial(n - 1, k - 1),
+    Kind.VARIED_WARD_LAH: lambda n, k, f: f * binomial(n - 1, k - 1),
+    Kind.BINOMIAL_WARD_LAH: lambda n, k, f: exact_div(f, factorial(k) * factorial(n - k))
+    * binomial(n - 1, k - 1),
+}
 
 
-def _explicit_entry(kind: Kind, n: int, k: int) -> int:
-    if kind is Kind.WARD_LAH:
-        return exact_div(factorial(n + k), factorial(k)) * binomial(n - 1, k - 1)
-    if kind is Kind.VARIED_WARD_LAH:
-        return factorial(2 * n) * binomial(n - 1, k - 1)
-    if kind is Kind.BINOMIAL_WARD_LAH:
-        return exact_div(factorial(2 * n), factorial(k) * factorial(n - k)) * binomial(
-            n - 1, k - 1
-        )
-    raise AssertionError(kind)
+# Row builders: row n >= 1 of one kind, given the rows before it.
+
+def _recurrence_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    step = _RECURRENCE[kind]
+    prev = (*rows[n - 1], 0)
+    base, rescaling = SPEC[kind]
+    if rescaling is Rescaling.BINOMIAL:
+        # The diagonal, which the recurrence does not reach, is the base
+        # triangle's: C(2n, 2n) = 1.
+        diagonal = _rows_upto(base.kind, Strategy.RECURRENCE, n)[n][n]
+        return (0, *(step(n, k, prev[k], prev[k - 1]) for k in range(1, n)), diagonal)
+    return (0, *(step(n, k, prev[k], prev[k - 1]) for k in range(1, n + 1)))
 
 
-def _transform_entry(kind: Kind, n: int, k: int) -> int:
-    sign = -1 if k % 2 else 1
-    p = partition_transform(n, k, _RULE[kind])
-    if kind in (Kind.WARD1, Kind.WARD2, Kind.WARD_LAH):
-        scale: int | Fraction = falling_factorial(n + k, n)
-    elif kind in (Kind.VARIED_WARD1, Kind.VARIED_WARD2, Kind.VARIED_WARD_LAH):
-        scale = factorial(2 * n)
-    else:
-        scale = Fraction(factorial(2 * n), factorial(k) * factorial(n - k))
-    return as_integer(sign * scale * p)
+def _explicit_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    formula, f = _EXPLICIT[kind], factorial(2 * n)
+    return (0, *(formula(n, k, f) for k in range(1, n + 1)))
 
 
-def _scaling_entry(kind: Kind, n: int, k: int) -> int:
-    base = value(_SCALING_BASE[kind], n, k, Strategy.RECURRENCE)
-    if kind in (Kind.VARIED_WARD1, Kind.VARIED_WARD2, Kind.VARIED_WARD_LAH):
-        return exact_div(factorial(2 * n) * base, falling_factorial(n + k, n))
-    return binomial(2 * n, n + k) * base
+def _transform_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    base, rescaling = SPEC[kind]
+
+    def entry(k: int) -> int:
+        # (-1)^k (n+k)_n P(n, k) is the base triangle; the factor rescales it.
+        scale = (-1) ** k * rescaling.factor(n, k) * falling_factorial(n + k, n)
+        return as_integer(scale * partition_transform(n, k, base.rule))
+
+    return (0, *map(entry, range(1, n + 1)))
 
 
-def _alternating_sum_entry(n: int, k: int) -> int:
-    # ward-lah as a signed sum of Lah numbers; the m = 0 term dies on
-    # C(n-1, -1) = 0.
-    total = 0
-    for m in range(k + 1):
-        sign = -1 if (m + k) % 2 else 1
-        total += (
-            sign
-            * binomial(n + k, n + m)
-            * binomial(n + m - 1, m - 1)
-            * exact_div(factorial(n + m), factorial(m))
-        )
-    return total
+def _scaling_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    base, rescaling = SPEC[kind]
+    base_row = _rows_upto(base.kind, Strategy.RECURRENCE, n)[n]
+    return (0, *(rescaling.factor(n, k) * base_row[k] for k in range(1, n + 1)))
 
 
-def _build_row(kind: Kind, strategy: Strategy, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    if strategy is Strategy.RECURRENCE:
-        prev = rows[n - 1]
-        return (0, *(_recurrence_entry(kind, n, k, prev) for k in range(1, n + 1)))
-    if strategy is Strategy.EXPLICIT:
-        return (0, *(_explicit_entry(kind, n, k) for k in range(1, n + 1)))
-    if strategy is Strategy.PARTITION_TRANSFORM:
-        return (0, *(_transform_entry(kind, n, k) for k in range(1, n + 1)))
-    if strategy is Strategy.SCALING:
-        return (0, *(_scaling_entry(kind, n, k) for k in range(1, n + 1)))
-    if strategy is Strategy.ALTERNATING_SUM:
-        return (0, *(_alternating_sum_entry(n, k) for k in range(1, n + 1)))
-    raise AssertionError(strategy)
+def _alternating_sum_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    # ward-lah(n, k) = sum_{m=1..k} (-1)^(m+k) C(n+k, n+m) L(n+m, m), with
+    # the Lah numbers L(n+m, m) = (n+m)!/m! C(n+m-1, m-1) signed once per row.
+    lah_terms = [0] + [
+        (-1) ** m * exact_div(factorial(n + m), factorial(m)) * binomial(n + m - 1, m - 1)
+        for m in range(1, n + 1)
+    ]
+    return (0, *(
+        (-1) ** k * sum(binomial(n + k, n + m) * lah_terms[m] for m in range(1, k + 1))
+        for k in range(1, n + 1)
+    ))
+
+
+_ROW = {
+    Strategy.RECURRENCE: _recurrence_row,
+    Strategy.EXPLICIT: _explicit_row,
+    Strategy.PARTITION_TRANSFORM: _transform_row,
+    Strategy.SCALING: _scaling_row,
+    Strategy.ALTERNATING_SUM: _alternating_sum_row,
+}
 
 
 def _rows_upto(kind: Kind, strategy: Strategy, n: int) -> list[tuple[int, ...]]:
@@ -305,9 +267,10 @@ def _rows_upto(kind: Kind, strategy: Strategy, n: int) -> list[tuple[int, ...]]:
     if rows is not None and len(rows) > n:
         return rows
     with _cache_locks[(kind, strategy)]:
-        rows = _cache.setdefault((kind, strategy), [])
+        rows = _cache.setdefault((kind, strategy), [(1,)])
+        build = _ROW[strategy]
         while len(rows) <= n:
-            rows.append(_build_row(kind, strategy, len(rows), rows))
+            rows.append(build(kind, len(rows), rows))
     return rows
 
 
@@ -336,29 +299,23 @@ def triangle(kind: Kind, rows: int, strategy: Strategy = Strategy.RECURRENCE) ->
     return Triangle(kind=kind, strategy=strategy, rows=tuple(built[: rows + 1]))
 
 
-def _classical_rows(rows: list[tuple[int, ...]], step, n: int) -> int:
+def _classical_rows(rows: list[tuple[int, ...]], step, n: int) -> None:
+    # step(m, j, a, b) is T(m, j) from a = T(m-1, j) and b = T(m-1, j-1).
     if len(rows) > n:
-        return n
+        return
     with _classical_lock:
+        if not rows:
+            rows.append((1,))
         while len(rows) <= n:
-            m = len(rows)
-            if m == 0:
-                rows.append((1,))
-                continue
-            prev = rows[m - 1]
-
-            def p(j: int) -> int:
-                return prev[j] if 0 <= j < len(prev) else 0
-
-            rows.append((0, *(step(m, k, p) for k in range(1, m + 1))))
-    return n
+            m, prev = len(rows), (*rows[-1], 0)
+            rows.append((0, *(step(m, j, prev[j], prev[j - 1]) for j in range(1, m + 1))))
 
 
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling cycle numbers c(n, k)."""
     if n < 0 or k < 0 or k > n:
         return 0
-    _classical_rows(_stirling1_rows, lambda m, j, p: p(j - 1) + (m - 1) * p(j), n)
+    _classical_rows(_stirling1_rows, lambda m, j, a, b: b + (m - 1) * a, n)
     return _stirling1_rows[n][k]
 
 
@@ -366,7 +323,7 @@ def stirling2(n: int, k: int) -> int:
     """Stirling set numbers S(n, k)."""
     if n < 0 or k < 0 or k > n:
         return 0
-    _classical_rows(_stirling2_rows, lambda m, j, p: p(j - 1) + j * p(j), n)
+    _classical_rows(_stirling2_rows, lambda m, j, a, b: b + j * a, n)
     return _stirling2_rows[n][k]
 
 
@@ -374,7 +331,7 @@ def lah(n: int, k: int) -> int:
     """Lah numbers L(n, k), built by the classical triangular recurrence."""
     if n < 0 or k < 0 or k > n:
         return 0
-    _classical_rows(_lah_rows, lambda m, j, p: p(j - 1) + (m - 1 + j) * p(j), n)
+    _classical_rows(_lah_rows, lambda m, j, a, b: b + (m - 1 + j) * a, n)
     return _lah_rows[n][k]
 
 

@@ -18,7 +18,14 @@ from wardtri.partition_transform import (
     ward_first_kind,
     ward_second_kind,
 )
-from wardtri.triangles import Kind, Strategy, supported_strategies, triangle, value
+from wardtri.triangles import (
+    Kind,
+    Strategy,
+    reference_route,
+    supported_strategies,
+    triangle,
+    value,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -145,18 +152,8 @@ def test_criterion_08_oeis_fixtures():
 
 @criterion(9, "any single flipped entry with n<=10 is caught, naming its row")
 def test_criterion_09_fault_injection():
-    reference_route = {
-        Kind.WARD1: Strategy.PARTITION_TRANSFORM,
-        Kind.WARD2: Strategy.PARTITION_TRANSFORM,
-        Kind.WARD_LAH: Strategy.EXPLICIT,
-        Kind.VARIED_WARD1: Strategy.SCALING,
-        Kind.VARIED_WARD2: Strategy.SCALING,
-        Kind.VARIED_WARD_LAH: Strategy.EXPLICIT,
-        Kind.BINOMIAL_WARD1: Strategy.SCALING,
-        Kind.BINOMIAL_WARD2: Strategy.SCALING,
-        Kind.BINOMIAL_WARD_LAH: Strategy.EXPLICIT,
-    }
-    for kind, reference in reference_route.items():
+    for kind in Kind:
+        reference = reference_route(kind)
         for n0 in range(11):
             for k0 in range(n0 + 1):
                 corrupted = (

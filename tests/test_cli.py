@@ -1,9 +1,11 @@
+import sys
 from pathlib import Path
 
 import pytest
 
 import wardtri.identities
 from wardtri.cli import main
+from wardtri.exact_arith import factorial
 from wardtri.triangles import Kind, Strategy, value
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -214,6 +216,48 @@ def test_gen_transform_past_40_rows(capsys):
     assert len(out.splitlines()) == 42
     row41 = [int(v) for v in out.splitlines()[41].split()]
     assert row41 == [value(Kind.WARD_LAH, 41, k, Strategy.EXPLICIT) for k in range(42)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "ward1", "--rows", "-1"],
+        ["check", "--rows", "-3"],
+        ["conjecture", "stirling1", "--max-n", "-2"],
+    ],
+)
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.splitlines()[-1].endswith(f"expected a nonnegative integer, got '{argv[-1]}'")
+    assert "Traceback" not in errors
+
+
+def test_bfile_compare_value_past_the_digit_limit(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text("1 " + "7" * 5000 + "\n")  # ward2 T(1,1) = 1
+    code, out = run(capsys, "bfile-compare", "--kind", "ward2", "--file", str(big))
+    assert code == 1
+    assert out.startswith("mismatch at index 1 (n=1, k=1): expected 1, found 777")
+    assert "(5000 characters)" in out
+    assert len(out) < 200
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_gen_value_past_the_digit_limit(capsys):
+    # 640 is the lowest limit CPython accepts; T(170, 170) = 340! has 715 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run(capsys, "gen", "--kind", "varied-ward-lah", "--rows", "170",
+                        "--strategy", "explicit", "--format", "bfile")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert out.splitlines()[-1] == f"{170 * 171 // 2} {factorial(340)}"
 
 
 def test_bench_rejects_zero_rows():

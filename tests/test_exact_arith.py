@@ -12,7 +12,6 @@ from wardtri.exact_arith import (
     exact_div,
     factorial,
     falling_factorial,
-    rational_str,
     rising_factorial,
 )
 
@@ -99,10 +98,3 @@ def test_fraction_is_canonical(p, q):
     assert math.gcd(abs(f.numerator), f.denominator) == 1
     if p != 0:
         assert f * Fraction(q, p) == 1
-
-
-def test_rational_str():
-    assert rational_str(Fraction(3, 6)) == "1/2"
-    assert rational_str(Fraction(4, 2)) == "2"
-    assert rational_str(Fraction(-5, 10)) == "-1/2"
-    assert rational_str(Fraction(0)) == "0"

@@ -1,13 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from wardtri.exact_arith import binomial, factorial, falling_factorial
 from wardtri.partition_transform import (
     constant_one,
-    enumerate_partitions,
     partition_transform,
     ward_first_kind,
     ward_second_kind,
@@ -16,8 +13,8 @@ from wardtri.triangles import Kind, Strategy, clear_caches, value
 
 
 def all_partitions(n):
-    """Independent brute-force partition generator (ascending construction),
-    used only as an oracle against the fixed-largest-part enumerator."""
+    """All partitions of n, weakly decreasing: a brute-force generator
+    (ascending construction) for the oracle below."""
 
     def gen(remaining, minimum):
         if remaining == 0:
@@ -54,44 +51,6 @@ def squares_over_three(j):
 
 
 RULES = [constant_one, ward_first_kind, ward_second_kind, squares_over_three]
-
-
-def test_enumeration_examples():
-    assert enumerate_partitions(4, 2) == [(2, 2), (2, 1, 1)]
-    assert enumerate_partitions(3, 3) == [(3,)]
-    assert enumerate_partitions(2, 3) == []
-    assert enumerate_partitions(0, 0) == [()]
-    assert enumerate_partitions(5, 0) == []
-
-
-def test_enumeration_rejects_negative():
-    with pytest.raises(ValueError):
-        enumerate_partitions(-1, 0)
-
-
-def test_count_matches_bruteforce_to_30():
-    by_total = {m: all_partitions(m) for m in range(31)}
-    for n in range(31):
-        for k in range(n + 1):
-            expected = sum(1 for p in by_total[n - k] if (p[0] if p else 0) <= k)
-            assert len(enumerate_partitions(n, k)) == expected, (n, k)
-
-
-@given(st.integers(min_value=0, max_value=22), st.integers(min_value=0, max_value=22))
-def test_enumeration_shape(n, k):
-    result = enumerate_partitions(n, k)
-    assert result == sorted(result, reverse=True)  # decreasing lexicographic
-    assert len(set(result)) == len(result)
-    for q in result:
-        assert sum(q) == n
-        assert all(a >= b for a, b in zip(q, q[1:]))
-        assert all(part > 0 for part in q)
-        if q:
-            assert q[0] == k
-
-
-def test_enumeration_deterministic():
-    assert enumerate_partitions(12, 5) == enumerate_partitions(12, 5)
 
 
 def test_transform_examples():

@@ -7,8 +7,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wardtri.exact_arith import binomial, exact_div, factorial, falling_factorial
+from wardtri import triangles
+from wardtri.exact_arith import ExactnessError, binomial, exact_div, factorial, falling_factorial
 from wardtri.partition_transform import partition_transform
 from wardtri.triangles import (
     SUPPORTED,
@@ -18,6 +21,7 @@ from wardtri.triangles import (
     central,
     clear_caches,
     lah,
+    reference_route,
     stirling1_unsigned,
     stirling2,
     supported_strategies,
@@ -27,6 +31,27 @@ from wardtri.triangles import (
 
 ALL_KINDS = list(Kind)
 LAH_FAMILY = (Kind.WARD_LAH, Kind.VARIED_WARD_LAH, Kind.BINOMIAL_WARD_LAH)
+
+R, E, P, S, A = (
+    Strategy.RECURRENCE,
+    Strategy.EXPLICIT,
+    Strategy.PARTITION_TRANSFORM,
+    Strategy.SCALING,
+    Strategy.ALTERNATING_SUM,
+)
+# The routes of each kind and the route it is checked against, written out
+# by hand: the oracle for what `triangles` derives from SPEC.
+HAND_WRITTEN_ROUTES = {
+    Kind.WARD1: ({R, P}, P),
+    Kind.WARD2: ({R, P}, P),
+    Kind.WARD_LAH: ({R, E, P, A}, E),
+    Kind.VARIED_WARD1: ({R, P, S}, S),
+    Kind.VARIED_WARD2: ({R, P, S}, S),
+    Kind.VARIED_WARD_LAH: ({R, E, P, S}, E),
+    Kind.BINOMIAL_WARD1: ({R, P, S}, S),
+    Kind.BINOMIAL_WARD2: ({R, P, S}, S),
+    Kind.BINOMIAL_WARD_LAH: ({R, E, P, S}, E),
+}
 
 
 def test_value_examples():
@@ -91,6 +116,30 @@ def test_strategy_table_shape():
         assert (Strategy.EXPLICIT in SUPPORTED[kind]) == (kind in LAH_FAMILY)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_routes_follow_from_spec(kind):
+    routes, reference = HAND_WRITTEN_ROUTES[kind]
+    assert SUPPORTED[kind] == routes
+    assert reference_route(kind) == reference
+
+
+@settings(deadline=None)
+@given(st.sampled_from(ALL_KINDS), st.integers(min_value=1, max_value=150), st.data())
+def test_every_route_agrees_at_random_entries(kind, n, data):
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    routes = [s for s in SUPPORTED[kind] if s is not P or n <= 60]
+    values = {s: value(kind, n, k, s) for s in routes}
+    assert len(set(values.values())) == 1, values
+
+
+def test_rational_recurrence_rejects_a_perturbed_row():
+    rows = list(triangle(Kind.BINOMIAL_WARD1, 3).rows)
+    assert triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, rows[:3]) == rows[3]
+    rows[2] = (0, rows[2][1] + 1, rows[2][2])  # T(2,1) + 1
+    with pytest.raises(ExactnessError):
+        triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, rows[:3])
+
+
 def test_negative_rows_rejected():
     with pytest.raises(ValueError):
         triangle(Kind.WARD1, -1, Strategy.RECURRENCE)
@@ -109,9 +158,10 @@ def test_ward_recurrences_hold_to_60():
     w1 = triangle(Kind.WARD1, 60, Strategy.RECURRENCE)
     w2 = triangle(Kind.WARD2, 60, Strategy.RECURRENCE)
     for n in range(1, 61):
+        p1, p2 = (*w1.rows[n - 1], 0), (*w2.rows[n - 1], 0)  # T(n-1, n) = 0
         for k in range(1, n + 1):
-            assert w1.entry(n, k) == (n + k - 1) * (w1.entry(n - 1, k) + w1.entry(n - 1, k - 1))
-            assert w2.entry(n, k) == k * w2.entry(n - 1, k) + (n + k - 1) * w2.entry(n - 1, k - 1)
+            assert w1.rows[n][k] == (n + k - 1) * (p1[k] + p1[k - 1])
+            assert w2.rows[n][k] == k * p2[k] + (n + k - 1) * p2[k - 1]
 
 
 def test_diagonals_are_double_factorials():
@@ -182,10 +232,8 @@ def test_entries_nonnegative():
 def test_triangle_entry_bounds():
     tri = triangle(Kind.WARD2, 5, Strategy.RECURRENCE)
     assert tri.n_rows == 5
-    assert tri.entry(3, 2) == 10
-    assert tri.entry(6, 1) == 0  # beyond built rows
-    assert tri.entry(-1, 0) == 0
-    assert tri.entry(2, 3) == 0
+    assert [len(row) for row in tri.rows] == [1, 2, 3, 4, 5, 6]  # k = 0..n
+    assert tri.rows[3][2] == 10
 
 
 def test_stirling_and_lah_values():
@@ -255,6 +303,7 @@ def _run_in_threads(tasks):
     "kind,strategy,rows",
     [
         (Kind.VARIED_WARD1, Strategy.SCALING, 60),
+        (Kind.BINOMIAL_WARD2, Strategy.RECURRENCE, 60),
         (Kind.WARD2, Strategy.PARTITION_TRANSFORM, 30),
     ],
 )
