@@ -8,6 +8,7 @@ column and the n = 0 row, matching how the OEIS reads these triangles.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .triangles import Triangle
@@ -15,6 +16,10 @@ from .triangles import Triangle
 
 class BFileParseError(ValueError):
     """Malformed b-file text (bad line, or indices not contiguous)."""
+
+
+# A token int() accepts unless it is longer than the interpreter's digit limit.
+_INTEGER = re.compile(r"[+-]?\d+")
 
 
 def abbreviate(text: str) -> str:
@@ -53,6 +58,11 @@ def parse_bfile(text: str) -> BFile:
         try:
             index, val = int(parts[0]), int(parts[1])
         except ValueError:
+            if all(_INTEGER.fullmatch(part) for part in parts):
+                raise BFileParseError(
+                    f"line {lineno}: integer in {abbreviate(raw)!r} exceeds the "
+                    f"interpreter's int/str digit limit (sys.set_int_max_str_digits)"
+                ) from None
             raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}") from None
         if offset is None:
             offset = index

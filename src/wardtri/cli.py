@@ -64,19 +64,18 @@ def _parse_strategy_list(text: str) -> list[Strategy] | None:
     return [parse_strategy(part) for part in text.split(",") if part.strip()]
 
 
-def _render_triangle(tri: triangles.Triangle, fmt: str, offset: int) -> str:
-    if fmt == "table":
-        return "\n".join(" ".join(str(v) for v in row) for row in tri.rows)
-    if fmt == "csv":
-        return "\n".join(",".join(str(v) for v in row) for row in tri.rows)
+def _write_triangle(tri: triangles.Triangle, fmt: str, offset: int) -> None:
+    """Write `tri` to stdout one row at a time, so no copy of the whole
+    output is held.  A b-file leaves out row 0 and each row's k = 0 entry."""
+    out = sys.stdout
     if fmt == "bfile":
-        values = bfile_mod.linearize(tri)
-        if not values:
-            return ""
-        return bfile_mod.render_bfile(
-            bfile_mod.BFile(offset=offset, values=tuple(values))
-        ).rstrip("\n")
-    raise AssertionError(fmt)
+        for row in tri.rows[1:]:
+            out.write(bfile_mod.render_bfile(bfile_mod.BFile(offset=offset, values=row[1:])))
+            offset += len(row) - 1
+        return
+    sep = " " if fmt == "table" else ","
+    for row in tri.rows:
+        out.write(sep.join(map(str, row)) + "\n")
 
 
 def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -84,9 +83,7 @@ def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         tri = triangles.triangle(args.kind, args.rows, args.strategy)
     except triangles.UnsupportedStrategyError as exc:
         parser.error(str(exc))
-    out = _render_triangle(tri, args.format, args.offset)
-    if out:
-        print(out)
+    _write_triangle(tri, args.format, args.offset)
     return 0
 
 
@@ -157,19 +154,20 @@ def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace
         bf = bfile_mod.parse_bfile(text)
     except bfile_mod.BFileParseError as exc:
         parser.error(f"{args.file}: {exc}")
-    max_pos = bf.offset + len(bf.values) - 1 - args.offset + 1
-    rows = bfile_mod.rows_needed(max(max_pos, 0))
+    if bf.offset > args.offset:
+        parser.error(f"{args.file}: first index {bf.offset} is past --offset {args.offset}")
+    # Sized by the file's length, never by the value of its last index; a
+    # file that starts before --offset fails at its first line.
+    rows = bfile_mod.rows_needed(len(bf.values)) if bf.offset == args.offset else 0
     try:
         tri = triangles.triangle(args.kind, rows, args.strategy)
     except triangles.UnsupportedStrategyError as exc:
         parser.error(str(exc))
+    if bf.offset < args.offset:
+        print(f"mismatch at index {bf.offset}: index below offset {args.offset}")
+        return 1
     linear = bfile_mod.linearize(tri)
-    for index, found in bf.pairs():
-        pos = index - args.offset + 1
-        if pos < 1:
-            print(f"mismatch at index {index}: index below offset {args.offset}")
-            return 1
-        expected = linear[pos - 1]
+    for (index, found), expected in zip(bf.pairs(), linear):
         if expected != found:
             n, k = bfile_mod.index_to_entry(index, args.offset)
             print(

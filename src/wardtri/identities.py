@@ -9,6 +9,11 @@ come from the kind's `triangles.reference_route` (explicit, scaling or
 partition transform, never the recurrence), so a check never validates a
 recurrence against values built by that same recurrence.
 
+A check reads each entry once, into a row table, and compares integers: a
+rational identity is multiplied through by its positive denominator, and
+fractions are formed only to report a counterexample.  The generating
+function checks keep their power-series side, which is what they test.
+
 Conjectured relations are flagged as such: their reports are evidence, and
 a disagreement is surfaced rather than treated as a library bug.
 """
@@ -22,7 +27,7 @@ from typing import Callable
 from .exact_arith import factorial, rising_factorial
 from .exact_arith import binomial as binom
 from .series import PowerSeries, one_minus_x
-from .triangles import Kind, Strategy, central, lah, reference_route, value
+from .triangles import Kind, Strategy, central, lah, reference_route, triangle, value
 
 EntryFn = Callable[[int, int], int]
 
@@ -31,6 +36,21 @@ def default_entry(kind: Kind) -> EntryFn:
     """Entry lookup for a kind via its reference route."""
     strategy = reference_route(kind)
     return lambda n, k: value(kind, n, k, strategy)
+
+
+def _table(e: EntryFn, max_n: int) -> list[list[int]]:
+    """T[n][k] = e(n, k) for 0 <= k <= n <= max_n, one call per entry.  Rows
+    are max_n + 2 long and zero past k = n, so the reads just outside the
+    triangle give 0, as `value` does."""
+    return [[e(n, k) for k in range(n + 1)] + [0] * (max_n + 1 - n) for n in range(max_n + 1)]
+
+
+def _factorials(limit: int) -> list[int]:
+    """F[i] = i! for 0 <= i <= limit."""
+    out = [1]
+    for i in range(1, limit + 1):
+        out.append(out[-1] * i)
+    return out
 
 
 @dataclass(frozen=True)
@@ -102,6 +122,14 @@ class _Sweep:
         if self.counterexample is None and lhs != rhs:
             self.counterexample = Counterexample(n=n, k=k, lhs=lhs, rhs=rhs, m=m)
 
+    def compare_ratio(self, lhs: int, num: int, den: int, n: int, k: int, m: int | None = None) -> None:
+        """lhs == num/den for den > 0, tested as lhs * den == num."""
+        self.cases += 1
+        if self.counterexample is None and lhs * den != num:
+            self.counterexample = Counterexample(
+                n=n, k=k, lhs=Fraction(lhs), rhs=Fraction(num, den), m=m
+            )
+
     def report(self) -> CheckReport:
         return CheckReport(
             name=self.name,
@@ -123,13 +151,24 @@ def compare_strategies(
     entry_a: EntryFn | None = None,
     entry_b: EntryFn | None = None,
 ) -> CheckReport:
-    """Entrywise agreement of two computation routes for one kind."""
-    a = entry_a or (lambda n, k: value(kind, n, k, strat_a))
-    b = entry_b or (lambda n, k: value(kind, n, k, strat_b))
+    """Entrywise agreement of two computation routes for one kind.
+
+    Without entry overrides the two triangles are compared row by row, and
+    scanned entry by entry only to name the first mismatch.
+    """
     sweep = _Sweep(
         f"equivalence-{kind.value}-{strat_a.value}~{strat_b.value}",
         f"0<=k<=n<={rows}",
     )
+    if entry_a is None and entry_b is None:
+        rows_a = triangle(kind, rows, strat_a).rows
+        rows_b = triangle(kind, rows, strat_b).rows
+        if rows_a == rows_b:
+            sweep.cases = (rows + 1) * (rows + 2) // 2
+            return sweep.report()
+        entry_a, entry_b = (lambda n, k: rows_a[n][k]), (lambda n, k: rows_b[n][k])
+    a = entry_a or (lambda n, k: value(kind, n, k, strat_a))
+    b = entry_b or (lambda n, k: value(kind, n, k, strat_b))
     for n in range(rows + 1):
         for k in range(n + 1):
             sweep.compare(a(n, k), b(n, k), n, k)
@@ -138,153 +177,188 @@ def compare_strategies(
 
 def check_alternating_sum_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Signed Lah-number sum route for ward-lah equals its explicit formula."""
-    e = entry or default_entry(Kind.WARD_LAH)
+    t = _table(entry or default_entry(Kind.WARD_LAH), max_n)
+    sums = triangle(Kind.WARD_LAH, max(max_n, 0), Strategy.ALTERNATING_SUM).rows
     sweep = _Sweep("alternating-sum-ward-lah", f"1<=k<=n<={max_n}")
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
-            lhs = value(Kind.WARD_LAH, n, k, Strategy.ALTERNATING_SUM)
-            sweep.compare(lhs, e(n, k), n, k)
+            sweep.compare(sums[n][k], t[n][k], n, k)
+    return sweep.report()
+
+
+def _two_term(
+    kind: Kind,
+    entry: EntryFn | None,
+    max_n: int,
+    name: str,
+    param_range: str,
+    step: Callable[[int, int, int, int], tuple[int, int]],
+    skip: Callable[[int, int], bool] | None = None,
+) -> CheckReport:
+    """Sweep T(n, k) = num/den over 1 <= k <= n <= max_n, where (num, den)
+    = step(n, k, T(n-1, k), T(n-1, k-1)) and den > 0; tuples that `skip`
+    holds for are counted as skipped."""
+    t = _table(entry or default_entry(kind), max_n)
+    sweep = _Sweep(name, param_range)
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            if skip is not None and skip(n, k):
+                sweep.skip()
+                continue
+            num, den = step(n, k, t[n - 1][k], t[n - 1][k - 1])
+            sweep.compare_ratio(t[n][k], num, den, n, k)
     return sweep.report()
 
 
 def check_triangular_wardlah_weighted(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Two-term ward-lah recurrence with weight (n+k)(n-1)/n; needs k >= 2."""
-    e = entry or default_entry(Kind.WARD_LAH)
-    sweep = _Sweep("triangular-ward-lah-weighted", f"2<=k<=n<={max_n}")
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            if k < 2:
-                sweep.skip()
-                continue
-            rhs = Fraction((n + k) * (n - 1), n) * (
-                e(n - 1, k) + Fraction(n + k - 1, k - 1) * e(n - 1, k - 1)
-            )
-            sweep.compare(Fraction(e(n, k)), rhs, n, k)
-    return sweep.report()
+    # (n+k)(n-1)/n * (a + (n+k-1)/(k-1) * b), over n(k-1)
+    return _two_term(
+        Kind.WARD_LAH, entry, max_n, "triangular-ward-lah-weighted", f"2<=k<=n<={max_n}",
+        lambda n, k, a, b: ((n + k) * (n - 1) * ((k - 1) * a + (n + k - 1) * b), n * (k - 1)),
+        skip=lambda n, k: k < 2,
+    )
 
 
 def check_triangular_wardlah_integer(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Integer-coefficient ward-lah recurrence, the one the builder uses."""
-    e = entry or default_entry(Kind.WARD_LAH)
-    sweep = _Sweep("triangular-ward-lah-integer", f"1<=k<=n<={max_n}")
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            rhs = 2 * (n + k - 1) * e(n - 1, k - 1) + (n + 2 * k - 1) * e(n - 1, k)
-            sweep.compare(e(n, k), rhs, n, k)
-    return sweep.report()
+    return _two_term(
+        Kind.WARD_LAH, entry, max_n, "triangular-ward-lah-integer", f"1<=k<=n<={max_n}",
+        lambda n, k, a, b: (2 * (n + k - 1) * b + (n + 2 * k - 1) * a, 1),
+    )
 
 
 def check_triangular_wardlah_onestep(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """One-step ward-lah recurrence with weight (n+k) and ratio (n+k-1)/k."""
-    e = entry or default_entry(Kind.WARD_LAH)
-    sweep = _Sweep("triangular-ward-lah-onestep", f"1<=k<=n<={max_n}")
-    for n in range(1, max_n + 1):
+    # (n+k) * (a + (n+k-1)/k * b), over k
+    return _two_term(
+        Kind.WARD_LAH, entry, max_n, "triangular-ward-lah-onestep", f"1<=k<=n<={max_n}",
+        lambda n, k, a, b: ((n + k) * (k * a + (n + k - 1) * b), k),
+    )
+
+
+def _horizontal(
+    kind: Kind,
+    entry: EntryFn | None,
+    max_n: int,
+    max_m: int | None,
+    name: str,
+    domain: str,
+    lhs_weight: Callable[[list[int], int, int], int],
+    rhs_weight: Callable[[list[int], int, int], int],
+    row_weight: Callable[[list[int], int, int], int],
+    skip_diagonal: bool = False,
+) -> CheckReport:
+    """Sweep an m-step horizontal recurrence through row p = n - m as
+
+        T(n, k) * lhs_weight(n, k) * (2p)! == rhs_weight(n, k) * S(p, m, k),
+        S(p, m, k) = sum_j C(m, j) * row_weight(p, k-j) * T(p, k-j),
+
+    where row_weight puts row p over the common denominator (2p)! and the
+    weights take f, f[i] = i!, first.  S(p, m) is the coefficient list of
+    (1+x)^m times the weighted row p, so S(p, m) = S(p, m-1) + S(p, m-1)
+    shifted by one: each n advances every kept p by one m.  Tuples are
+    swept in (n, k, m) order, so the first counterexample is the one a
+    direct sum finds.
+    """
+    t = _table(entry or default_entry(kind), max_n)
+    f = _factorials(2 * max_n)
+    if max_m is None:
+        max_m = max_n - 1
+    sweep = _Sweep(name, f"{domain}, 1<=m<=min({max_m},n-1)")
+    sums: dict[int, list[int]] = {}  # p -> S(p, n - p)
+    for n in range(2, max_n + 1):
+        if max_m >= 1:
+            p = n - 1
+            sums[p] = [row_weight(f, p, kk) * t[p][kk] for kk in range(p + 1)]
+        for p, s in list(sums.items()):
+            if n - p > max_m:
+                del sums[p]
+            else:
+                sums[p] = [x + y for x, y in zip(s + [0], [0] + s)]
         for k in range(1, n + 1):
-            rhs = (n + k) * (e(n - 1, k) + Fraction(n + k - 1, k) * e(n - 1, k - 1))
-            sweep.compare(Fraction(e(n, k)), rhs, n, k)
+            if skip_diagonal and k == n:
+                sweep.skip()
+                continue
+            lhs, a, c = t[n][k], lhs_weight(f, n, k), rhs_weight(f, n, k)
+            for m in range(1, min(max_m, n - 1) + 1):
+                p = n - m
+                sweep.compare_ratio(lhs, c * sums[p][k], a * f[2 * p], n, k, m)
     return sweep.report()
 
 
 def check_horizontal_wardlah(
     max_n: int, max_m: int | None = None, *, entry: EntryFn | None = None
 ) -> CheckReport:
-    """m-step horizontal recurrence for ward-lah across row n-m."""
-    e = entry or default_entry(Kind.WARD_LAH)
-    if max_m is None:
-        max_m = max_n - 1
-    sweep = _Sweep("horizontal-ward-lah", f"1<=k<=n<={max_n}, 1<=m<=min({max_m},n-1)")
-    for n in range(2, max_n + 1):
-        for k in range(1, n + 1):
-            for m in range(1, min(max_m, n - 1) + 1):
-                acc = Fraction(0)
-                for j in range(m + 1):
-                    kk = k - j
-                    if kk < 1 or kk > n - m:
-                        continue  # zero entry
-                    acc += (
-                        Fraction(factorial(kk), factorial(n - m + kk))
-                        * binom(m, j)
-                        * e(n - m, kk)
-                    )
-                rhs = Fraction(factorial(n + k), factorial(k)) * acc
-                sweep.compare(Fraction(e(n, k)), rhs, n, k, m)
-    return sweep.report()
+    """m-step horizontal recurrence for ward-lah across row n-m.
+
+    T(n,k) = (n+k)!/k! * sum_j C(m,j) * kk!/(p+kk)! * T(p,kk), kk = k-j in
+    1..p, p = n-m.
+    """
+    return _horizontal(
+        Kind.WARD_LAH, entry, max_n, max_m, "horizontal-ward-lah", f"1<=k<=n<={max_n}",
+        lambda f, n, k: f[k],
+        lambda f, n, k: f[n + k],
+        # kk!/(p+kk)! = kk! * ((2p)!/(p+kk)!) / (2p)!, an exact quotient
+        lambda f, p, kk: f[kk] * (f[2 * p] // f[p + kk]) if kk else 0,
+    )
 
 
 def check_order3_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Order-3 recurrence for ward-lah mixing rows n-1 and n-2."""
-    e = entry or default_entry(Kind.WARD_LAH)
+    t = _table(entry or default_entry(Kind.WARD_LAH), max_n)
     sweep = _Sweep("order3-ward-lah", f"2<=n<={max_n}, 1<=k<=n")
     for n in range(2, max_n + 1):
         for k in range(1, n + 1):
             rhs = (
-                2 * (2 * n - 1) * e(n - 1, k - 1)
-                - n * (n - 2) * e(n - 2, k)
-                - (-2 * n + 1) * e(n - 1, k)
+                2 * (2 * n - 1) * t[n - 1][k - 1]
+                - n * (n - 2) * t[n - 2][k]
+                - (-2 * n + 1) * t[n - 1][k]
             )
-            sweep.compare(e(n, k), rhs, n, k)
+            sweep.compare(t[n][k], rhs, n, k)
     return sweep.report()
 
 
 def check_triangular_varied_ward1(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Triangular recurrence for varied Ward numbers of the first kind."""
-    e = entry or default_entry(Kind.VARIED_WARD1)
-    sweep = _Sweep("triangular-varied-ward1", f"1<=k<=n<={max_n}")
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            rhs = Fraction(2 * n * (2 * n - 1), n + k) * (
-                (n + k - 1) * e(n - 1, k) + k * e(n - 1, k - 1)
-            )
-            sweep.compare(Fraction(e(n, k)), rhs, n, k)
-    return sweep.report()
+    # 2n(2n-1)/(n+k) * ((n+k-1) a + k b), over n+k
+    return _two_term(
+        Kind.VARIED_WARD1, entry, max_n, "triangular-varied-ward1", f"1<=k<=n<={max_n}",
+        lambda n, k, a, b: (2 * n * (2 * n - 1) * ((n + k - 1) * a + k * b), n + k),
+    )
 
 
 def check_triangular_varied_ward2(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Triangular recurrence for varied Ward numbers of the second kind."""
-    e = entry or default_entry(Kind.VARIED_WARD2)
-    sweep = _Sweep("triangular-varied-ward2", f"1<=k<=n<={max_n}")
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            rhs = Fraction(2 * n * k * (2 * n - 1), n + k) * (
-                e(n - 1, k) + e(n - 1, k - 1)
-            )
-            sweep.compare(Fraction(e(n, k)), rhs, n, k)
-    return sweep.report()
+    # 2nk(2n-1)/(n+k) * (a + b), over n+k
+    return _two_term(
+        Kind.VARIED_WARD2, entry, max_n, "triangular-varied-ward2", f"1<=k<=n<={max_n}",
+        lambda n, k, a, b: (2 * n * k * (2 * n - 1) * (a + b), n + k),
+    )
 
 
 def check_triangular_varied_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Triangular recurrence for varied ward-lah with factor 2n(2n-1)."""
-    e = entry or default_entry(Kind.VARIED_WARD_LAH)
-    sweep = _Sweep("triangular-varied-ward-lah", f"1<=k<=n<={max_n}")
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            rhs = 2 * n * (2 * n - 1) * (e(n - 1, k) + e(n - 1, k - 1))
-            sweep.compare(e(n, k), rhs, n, k)
-    return sweep.report()
+    return _two_term(
+        Kind.VARIED_WARD_LAH, entry, max_n, "triangular-varied-ward-lah", f"1<=k<=n<={max_n}",
+        lambda n, k, a, b: (2 * n * (2 * n - 1) * (a + b), 1),
+    )
 
 
 def check_horizontal_varied_wardlah(
     max_n: int, max_m: int | None = None, *, entry: EntryFn | None = None
 ) -> CheckReport:
-    """m-step horizontal recurrence for varied ward-lah."""
-    e = entry or default_entry(Kind.VARIED_WARD_LAH)
-    if max_m is None:
-        max_m = max_n - 1
-    sweep = _Sweep(
-        "horizontal-varied-ward-lah", f"1<=k<=n<={max_n}, 1<=m<=min({max_m},n-1)"
+    """m-step horizontal recurrence for varied ward-lah.
+
+    T(n,k) = (2n)! * sum_j C(m,j) * T(p,kk)/(2p)!, kk = k-j >= 0, p = n-m.
+    """
+    return _horizontal(
+        Kind.VARIED_WARD_LAH, entry, max_n, max_m, "horizontal-varied-ward-lah",
+        f"1<=k<=n<={max_n}",
+        lambda f, n, k: 1,
+        lambda f, n, k: f[2 * n],
+        lambda f, p, kk: 1,
     )
-    for n in range(2, max_n + 1):
-        for k in range(1, n + 1):
-            for m in range(1, min(max_m, n - 1) + 1):
-                acc = Fraction(0)
-                for j in range(m + 1):
-                    kk = k - j
-                    if kk < 0:
-                        continue
-                    acc += Fraction(binom(m, j) * e(n - m, kk), factorial(2 * (n - m)))
-                rhs = factorial(2 * n) * acc
-                sweep.compare(Fraction(e(n, k)), rhs, n, k, m)
-    return sweep.report()
 
 
 def check_triangular_binomial_ward1(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
@@ -292,103 +366,70 @@ def check_triangular_binomial_ward1(max_n: int, *, entry: EntryFn | None = None)
 
     Stated only off the diagonal (n-k >= 1); diagonal tuples are skipped.
     """
-    e = entry or default_entry(Kind.BINOMIAL_WARD1)
-    sweep = _Sweep("triangular-binomial-ward1", f"1<=k<=n-1, n<={max_n}")
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            if n - k < 1:
-                sweep.skip()
-                continue
-            rhs = Fraction(2 * n * (2 * n - 1), n + k) * (
-                Fraction(n + k - 1, n - k) * e(n - 1, k) + e(n - 1, k - 1)
-            )
-            sweep.compare(Fraction(e(n, k)), rhs, n, k)
-    return sweep.report()
+    # 2n(2n-1)/(n+k) * ((n+k-1)/(n-k) a + b), over (n+k)(n-k)
+    return _two_term(
+        Kind.BINOMIAL_WARD1, entry, max_n, "triangular-binomial-ward1", f"1<=k<=n-1, n<={max_n}",
+        lambda n, k, a, b: (
+            2 * n * (2 * n - 1) * ((n + k - 1) * a + (n - k) * b), (n + k) * (n - k)
+        ),
+        skip=lambda n, k: n - k < 1,
+    )
 
 
 def check_triangular_binomial_ward2(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Triangular recurrence for binomial Ward numbers of the second kind."""
-    e = entry or default_entry(Kind.BINOMIAL_WARD2)
-    sweep = _Sweep("triangular-binomial-ward2", f"1<=k<=n-1, n<={max_n}")
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            if n - k < 1:
-                sweep.skip()
-                continue
-            rhs = Fraction(2 * n * (2 * n - 1), n + k) * (
-                Fraction(k, n - k) * e(n - 1, k) + e(n - 1, k - 1)
-            )
-            sweep.compare(Fraction(e(n, k)), rhs, n, k)
-    return sweep.report()
+    # 2n(2n-1)/(n+k) * (k/(n-k) a + b), over (n+k)(n-k)
+    return _two_term(
+        Kind.BINOMIAL_WARD2, entry, max_n, "triangular-binomial-ward2", f"1<=k<=n-1, n<={max_n}",
+        lambda n, k, a, b: (2 * n * (2 * n - 1) * (k * a + (n - k) * b), (n + k) * (n - k)),
+        skip=lambda n, k: n - k < 1,
+    )
 
 
 def check_triangular_binomial_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Triangular recurrence for binomial ward-lah, off the diagonal."""
-    e = entry or default_entry(Kind.BINOMIAL_WARD_LAH)
-    sweep = _Sweep("triangular-binomial-ward-lah", f"1<=k<=n-1, n<={max_n}")
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            if n - k < 1:
-                sweep.skip()
-                continue
-            rhs = (
-                2
-                * n
-                * (2 * n - 1)
-                * (Fraction(e(n - 1, k), n - k) + Fraction(e(n - 1, k - 1), k))
-            )
-            sweep.compare(Fraction(e(n, k)), rhs, n, k)
-    return sweep.report()
+    # 2n(2n-1) * (a/(n-k) + b/k), over k(n-k)
+    return _two_term(
+        Kind.BINOMIAL_WARD_LAH, entry, max_n, "triangular-binomial-ward-lah",
+        f"1<=k<=n-1, n<={max_n}",
+        lambda n, k, a, b: (2 * n * (2 * n - 1) * (k * a + (n - k) * b), k * (n - k)),
+        skip=lambda n, k: n - k < 1,
+    )
 
 
 def check_horizontal_binomial_wardlah(
     max_n: int, max_m: int | None = None, *, entry: EntryFn | None = None
 ) -> CheckReport:
-    """m-step horizontal recurrence for binomial ward-lah (off-diagonal)."""
-    e = entry or default_entry(Kind.BINOMIAL_WARD_LAH)
-    if max_m is None:
-        max_m = max_n - 1
-    sweep = _Sweep(
-        "horizontal-binomial-ward-lah",
-        f"1<=k<=n-1, n<={max_n}, 1<=m<=min({max_m},n-1)",
+    """m-step horizontal recurrence for binomial ward-lah (off-diagonal).
+
+    T(n,k) = (2n)!/(k!(n-k)!) * sum_j C(m,j) * kk!(p-kk)!/(2p)! * T(p,kk),
+    kk = k-j in 1..p, p = n-m.
+    """
+    return _horizontal(
+        Kind.BINOMIAL_WARD_LAH, entry, max_n, max_m, "horizontal-binomial-ward-lah",
+        f"1<=k<=n-1, n<={max_n}",
+        lambda f, n, k: f[k] * f[n - k],
+        lambda f, n, k: f[2 * n],
+        lambda f, p, kk: f[kk] * f[p - kk] if kk else 0,
+        skip_diagonal=True,
     )
-    for n in range(2, max_n + 1):
-        for k in range(1, n + 1):
-            if n - k < 1:
-                sweep.skip()
-                continue
-            for m in range(1, min(max_m, n - 1) + 1):
-                acc = Fraction(0)
-                for j in range(m + 1):
-                    kk = k - j
-                    if kk < 1 or kk > n - m:
-                        continue  # zero entry
-                    acc += (
-                        Fraction(
-                            factorial(kk) * factorial(n - m - kk),
-                            factorial(2 * (n - m)),
-                        )
-                        * binom(m, j)
-                        * e(n - m, kk)
-                    )
-                rhs = Fraction(factorial(2 * n), factorial(k) * factorial(n - k)) * acc
-                sweep.compare(Fraction(e(n, k)), rhs, n, k, m)
-    return sweep.report()
 
 
 def check_order5_binomial_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Order-5 recurrence for binomial ward-lah mixing rows n-1 and n-2."""
-    e = entry or default_entry(Kind.BINOMIAL_WARD_LAH)
+    t = _table(entry or default_entry(Kind.BINOMIAL_WARD_LAH), max_n)
     sweep = _Sweep("order5-binomial-ward-lah", f"2<=n<={max_n}, 2<=k<=n")
     for n in range(2, max_n + 1):
         for k in range(2, n + 1):
-            rhs = Fraction(-4 * (n - 2) * (2 * n - 1) ** 2, n) * (
-                e(n - 2, k - 2) - 2 * e(n - 2, k - 1) + e(n - 2, k)
-            ) + Fraction(4 * (2 * n - 1), n * (2 * n - 3)) * (
-                (2 * (n - 1) ** 2 - 1) * e(n - 1, k - 1)
-                + 2 * (n - 1) ** 2 * e(n - 1, k)
+            # -4(n-2)(2n-1)^2/n * (c - 2d + e) + 4(2n-1)/(n(2n-3)) * (...),
+            # over n(2n-3)
+            two_back = t[n - 2][k - 2] - 2 * t[n - 2][k - 1] + t[n - 2][k]
+            one_back = (2 * (n - 1) ** 2 - 1) * t[n - 1][k - 1] + 2 * (n - 1) ** 2 * t[n - 1][k]
+            num = (
+                -4 * (n - 2) * (2 * n - 1) ** 2 * (2 * n - 3) * two_back
+                + 4 * (2 * n - 1) * one_back
             )
-            sweep.compare(Fraction(e(n, k)), rhs, n, k)
+            sweep.compare_ratio(t[n][k], num, n * (2 * n - 3), n, k)
     return sweep.report()
 
 
@@ -433,12 +474,12 @@ def check_gf_variedwardlah(k: int, order: int, *, entry: EntryFn | None = None) 
 def check_lah_variedwardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Rising-factorial Lah identity against a binomial sum of varied
     ward-lah entries from row n-k."""
-    e = entry or default_entry(Kind.VARIED_WARD_LAH)
+    t = _table(entry or default_entry(Kind.VARIED_WARD_LAH), max_n)
     sweep = _Sweep("lah-varied-ward-lah", f"1<=k<=n<={max_n}")
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             lhs = rising_factorial(n - k + 1, n - k) * lah(n, k)
-            rhs = binom(n, k) * sum(binom(k, j) * e(n - k, j) for j in range(k + 1))
+            rhs = binom(n, k) * sum(binom(k, j) * t[n - k][j] for j in range(k + 1))
             sweep.compare(lhs, rhs, n, k)
     return sweep.report()
 

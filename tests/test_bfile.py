@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from wardtri.bfile import (
@@ -78,3 +80,20 @@ def test_roundtrip_byte_identical_for_every_kind(kind):
     bf = BFile(offset=1, values=tuple(linearize(tri)), comments=("# header",))
     text = render_bfile(bf)
     assert render_bfile(parse_bfile(text)) == text
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_parse_names_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(BFileParseError) as err:
+            parse_bfile("1 " + "7" * 5000)
+        with pytest.raises(BFileParseError) as bad_token:
+            parse_bfile("1 7x")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    message = str(err.value)
+    assert "digit limit" in message and "non-integer" not in message
+    assert "(5002 characters)" in message
+    assert "non-integer token" in str(bad_token.value)

@@ -1,12 +1,15 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import wardtri.identities
+from wardtri import triangles
+from wardtri.bfile import BFile, linearize, render_bfile
 from wardtri.cli import main
 from wardtri.exact_arith import factorial
-from wardtri.triangles import Kind, Strategy, value
+from wardtri.triangles import Kind, Strategy, triangle, value
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -28,6 +31,15 @@ def test_gen_bfile_offset(capsys):
                     "--format", "bfile", "--offset", "0")
     assert code == 0
     assert out.splitlines() == ["0 1", "1 1", "2 3"]
+
+
+@pytest.mark.parametrize("rows,offset", [(0, 1), (1, 0), (7, 0), (7, 1), (7, 5)])
+def test_gen_bfile_streams_the_rendered_bfile(capsys, rows, offset):
+    code, out = run(capsys, "gen", "--kind", "binomial-ward2", "--rows", str(rows),
+                    "--format", "bfile", "--offset", str(offset))
+    assert code == 0
+    values = tuple(linearize(triangle(Kind.BINOMIAL_WARD2, rows)))
+    assert out == (render_bfile(BFile(offset=offset, values=values)) if values else "")
 
 
 def test_gen_csv(capsys):
@@ -79,15 +91,19 @@ def test_check_all_kinds(capsys):
 
 
 def test_check_detects_fault(monkeypatch, capsys):
-    real = wardtri.identities.value
+    # `check` compares whole rows read through identities.triangle; corrupt
+    # ward2 partition-transform T(4, 2) there.
+    real = wardtri.identities.triangle
 
-    def corrupted(kind, n, k, strategy=Strategy.RECURRENCE):
-        v = real(kind, n, k, strategy)
-        if (kind, n, k, strategy) == (Kind.WARD2, 4, 2, Strategy.PARTITION_TRANSFORM):
-            return v + 1
-        return v
+    def corrupted(kind, rows, strategy=Strategy.RECURRENCE):
+        tri = real(kind, rows, strategy)
+        if (kind, strategy) != (Kind.WARD2, Strategy.PARTITION_TRANSFORM) or rows < 4:
+            return tri
+        bad = list(tri.rows)
+        bad[4] = (*bad[4][:2], bad[4][2] + 1, *bad[4][3:])
+        return replace(tri, rows=tuple(bad))
 
-    monkeypatch.setattr(wardtri.identities, "value", corrupted)
+    monkeypatch.setattr(wardtri.identities, "triangle", corrupted)
     code, out = run(capsys, "check", "--kind", "ward2", "--rows", "6")
     assert code == 1
     assert "FAIL" in out and "n=4 k=2" in out
@@ -165,6 +181,21 @@ def test_bfile_compare_off_by_one_offset(capsys):
                     "--file", str(FIXTURES / "b269939.txt"), "--offset", "2")
     assert code == 1
     assert "mismatch at index 1" in out
+
+
+def test_bfile_compare_file_past_offset_is_usage_error(tmp_path, monkeypatch, capsys):
+    def no_build(*args):
+        raise AssertionError("built a triangle")
+
+    monkeypatch.setattr(triangles, "triangle", no_build)
+    far = tmp_path / "far.txt"
+    far.write_text("1000000000 1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["bfile-compare", "--kind", "ward2", "--file", str(far)])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.splitlines()[-1].endswith("first index 1000000000 is past --offset 1")
 
 
 def test_bfile_compare_corrupted_value(tmp_path, capsys):

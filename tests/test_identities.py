@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wardtri import identities as ids
-from wardtri.exact_arith import binomial, rising_factorial
+from wardtri.exact_arith import binomial, factorial, rising_factorial
 from wardtri.series import one_minus_x
 from wardtri.triangles import Kind, Strategy, lah
 
@@ -221,3 +223,212 @@ def test_horizontal_counterexample_carries_m():
     assert not report.passed
     assert report.counterexample.m is not None
     assert "m=" in report.human()
+
+
+# Test-only oracles: the rational checks as they read before their
+# denominators were cleared, one Fraction sum per tuple over entry calls.
+# The integer checks must give the same verdict, counts and first
+# counterexample.
+
+def _oracle_two_term(rhs, skip=lambda n, k: False):
+    def run(max_n, e):
+        sweep = ids._Sweep("oracle", "")
+        for n in range(1, max_n + 1):
+            for k in range(1, n + 1):
+                if skip(n, k):
+                    sweep.skip()
+                    continue
+                sweep.compare(Fraction(e(n, k)), rhs(e, n, k), n, k)
+        return sweep.report()
+
+    return run
+
+
+def _oracle_order5(max_n, e):
+    sweep = ids._Sweep("oracle", "")
+    for n in range(2, max_n + 1):
+        for k in range(2, n + 1):
+            rhs = Fraction(-4 * (n - 2) * (2 * n - 1) ** 2, n) * (
+                e(n - 2, k - 2) - 2 * e(n - 2, k - 1) + e(n - 2, k)
+            ) + Fraction(4 * (2 * n - 1), n * (2 * n - 3)) * (
+                (2 * (n - 1) ** 2 - 1) * e(n - 1, k - 1) + 2 * (n - 1) ** 2 * e(n - 1, k)
+            )
+            sweep.compare(Fraction(e(n, k)), rhs, n, k)
+    return sweep.report()
+
+
+def _oracle_horizontal(term, prefactor, kk_min, kk_bounded, skip_diagonal=False):
+    """rhs = prefactor(n, k) * sum_j C(m, j) * term(n - m, kk) * e(n - m, kk)."""
+
+    def run(max_n, e, max_m=None):
+        if max_m is None:
+            max_m = max_n - 1
+        sweep = ids._Sweep("oracle", "")
+        for n in range(2, max_n + 1):
+            for k in range(1, n + 1):
+                if skip_diagonal and n - k < 1:
+                    sweep.skip()
+                    continue
+                for m in range(1, min(max_m, n - 1) + 1):
+                    acc = Fraction(0)
+                    for j in range(m + 1):
+                        kk = k - j
+                        if kk < kk_min or (kk_bounded and kk > n - m):
+                            continue
+                        acc += term(n - m, kk) * binomial(m, j) * e(n - m, kk)
+                    sweep.compare(Fraction(e(n, k)), prefactor(n, k) * acc, n, k, m)
+        return sweep.report()
+
+    return run
+
+
+F = factorial
+TWO_TERM_ORACLES = {
+    "triangular-ward-lah-weighted": (
+        ids.check_triangular_wardlah_weighted, Kind.WARD_LAH,
+        _oracle_two_term(
+            lambda e, n, k: Fraction((n + k) * (n - 1), n)
+            * (e(n - 1, k) + Fraction(n + k - 1, k - 1) * e(n - 1, k - 1)),
+            skip=lambda n, k: k < 2,
+        ),
+    ),
+    "triangular-ward-lah-integer": (
+        ids.check_triangular_wardlah_integer, Kind.WARD_LAH,
+        _oracle_two_term(
+            lambda e, n, k: 2 * (n + k - 1) * e(n - 1, k - 1) + (n + 2 * k - 1) * e(n - 1, k)
+        ),
+    ),
+    "triangular-ward-lah-onestep": (
+        ids.check_triangular_wardlah_onestep, Kind.WARD_LAH,
+        _oracle_two_term(
+            lambda e, n, k: (n + k) * (e(n - 1, k) + Fraction(n + k - 1, k) * e(n - 1, k - 1))
+        ),
+    ),
+    "triangular-varied-ward1": (
+        ids.check_triangular_varied_ward1, Kind.VARIED_WARD1,
+        _oracle_two_term(
+            lambda e, n, k: Fraction(2 * n * (2 * n - 1), n + k)
+            * ((n + k - 1) * e(n - 1, k) + k * e(n - 1, k - 1))
+        ),
+    ),
+    "triangular-varied-ward2": (
+        ids.check_triangular_varied_ward2, Kind.VARIED_WARD2,
+        _oracle_two_term(
+            lambda e, n, k: Fraction(2 * n * k * (2 * n - 1), n + k) * (e(n - 1, k) + e(n - 1, k - 1))
+        ),
+    ),
+    "triangular-varied-ward-lah": (
+        ids.check_triangular_varied_wardlah, Kind.VARIED_WARD_LAH,
+        _oracle_two_term(lambda e, n, k: 2 * n * (2 * n - 1) * (e(n - 1, k) + e(n - 1, k - 1))),
+    ),
+    "triangular-binomial-ward1": (
+        ids.check_triangular_binomial_ward1, Kind.BINOMIAL_WARD1,
+        _oracle_two_term(
+            lambda e, n, k: Fraction(2 * n * (2 * n - 1), n + k)
+            * (Fraction(n + k - 1, n - k) * e(n - 1, k) + e(n - 1, k - 1)),
+            skip=lambda n, k: n - k < 1,
+        ),
+    ),
+    "triangular-binomial-ward2": (
+        ids.check_triangular_binomial_ward2, Kind.BINOMIAL_WARD2,
+        _oracle_two_term(
+            lambda e, n, k: Fraction(2 * n * (2 * n - 1), n + k)
+            * (Fraction(k, n - k) * e(n - 1, k) + e(n - 1, k - 1)),
+            skip=lambda n, k: n - k < 1,
+        ),
+    ),
+    "triangular-binomial-ward-lah": (
+        ids.check_triangular_binomial_wardlah, Kind.BINOMIAL_WARD_LAH,
+        _oracle_two_term(
+            lambda e, n, k: 2 * n * (2 * n - 1)
+            * (Fraction(e(n - 1, k), n - k) + Fraction(e(n - 1, k - 1), k)),
+            skip=lambda n, k: n - k < 1,
+        ),
+    ),
+    "order5-binomial-ward-lah": (
+        ids.check_order5_binomial_wardlah, Kind.BINOMIAL_WARD_LAH, _oracle_order5,
+    ),
+}
+
+HORIZONTAL_ORACLES = {
+    "horizontal-ward-lah": (
+        ids.check_horizontal_wardlah, Kind.WARD_LAH,
+        _oracle_horizontal(
+            lambda p, kk: Fraction(F(kk), F(p + kk)),
+            lambda n, k: Fraction(F(n + k), F(k)),
+            kk_min=1, kk_bounded=True,
+        ),
+    ),
+    "horizontal-varied-ward-lah": (
+        ids.check_horizontal_varied_wardlah, Kind.VARIED_WARD_LAH,
+        _oracle_horizontal(
+            lambda p, kk: Fraction(1, F(2 * p)),
+            lambda n, k: F(2 * n),
+            kk_min=0, kk_bounded=False,
+        ),
+    ),
+    "horizontal-binomial-ward-lah": (
+        ids.check_horizontal_binomial_wardlah, Kind.BINOMIAL_WARD_LAH,
+        _oracle_horizontal(
+            lambda p, kk: Fraction(F(kk) * F(p - kk), F(2 * p)),
+            lambda n, k: Fraction(F(2 * n), F(k) * F(n - k)),
+            kk_min=1, kk_bounded=True, skip_diagonal=True,
+        ),
+    ),
+}
+
+ALL_ORACLES = {**TWO_TERM_ORACLES, **HORIZONTAL_ORACLES}
+
+
+def outcome(report):
+    c = report.counterexample
+    return report.passed, report.cases, report.skipped, c and (c.n, c.k, c.m, c.lhs, c.rhs)
+
+
+@pytest.mark.parametrize("name", sorted(TWO_TERM_ORACLES))
+def test_cleared_checks_match_fraction_oracles(name):
+    check, kind, oracle = TWO_TERM_ORACLES[name]
+    e = ids.default_entry(kind)
+    for max_n in range(-1, 13):
+        report = check(max_n)
+        assert report.name == name
+        assert outcome(report) == outcome(oracle(max_n, e))
+
+
+@pytest.mark.parametrize("name", sorted(HORIZONTAL_ORACLES))
+def test_horizontal_checks_match_fraction_oracles(name):
+    check, kind, oracle = HORIZONTAL_ORACLES[name]
+    e = ids.default_entry(kind)
+    for max_n in range(-1, 13):
+        assert outcome(check(max_n)) == outcome(oracle(max_n, e))
+    for max_m in range(-1, 14):
+        report = check(12, max_m)
+        assert report.name == name
+        assert outcome(report) == outcome(oracle(12, e, max_m))
+
+
+@pytest.mark.parametrize("name", sorted(ALL_ORACLES))
+def test_flipped_entry_gives_the_oracles_first_counterexample(name):
+    check, kind, oracle = ALL_ORACLES[name]
+    base = ids.default_entry(kind)
+    caught = 0
+    for n0 in range(11):
+        for k0 in range(n0 + 1):
+            e = flip(base, n0, k0)
+            report, expected = check(10, entry=e), oracle(10, e)
+            assert outcome(report) == outcome(expected), (n0, k0)
+            if not report.passed:  # printed as before, too
+                assert report.counterexample.fields() == expected.counterexample.fields()
+                caught += 1
+    assert caught > 0
+
+
+IDENTITY_CASES = Path(__file__).parents[1] / "perfbench" / "identity_cases.json"
+
+
+@pytest.mark.parametrize("max_n", [20, 22, 32, 39])
+def test_identity_counts_match_the_recorded_ones(max_n):
+    recorded = json.loads(IDENTITY_CASES.read_text())[str(max_n)]
+    reports = ids.run_identity_suite(max_n)
+    assert all(r.passed for r in reports)
+    assert {r.name: [r.cases, r.skipped] for r in reports} == recorded
