@@ -9,7 +9,7 @@ column and the n = 0 row, matching how the OEIS reads these triangles.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .triangles import Triangle
 
@@ -27,11 +27,11 @@ def abbreviate(text: str) -> str:
     return text if len(text) <= 60 else f"{text[:30]}...{text[-30:]} ({len(text)} characters)"
 
 
-@dataclass(frozen=True)
-class BFile:
-    offset: int
-    values: tuple[int, ...]
-    comments: tuple[str, ...] = field(default=())
+class BFile(namedtuple("BFile", "offset values comments", defaults=((),))):
+    """An immutable b-file: the first index, the values (a tuple of ints)
+    and the leading comment lines (a tuple of strs, empty by default)."""
+
+    __slots__ = ()
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(self.offset + i, v) for i, v in enumerate(self.values)]

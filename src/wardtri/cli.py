@@ -4,6 +4,9 @@ Subcommands: gen, check, identities, conjecture, bfile-compare, bench.
 Exit codes: 0 success/agreement, 1 mismatch or identity failure, 2 usage
 error (argparse errors, negative row counts, unsupported strategy names,
 unreadable or malformed files).
+
+Each command imports only the modules it runs: `identities` for check,
+identities and conjecture, `bfile` for b-file output and bfile-compare.
 """
 
 from __future__ import annotations
@@ -12,10 +15,8 @@ import argparse
 import itertools
 import sys
 import time
-from pathlib import Path
 
-from . import bfile as bfile_mod
-from . import identities, triangles
+from . import triangles
 from .triangles import Kind, Strategy
 
 _KINDS = {k.value.replace("-", ""): k for k in Kind}
@@ -69,6 +70,8 @@ def _write_triangle(tri: triangles.Triangle, fmt: str, offset: int) -> None:
     output is held.  A b-file leaves out row 0 and each row's k = 0 entry."""
     out = sys.stdout
     if fmt == "bfile":
+        from . import bfile as bfile_mod
+
         for row in tri.rows[1:]:
             out.write(bfile_mod.render_bfile(bfile_mod.BFile(offset=offset, values=row[1:])))
             offset += len(row) - 1
@@ -88,6 +91,8 @@ def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import identities
+
     failures = 0
     for kind in args.kinds:
         supported = triangles.supported_strategies(kind)
@@ -114,6 +119,8 @@ def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 def _cmd_identities(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
+    from . import identities
+
     reports = identities.run_identity_suite(args.max_n)
     failed = 0
     for report in reports:
@@ -131,6 +138,8 @@ _CONJECTURES = {
 
 
 def _cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import identities
+
     kind, label = _CONJECTURES[args.which]
     agree = True
     for n, rowsum, ref in identities.rowsum_pairs(kind, args.max_n):
@@ -146,8 +155,11 @@ def _cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
 
 def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import bfile as bfile_mod
+
     try:
-        text = Path(args.file).read_text()
+        with open(args.file) as f:
+            text = f.read()
     except OSError as exc:
         parser.error(f"cannot read {args.file}: {exc}")
     try:
@@ -259,12 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # Entries outgrow CPython's 4300-digit limit on int<->str conversion
-    # (1600! alone has over 4400); lift it for this process only.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # (1600! alone has over 4400); lift it while the command runs, and give
+    # an in-process caller its own limit back once all output is written.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(parser, args)
+    try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        return args.func(parser, args)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

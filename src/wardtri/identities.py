@@ -20,13 +20,12 @@ a disagreement is surfaced rather than treated as a library bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .exact_arith import factorial, rising_factorial
 from .exact_arith import binomial as binom
-from .series import PowerSeries, one_minus_x
 from .triangles import Kind, Strategy, central, lah, reference_route, triangle, value
 
 EntryFn = Callable[[int, int], int]
@@ -53,13 +52,11 @@ def _factorials(limit: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    n: int
-    k: int
-    lhs: object
-    rhs: object
-    m: int | None = None
+class Counterexample(namedtuple("Counterexample", "n k lhs rhs m", defaults=(None,))):
+    """The first tuple an identity fails at: n, k, the two sides and, for
+    an m-step recurrence, m (None otherwise)."""
+
+    __slots__ = ()
 
     def fields(self) -> str:
         where = f"n={self.n} k={self.k}"
@@ -68,15 +65,18 @@ class Counterexample:
         return f"{where} lhs={self.lhs} rhs={self.rhs}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    param_range: str
-    passed: bool
-    cases: int
-    skipped: int = 0
-    conjecture: bool = False
-    counterexample: Counterexample | None = None
+class CheckReport(
+    namedtuple(
+        "CheckReport",
+        "name param_range passed cases skipped conjecture counterexample",
+        defaults=(0, False, None),
+    )
+):
+    """The verdict of one check: its name and parameter range, whether it
+    passed, the cases compared and skipped, whether the relation is only
+    conjectured, and the first `Counterexample` (None on a pass)."""
+
+    __slots__ = ()
 
     def human(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -441,6 +441,10 @@ def check_egf_wardlah(k: int, order: int, *, entry: EntryFn | None = None) -> Ch
     """
     if k < 1 or order < 2 * k:
         raise ValueError(f"need k >= 1 and order >= 2k, got k={k}, order={order}")
+    # Only the two GF checks use power series; importing them here keeps
+    # the module out of every process that runs no GF check.
+    from .series import one_minus_x
+
     e = entry or default_entry(Kind.WARD_LAH)
     sweep = _Sweep(f"egf-ward-lah-k{k}", f"k={k}, n<={order}")
     series = (one_minus_x(order).inverse() ** k).shift(2 * k).scalar_div(factorial(k))
@@ -460,6 +464,8 @@ def check_gf_variedwardlah(k: int, order: int, *, entry: EntryFn | None = None) 
     """
     if k < 1 or order < k:
         raise ValueError(f"need 1 <= k <= order, got k={k}, order={order}")
+    from .series import PowerSeries, one_minus_x
+
     e = entry or default_entry(Kind.VARIED_WARD_LAH)
     sweep = _Sweep(f"gf-varied-ward-lah-k{k}", f"k={k}, n<={order}")
     series = (PowerSeries.x(order) * one_minus_x(order).inverse()) ** k

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 # Rule mapping index j >= 1 to the j-th argument term.
 ArgumentRule = Callable[[int], Fraction]

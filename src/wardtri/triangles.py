@@ -29,9 +29,9 @@ own, and a base's builders take no other, so locks are taken in one order.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from enum import Enum
-from typing import Callable
 
 from .exact_arith import as_integer, binomial, exact_div, factorial, falling_factorial
 from .partition_transform import (
@@ -121,13 +121,12 @@ def _routes(base: Base, rescaling: Rescaling) -> frozenset[Strategy]:
 SUPPORTED: dict[Kind, frozenset[Strategy]] = {kind: _routes(*spec) for kind, spec in SPEC.items()}
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """A lower-triangular table of exact integers built by one strategy."""
+class Triangle(namedtuple("Triangle", "kind strategy rows")):
+    """A lower-triangular table of exact integers built by one strategy:
+    an immutable record of a `Kind`, a `Strategy` and the rows, each a
+    tuple of ints."""
 
-    kind: Kind
-    strategy: Strategy
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def n_rows(self) -> int:

@@ -1,5 +1,7 @@
+import contextlib
+import os
+import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -101,7 +103,7 @@ def test_check_detects_fault(monkeypatch, capsys):
             return tri
         bad = list(tri.rows)
         bad[4] = (*bad[4][:2], bad[4][2] + 1, *bad[4][3:])
-        return replace(tri, rows=tuple(bad))
+        return tri._replace(rows=tuple(bad))
 
     monkeypatch.setattr(wardtri.identities, "triangle", corrupted)
     code, out = run(capsys, "check", "--kind", "ward2", "--rows", "6")
@@ -289,6 +291,52 @@ def test_gen_value_past_the_digit_limit(capsys):
         sys.set_int_max_str_digits(limit)
     assert code == 0
     assert out.splitlines()[-1] == f"{170 * 171 // 2} {factorial(340)}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "ward2", "--rows", "3"],
+    ["gen", "--kind", "ward2", "--rows", "-1"],  # a usage error exits through SystemExit
+], ids=["gen", "usage-error"])
+def test_main_restores_the_digit_limit(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# Runs `main` in a fresh interpreter (this one has imported every module)
+# without `site`, and prints the exit code and the modules loaded.
+_FOOTPRINT = """
+import io, sys
+from wardtri import cli
+sys.stdout = io.StringIO()
+code = cli.main(sys.argv[1:])
+sys.__stdout__.write(f"{code} {' '.join(sorted(sys.modules))}")
+"""
+
+
+def loaded_modules(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-S", "-c", _FOOTPRINT, *argv],
+                         capture_output=True, text=True, env=env, check=True, timeout=60).stdout
+    code, *modules = out.split()
+    assert code == "0"
+    return set(modules)
+
+
+def test_each_command_loads_only_what_it_runs():
+    check = loaded_modules("check", "--kind", "ward2", "--rows", "5")
+    gen = loaded_modules("gen", "--kind", "ward2", "--rows", "3")
+    for modules in (check, gen):
+        assert not modules & {"dataclasses", "inspect", "wardtri.series"}
+    assert "wardtri.identities" in check and "wardtri.bfile" not in check
+    assert "wardtri.identities" not in gen
 
 
 def test_bench_rejects_zero_rows():

@@ -17,6 +17,46 @@ fractions = st.builds(
 series = st.lists(fractions, min_size=ORDER + 1, max_size=ORDER + 1).map(
     lambda cs: PowerSeries(tuple(cs))
 )
+# Any order, zero terms, and denominators that share some factors and not others.
+mixed_series = st.lists(
+    st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(min_value=-10**6, max_value=10**6),
+                  st.integers(min_value=1, max_value=720)),
+    ),
+    min_size=1,
+    max_size=14,
+).map(lambda cs: PowerSeries(tuple(cs)))
+
+
+# The Fraction loops the integer kernel replaced, kept as its oracle.
+
+def mul_oracle(a, b):
+    n = min(a.order, b.order)
+    out = [Fraction(0)] * (n + 1)
+    for i, ci in enumerate(a.coeffs[: n + 1]):
+        if ci == 0:
+            continue
+        for j in range(n + 1 - i):
+            out[i + j] += ci * b.coeffs[j]
+    return tuple(out)
+
+
+def inverse_oracle(a):
+    a0 = a.coeffs[0]
+    out = [Fraction(0)] * (a.order + 1)
+    out[0] = 1 / a0
+    for n in range(1, a.order + 1):
+        acc = Fraction(0)
+        for i in range(1, n + 1):
+            acc += a.coeffs[i] * out[n - i]
+        out[n] = -acc / a0
+    return tuple(out)
+
+
+def exactly(coeffs):
+    """Each coefficient as its type and reduced (numerator, denominator)."""
+    return [(type(c), c.numerator, c.denominator) for c in coeffs]
 
 
 def test_basic_shape():
@@ -54,6 +94,20 @@ def test_inverse_roundtrip(a):
             a.inverse()
         return
     assert a * a.inverse() == PowerSeries.constant(1, ORDER)
+
+
+@given(mixed_series, mixed_series)
+def test_mul_matches_the_fraction_loops(a, b):
+    assert exactly((a * b).coeffs) == exactly(mul_oracle(a, b))
+
+
+@given(mixed_series)
+def test_inverse_matches_the_fraction_loops(a):
+    if a.coeffs[0] == 0:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    assert exactly(a.inverse().coeffs) == exactly(inverse_oracle(a))
 
 
 def test_geometric_inverse_binomial_columns():
