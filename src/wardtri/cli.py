@@ -2,8 +2,9 @@
 
 Subcommands: gen, check, identities, conjecture, bfile-compare, bench.
 Exit codes: 0 success/agreement, 1 mismatch or identity failure, 2 usage
-error (argparse errors, negative row counts, unsupported strategy names,
-unreadable or malformed files).
+error (argparse errors, negative row counts, unsupported strategy names, an
+empty kind or strategy list, a check that compares no pair, unreadable or
+malformed files).
 
 Each command imports only the modules it runs: `identities` for check,
 identities and conjecture, `bfile` for b-file output and bfile-compare.
@@ -15,34 +16,35 @@ import argparse
 import itertools
 import sys
 import time
+from collections.abc import Callable
+from enum import Enum
 
 from . import triangles
 from .triangles import Kind, Strategy
-
-_KINDS = {k.value.replace("-", ""): k for k in Kind}
-_STRATEGIES = {s.value.replace("-", ""): s for s in Strategy}
 
 
 def _normalise(text: str) -> str:
     return text.strip().lower().replace("-", "").replace("_", "")
 
 
-def parse_kind(text: str) -> Kind:
-    try:
-        return _KINDS[_normalise(text)]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"unknown kind {text!r}; choose from {', '.join(k.value for k in Kind)}"
-        ) from None
+def _enum_parser(enum: type[Enum]) -> Callable[[str], Enum]:
+    """Parse one member of `enum` by its value, in any case and punctuation."""
+    members = {_normalise(m.value): m for m in enum}
+    label = enum.__name__.lower()
+
+    def parse(text: str) -> Enum:
+        try:
+            return members[_normalise(text)]
+        except KeyError:
+            raise argparse.ArgumentTypeError(
+                f"unknown {label} {text!r}; choose from {', '.join(m.value for m in enum)}"
+            ) from None
+
+    return parse
 
 
-def parse_strategy(text: str) -> Strategy:
-    try:
-        return _STRATEGIES[_normalise(text)]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"unknown strategy {text!r}; choose from {', '.join(s.value for s in Strategy)}"
-        ) from None
+parse_kind = _enum_parser(Kind)
+parse_strategy = _enum_parser(Strategy)
 
 
 def _count(text: str) -> int:
@@ -52,17 +54,31 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _parse_kind_list(text: str) -> list[Kind]:
-    if _normalise(text) == "all":
-        return list(Kind)
-    return [parse_kind(part) for part in text.split(",") if part.strip()]
+def _list_parser(parse: Callable[[str], Enum]) -> Callable[[str], list | None]:
+    """Parse a comma-separated list of `parse` values, at least one, or 'all'
+    (None).  A repeat is dropped, so no route is compared with itself."""
+
+    def parse_list(text: str) -> list | None:
+        if _normalise(text) == "all":
+            return None
+        items = list(dict.fromkeys(parse(part) for part in text.split(",") if part.strip()))
+        if not items:
+            raise argparse.ArgumentTypeError(f"expected a list of names or 'all', got {text!r}")
+        return items
+
+    return parse_list
 
 
-def _parse_strategy_list(text: str) -> list[Strategy] | None:
-    # None means "all supported" and is resolved per kind.
-    if _normalise(text) == "all":
-        return None
-    return [parse_strategy(part) for part in text.split(",") if part.strip()]
+def _routes(parser: argparse.ArgumentParser, kind: Kind, wanted: list | None, strict: bool) -> list:
+    """The strategies to run for `kind`: all it supports for None, else those
+    `wanted` that it supports.  When `strict`, one it lacks is a usage error."""
+    supported = triangles.supported_strategies(kind)
+    if wanted is None:
+        return sorted(supported, key=lambda s: s.value)
+    missing = [s for s in wanted if s not in supported]
+    if missing and strict:
+        parser.error(f"{kind.value} does not support: {', '.join(s.value for s in missing)}")
+    return [s for s in wanted if s in supported]
 
 
 def _write_triangle(tri: triangles.Triangle, fmt: str, offset: int) -> None:
@@ -91,20 +107,14 @@ def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    kinds = args.kinds or list(Kind)
+    plan = [(kind, _routes(parser, kind, args.strategies, len(kinds) == 1)) for kind in kinds]
+    if all(len(strategies) < 2 for _, strategies in plan):
+        parser.error("no kind has two of the given strategies; nothing to compare")
     from . import identities
 
     failures = 0
-    for kind in args.kinds:
-        supported = triangles.supported_strategies(kind)
-        if args.strategies is None:
-            strategies = sorted(supported, key=lambda s: s.value)
-        else:
-            strategies = [s for s in args.strategies if s in supported]
-            missing = [s for s in args.strategies if s not in supported]
-            if missing and len(args.kinds) == 1:
-                parser.error(
-                    f"{kind.value} does not support: {', '.join(s.value for s in missing)}"
-                )
+    for kind, strategies in plan:
         if len(strategies) < 2:
             print(f"note: {kind.value}: fewer than two applicable strategies, skipped")
             continue
@@ -195,18 +205,8 @@ def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace
 def _cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.rows < 1:
         parser.error("--rows must be at least 1")
-    supported = triangles.supported_strategies(args.kind)
-    if args.strategies is None:
-        strategies = sorted(supported, key=lambda s: s.value)
-    else:
-        strategies = list(args.strategies)
-        missing = [s for s in strategies if s not in supported]
-        if missing:
-            parser.error(
-                f"{args.kind.value} does not support: {', '.join(s.value for s in missing)}"
-            )
     print("kind strategy rows entries max_bits seconds")
-    for strategy in strategies:
+    for strategy in _routes(parser, args.kind, args.strategies, strict=True):
         triangles.clear_caches()
         start = time.perf_counter()
         tri = triangles.triangle(args.kind, args.rows, strategy)
@@ -236,15 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_gen)
 
     p_check = sub.add_parser("check", help="pairwise strategy cross-validation")
-    p_check.add_argument("--kind", dest="kinds", type=_parse_kind_list, default=list(Kind),
+    p_check.add_argument("--kind", dest="kinds", type=_list_parser(parse_kind), default=None,
                          help="comma-separated kinds or 'all' (default)")
     p_check.add_argument("--rows", type=_count, default=15)
-    p_check.add_argument("--strategies", type=_parse_strategy_list, default=None,
+    p_check.add_argument("--strategies", type=_list_parser(parse_strategy), default=None,
                          help="comma-separated strategies or 'all' (default)")
     p_check.set_defaults(func=_cmd_check)
 
     p_ident = sub.add_parser("identities", help="run the identity suite")
-    p_ident.add_argument("--max-n", type=int, default=15)
+    p_ident.add_argument("--max-n", type=_count, default=15)
     p_ident.add_argument("--machine", action="store_true", help="key=value output")
     p_ident.set_defaults(func=_cmd_identities)
 
@@ -262,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time triangle construction per strategy")
     p_bench.add_argument("--kind", type=parse_kind, required=True)
-    p_bench.add_argument("--rows", type=int, required=True)
-    p_bench.add_argument("--strategies", type=_parse_strategy_list, default=None)
+    p_bench.add_argument("--rows", type=_count, required=True)
+    p_bench.add_argument("--strategies", type=_list_parser(parse_strategy), default=None)
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -9,6 +9,11 @@ come from the kind's `triangles.reference_route` (explicit, scaling or
 partition transform, never the recurrence), so a check never validates a
 recurrence against values built by that same recurrence.
 
+The seven triangular recurrences the builder runs (ward-lah's integer one,
+the varied and the binomial kinds) are stated once, in
+`triangles._RECURRENCE`, and checked here on reference-route values.  The
+test oracles are the independent transcription.
+
 A check reads each entry once, into a row table, and compares integers: a
 rational identity is multiplied through by its positive denominator, and
 fractions are formed only to report a counterexample.  The generating
@@ -26,7 +31,8 @@ from fractions import Fraction
 
 from .exact_arith import factorial, rising_factorial
 from .exact_arith import binomial as binom
-from .triangles import Kind, Strategy, central, lah, reference_route, triangle, value
+from .triangles import SPEC, Kind, Rescaling, Strategy, central, lah, reference_route, triangle
+from .triangles import _RECURRENCE, value
 
 EntryFn = Callable[[int, int], int]
 
@@ -95,11 +101,7 @@ class CheckReport(
             f" conjecture={'true' if self.conjecture else 'false'}"
         )
         if self.counterexample is not None:
-            c = self.counterexample
-            line += f" n={c.n} k={c.k}"
-            if c.m is not None:
-                line += f" m={c.m}"
-            line += f" lhs={c.lhs} rhs={c.rhs}"
+            line += f" {self.counterexample.fields()}"
         return line
 
 
@@ -175,65 +177,82 @@ def compare_strategies(
     return sweep.report()
 
 
-def check_alternating_sum_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
-    """Signed Lah-number sum route for ward-lah equals its explicit formula."""
-    t = _table(entry or default_entry(Kind.WARD_LAH), max_n)
-    sums = triangle(Kind.WARD_LAH, max(max_n, 0), Strategy.ALTERNATING_SUM).rows
-    sweep = _Sweep("alternating-sum-ward-lah", f"1<=k<=n<={max_n}")
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            sweep.compare(sums[n][k], t[n][k], n, k)
-    return sweep.report()
-
-
-def _two_term(
+def _recurrence(
     kind: Kind,
     entry: EntryFn | None,
     max_n: int,
     name: str,
     param_range: str,
-    step: Callable[[int, int, int, int], tuple[int, int]],
+    step: Callable[[int, int, list[list[int]]], tuple[int, int]],
+    first_n: int = 1,
+    first_k: int = 1,
     skip: Callable[[int, int], bool] | None = None,
 ) -> CheckReport:
-    """Sweep T(n, k) = num/den over 1 <= k <= n <= max_n, where (num, den)
-    = step(n, k, T(n-1, k), T(n-1, k-1)) and den > 0; tuples that `skip`
-    holds for are counted as skipped."""
+    """Sweep T(n, k) = num/den over first_k <= k <= n, first_n <= n <= max_n,
+    where (num, den) = step(n, k, t), t is the row table and den > 0; tuples
+    that `skip` holds for are counted as skipped."""
     t = _table(entry or default_entry(kind), max_n)
     sweep = _Sweep(name, param_range)
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
+    for n in range(first_n, max_n + 1):
+        for k in range(first_k, n + 1):
             if skip is not None and skip(n, k):
                 sweep.skip()
                 continue
-            num, den = step(n, k, t[n - 1][k], t[n - 1][k - 1])
+            num, den = step(n, k, t)
             sweep.compare_ratio(t[n][k], num, den, n, k)
     return sweep.report()
+
+
+def _builder_recurrence(kind: Kind, entry: EntryFn | None, max_n: int, name: str) -> CheckReport:
+    """The recurrence `triangles` builds `kind` by, on reference-route values;
+    a binomial kind's holds off the diagonal only, so diagonal tuples are
+    skipped."""
+    num, den = _RECURRENCE[kind]
+    off_diagonal = SPEC[kind][1] is Rescaling.BINOMIAL
+    return _recurrence(
+        kind, entry, max_n, name,
+        f"1<=k<=n-1, n<={max_n}" if off_diagonal else f"1<=k<=n<={max_n}",
+        lambda n, k, t: (num(n, k, t[n - 1][k], t[n - 1][k - 1]), den(n, k) if den else 1),
+        skip=(lambda n, k: k == n) if off_diagonal else None,
+    )
+
+
+def check_alternating_sum_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
+    """Signed Lah-number sum route for ward-lah equals its explicit formula."""
+    t = _table(entry or default_entry(Kind.WARD_LAH), max_n)
+    sums = triangle(Kind.WARD_LAH, max(max_n, 0), Strategy.ALTERNATING_SUM).rows
+    # The swept side is the alternating-sum route; the reference entries are
+    # the right-hand side.
+    return _recurrence(
+        Kind.WARD_LAH, lambda n, k: sums[n][k], max_n, "alternating-sum-ward-lah",
+        f"1<=k<=n<={max_n}", lambda n, k, _: (t[n][k], 1),
+    )
 
 
 def check_triangular_wardlah_weighted(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Two-term ward-lah recurrence with weight (n+k)(n-1)/n; needs k >= 2."""
     # (n+k)(n-1)/n * (a + (n+k-1)/(k-1) * b), over n(k-1)
-    return _two_term(
+    return _recurrence(
         Kind.WARD_LAH, entry, max_n, "triangular-ward-lah-weighted", f"2<=k<=n<={max_n}",
-        lambda n, k, a, b: ((n + k) * (n - 1) * ((k - 1) * a + (n + k - 1) * b), n * (k - 1)),
+        lambda n, k, t: (
+            (n + k) * (n - 1) * ((k - 1) * t[n - 1][k] + (n + k - 1) * t[n - 1][k - 1]),
+            n * (k - 1),
+        ),
         skip=lambda n, k: k < 2,
     )
 
 
 def check_triangular_wardlah_integer(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Integer-coefficient ward-lah recurrence, the one the builder uses."""
-    return _two_term(
-        Kind.WARD_LAH, entry, max_n, "triangular-ward-lah-integer", f"1<=k<=n<={max_n}",
-        lambda n, k, a, b: (2 * (n + k - 1) * b + (n + 2 * k - 1) * a, 1),
-    )
+    return _builder_recurrence(Kind.WARD_LAH, entry, max_n, "triangular-ward-lah-integer")
 
 
 def check_triangular_wardlah_onestep(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """One-step ward-lah recurrence with weight (n+k) and ratio (n+k-1)/k."""
     # (n+k) * (a + (n+k-1)/k * b), over k
-    return _two_term(
+    return _recurrence(
         Kind.WARD_LAH, entry, max_n, "triangular-ward-lah-onestep", f"1<=k<=n<={max_n}",
-        lambda n, k, a, b: ((n + k) * (k * a + (n + k - 1) * b), k),
+        lambda n, k, t: ((n + k) * (k * t[n - 1][k] + (n + k - 1) * t[n - 1][k - 1]), k),
     )
 
 
@@ -306,43 +325,30 @@ def check_horizontal_wardlah(
 
 def check_order3_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Order-3 recurrence for ward-lah mixing rows n-1 and n-2."""
-    t = _table(entry or default_entry(Kind.WARD_LAH), max_n)
-    sweep = _Sweep("order3-ward-lah", f"2<=n<={max_n}, 1<=k<=n")
-    for n in range(2, max_n + 1):
-        for k in range(1, n + 1):
-            rhs = (
-                2 * (2 * n - 1) * t[n - 1][k - 1]
-                - n * (n - 2) * t[n - 2][k]
-                - (-2 * n + 1) * t[n - 1][k]
-            )
-            sweep.compare(t[n][k], rhs, n, k)
-    return sweep.report()
+    return _recurrence(
+        Kind.WARD_LAH, entry, max_n, "order3-ward-lah", f"2<=n<={max_n}, 1<=k<=n",
+        lambda n, k, t: (
+            2 * (2 * n - 1) * t[n - 1][k - 1] - n * (n - 2) * t[n - 2][k]
+            + (2 * n - 1) * t[n - 1][k],
+            1,
+        ),
+        first_n=2,
+    )
 
 
 def check_triangular_varied_ward1(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Triangular recurrence for varied Ward numbers of the first kind."""
-    # 2n(2n-1)/(n+k) * ((n+k-1) a + k b), over n+k
-    return _two_term(
-        Kind.VARIED_WARD1, entry, max_n, "triangular-varied-ward1", f"1<=k<=n<={max_n}",
-        lambda n, k, a, b: (2 * n * (2 * n - 1) * ((n + k - 1) * a + k * b), n + k),
-    )
+    return _builder_recurrence(Kind.VARIED_WARD1, entry, max_n, "triangular-varied-ward1")
 
 
 def check_triangular_varied_ward2(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Triangular recurrence for varied Ward numbers of the second kind."""
-    # 2nk(2n-1)/(n+k) * (a + b), over n+k
-    return _two_term(
-        Kind.VARIED_WARD2, entry, max_n, "triangular-varied-ward2", f"1<=k<=n<={max_n}",
-        lambda n, k, a, b: (2 * n * k * (2 * n - 1) * (a + b), n + k),
-    )
+    return _builder_recurrence(Kind.VARIED_WARD2, entry, max_n, "triangular-varied-ward2")
 
 
 def check_triangular_varied_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Triangular recurrence for varied ward-lah with factor 2n(2n-1)."""
-    return _two_term(
-        Kind.VARIED_WARD_LAH, entry, max_n, "triangular-varied-ward-lah", f"1<=k<=n<={max_n}",
-        lambda n, k, a, b: (2 * n * (2 * n - 1) * (a + b), 1),
-    )
+    return _builder_recurrence(Kind.VARIED_WARD_LAH, entry, max_n, "triangular-varied-ward-lah")
 
 
 def check_horizontal_varied_wardlah(
@@ -366,35 +372,17 @@ def check_triangular_binomial_ward1(max_n: int, *, entry: EntryFn | None = None)
 
     Stated only off the diagonal (n-k >= 1); diagonal tuples are skipped.
     """
-    # 2n(2n-1)/(n+k) * ((n+k-1)/(n-k) a + b), over (n+k)(n-k)
-    return _two_term(
-        Kind.BINOMIAL_WARD1, entry, max_n, "triangular-binomial-ward1", f"1<=k<=n-1, n<={max_n}",
-        lambda n, k, a, b: (
-            2 * n * (2 * n - 1) * ((n + k - 1) * a + (n - k) * b), (n + k) * (n - k)
-        ),
-        skip=lambda n, k: n - k < 1,
-    )
+    return _builder_recurrence(Kind.BINOMIAL_WARD1, entry, max_n, "triangular-binomial-ward1")
 
 
 def check_triangular_binomial_ward2(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Triangular recurrence for binomial Ward numbers of the second kind."""
-    # 2n(2n-1)/(n+k) * (k/(n-k) a + b), over (n+k)(n-k)
-    return _two_term(
-        Kind.BINOMIAL_WARD2, entry, max_n, "triangular-binomial-ward2", f"1<=k<=n-1, n<={max_n}",
-        lambda n, k, a, b: (2 * n * (2 * n - 1) * (k * a + (n - k) * b), (n + k) * (n - k)),
-        skip=lambda n, k: n - k < 1,
-    )
+    return _builder_recurrence(Kind.BINOMIAL_WARD2, entry, max_n, "triangular-binomial-ward2")
 
 
 def check_triangular_binomial_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Triangular recurrence for binomial ward-lah, off the diagonal."""
-    # 2n(2n-1) * (a/(n-k) + b/k), over k(n-k)
-    return _two_term(
-        Kind.BINOMIAL_WARD_LAH, entry, max_n, "triangular-binomial-ward-lah",
-        f"1<=k<=n-1, n<={max_n}",
-        lambda n, k, a, b: (2 * n * (2 * n - 1) * (k * a + (n - k) * b), k * (n - k)),
-        skip=lambda n, k: n - k < 1,
-    )
+    return _builder_recurrence(Kind.BINOMIAL_WARD_LAH, entry, max_n, "triangular-binomial-ward-lah")
 
 
 def check_horizontal_binomial_wardlah(
@@ -417,20 +405,17 @@ def check_horizontal_binomial_wardlah(
 
 def check_order5_binomial_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Order-5 recurrence for binomial ward-lah mixing rows n-1 and n-2."""
-    t = _table(entry or default_entry(Kind.BINOMIAL_WARD_LAH), max_n)
-    sweep = _Sweep("order5-binomial-ward-lah", f"2<=n<={max_n}, 2<=k<=n")
-    for n in range(2, max_n + 1):
-        for k in range(2, n + 1):
-            # -4(n-2)(2n-1)^2/n * (c - 2d + e) + 4(2n-1)/(n(2n-3)) * (...),
-            # over n(2n-3)
-            two_back = t[n - 2][k - 2] - 2 * t[n - 2][k - 1] + t[n - 2][k]
-            one_back = (2 * (n - 1) ** 2 - 1) * t[n - 1][k - 1] + 2 * (n - 1) ** 2 * t[n - 1][k]
-            num = (
-                -4 * (n - 2) * (2 * n - 1) ** 2 * (2 * n - 3) * two_back
-                + 4 * (2 * n - 1) * one_back
-            )
-            sweep.compare_ratio(t[n][k], num, n * (2 * n - 3), n, k)
-    return sweep.report()
+    # -4(n-2)(2n-1)^2/n * (c - 2d + e) + 4(2n-1)/(n(2n-3)) * (...), over n(2n-3)
+    def step(n: int, k: int, t: list[list[int]]) -> tuple[int, int]:
+        two_back = t[n - 2][k - 2] - 2 * t[n - 2][k - 1] + t[n - 2][k]
+        one_back = (2 * (n - 1) ** 2 - 1) * t[n - 1][k - 1] + 2 * (n - 1) ** 2 * t[n - 1][k]
+        num = -4 * (n - 2) * (2 * n - 1) ** 2 * (2 * n - 3) * two_back + 4 * (2 * n - 1) * one_back
+        return num, n * (2 * n - 3)
+
+    return _recurrence(
+        Kind.BINOMIAL_WARD_LAH, entry, max_n, "order5-binomial-ward-lah",
+        f"2<=n<={max_n}, 2<=k<=n", step, first_n=2, first_k=2,
+    )
 
 
 def check_egf_wardlah(k: int, order: int, *, entry: EntryFn | None = None) -> CheckReport:
@@ -530,7 +515,11 @@ def check_central_lah_rowsums(max_n: int, *, entry: EntryFn | None = None) -> Ch
     return sweep.report()
 
 
-def run_identity_suite(max_n: int, gf_max_k: int = 8) -> list[CheckReport]:
+# Columns 1..GF_MAX_K of the two generating-function checks.
+GF_MAX_K = 8
+
+
+def run_identity_suite(max_n: int) -> list[CheckReport]:
     """Every non-conjecture check at its full range, for the CLI and tests."""
     reports = [
         check_alternating_sum_wardlah(max_n),
@@ -551,7 +540,7 @@ def run_identity_suite(max_n: int, gf_max_k: int = 8) -> list[CheckReport]:
         check_lah_variedwardlah(max_n),
         check_central_lah_rowsums(max_n),
     ]
-    for k in range(1, gf_max_k + 1):
+    for k in range(1, GF_MAX_K + 1):
         order = max(max_n, 2 * k)
         reports.append(check_egf_wardlah(k, order))
         reports.append(check_gf_variedwardlah(k, order))

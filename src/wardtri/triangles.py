@@ -11,9 +11,11 @@ Lah numbers) for ward-lah itself.
 
 The recurrences and explicit formulas are written out per kind, as the
 paper states them, and never derived from the rescaling factor: they are
-the independent routes that check it.  A rational-coefficient recurrence is
-an integer numerator over `exact_div`, so a result that is not an integer
-raises `ExactnessError` rather than being rounded.
+the independent routes that check it.  Each recurrence is stated once, in
+`_RECURRENCE`, as an integer numerator and denominator: the builder runs it
+and `identities` checks the same statement on reference-route values.  The
+builder divides with `exact_div`, so a result that is not an integer raises
+`ExactnessError` rather than being rounded.
 
 All triangles share the same boundary: T(0,0) = 1, T(n,0) = T(0,k) = 0 for
 n, k >= 1, and T(n,k) = 0 for k > n.
@@ -171,27 +173,24 @@ def _check_supported(kind: Kind, strategy: Strategy) -> None:
         )
 
 
-# T(n, k) from a = T(n-1, k) and b = T(n-1, k-1).  The ward-lah one is the
-# integer-coefficient recurrence; its weighted variants are verified as
-# identities, not used to build.  The binomial ones hold for n-k >= 1 only.
-_RECURRENCE: dict[Kind, Callable[[int, int, int, int], int]] = {
-    Kind.WARD1: lambda n, k, a, b: (n + k - 1) * (a + b),
-    Kind.WARD2: lambda n, k, a, b: k * a + (n + k - 1) * b,
-    Kind.WARD_LAH: lambda n, k, a, b: 2 * (n + k - 1) * b + (n + 2 * k - 1) * a,
-    Kind.VARIED_WARD1: lambda n, k, a, b: exact_div(
-        2 * n * (2 * n - 1) * ((n + k - 1) * a + k * b), n + k
-    ),
-    Kind.VARIED_WARD2: lambda n, k, a, b: exact_div(2 * n * k * (2 * n - 1) * (a + b), n + k),
-    Kind.VARIED_WARD_LAH: lambda n, k, a, b: 2 * n * (2 * n - 1) * (a + b),
-    Kind.BINOMIAL_WARD1: lambda n, k, a, b: exact_div(
-        2 * n * (2 * n - 1) * ((n + k - 1) * a + (n - k) * b), (n + k) * (n - k)
-    ),
-    Kind.BINOMIAL_WARD2: lambda n, k, a, b: exact_div(
-        2 * n * (2 * n - 1) * (k * a + (n - k) * b), (n + k) * (n - k)
-    ),
-    Kind.BINOMIAL_WARD_LAH: lambda n, k, a, b: exact_div(
-        2 * n * (2 * n - 1) * (k * a + (n - k) * b), k * (n - k)
-    ),
+# T(n, k) = num(n, k, a, b) / den(n, k), from a = T(n-1, k) and
+# b = T(n-1, k-1); den is None for the integer-coefficient kinds.  The
+# ward-lah one is the integer-coefficient form (its weighted variants are
+# identities only); the binomial ones hold for n-k >= 1 only.
+_RECURRENCE: dict[Kind, tuple[Callable[..., int], Callable[[int, int], int] | None]] = {
+    Kind.WARD1: (lambda n, k, a, b: (n + k - 1) * (a + b), None),
+    Kind.WARD2: (lambda n, k, a, b: k * a + (n + k - 1) * b, None),
+    Kind.WARD_LAH: (lambda n, k, a, b: 2 * (n + k - 1) * b + (n + 2 * k - 1) * a, None),
+    Kind.VARIED_WARD1: (lambda n, k, a, b: 2 * n * (2 * n - 1) * ((n + k - 1) * a + k * b),
+                        lambda n, k: n + k),
+    Kind.VARIED_WARD2: (lambda n, k, a, b: 2 * n * k * (2 * n - 1) * (a + b), lambda n, k: n + k),
+    Kind.VARIED_WARD_LAH: (lambda n, k, a, b: 2 * n * (2 * n - 1) * (a + b), None),
+    Kind.BINOMIAL_WARD1: (lambda n, k, a, b: 2 * n * (2 * n - 1) * ((n + k - 1) * a + (n - k) * b),
+                          lambda n, k: (n + k) * (n - k)),
+    Kind.BINOMIAL_WARD2: (lambda n, k, a, b: 2 * n * (2 * n - 1) * (k * a + (n - k) * b),
+                          lambda n, k: (n + k) * (n - k)),
+    Kind.BINOMIAL_WARD_LAH: (lambda n, k, a, b: 2 * n * (2 * n - 1) * (k * a + (n - k) * b),
+                             lambda n, k: k * (n - k)),
 }
 
 # Closed forms of the kinds over the ward-lah base, given f = (2n)!.
@@ -206,15 +205,19 @@ _EXPLICIT: dict[Kind, Callable[[int, int, int], int]] = {
 # Row builders: row n >= 1 of one kind, given the rows before it.
 
 def _recurrence_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    step = _RECURRENCE[kind]
+    num, den = _RECURRENCE[kind]
     prev = (*rows[n - 1], 0)
     base, rescaling = SPEC[kind]
+    # The binomial recurrences stop short of the diagonal, which is the
+    # base triangle's: C(2n, 2n) = 1.
+    ks = range(1, n if rescaling is Rescaling.BINOMIAL else n + 1)
+    if den is None:
+        row = [num(n, k, prev[k], prev[k - 1]) for k in ks]
+    else:
+        row = [exact_div(num(n, k, prev[k], prev[k - 1]), den(n, k)) for k in ks]
     if rescaling is Rescaling.BINOMIAL:
-        # The diagonal, which the recurrence does not reach, is the base
-        # triangle's: C(2n, 2n) = 1.
-        diagonal = _rows_upto(base.kind, Strategy.RECURRENCE, n)[n][n]
-        return (0, *(step(n, k, prev[k], prev[k - 1]) for k in range(1, n)), diagonal)
-    return (0, *(step(n, k, prev[k], prev[k - 1]) for k in range(1, n + 1)))
+        row.append(_rows_upto(base.kind, Strategy.RECURRENCE, n)[n][n])
+    return (0, *row)
 
 
 def _explicit_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:

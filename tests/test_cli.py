@@ -257,6 +257,8 @@ def test_gen_transform_past_40_rows(capsys):
         ["gen", "--kind", "ward1", "--rows", "-1"],
         ["check", "--rows", "-3"],
         ["conjecture", "stirling1", "--max-n", "-2"],
+        ["identities", "--max-n", "-1"],
+        ["bench", "--kind", "ward1", "--rows", "-1"],
     ],
 )
 def test_negative_counts_are_usage_errors(capsys, argv):
@@ -267,6 +269,27 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     assert out == ""
     assert errors.splitlines()[-1].endswith(f"expected a nonnegative integer, got '{argv[-1]}'")
     assert "Traceback" not in errors
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--kind", ","],
+        ["check", "--kind", "ward1", "--strategies", ","],
+        ["bench", "--kind", "ward1", "--rows", "5", "--strategies", ","],
+        ["check", "--kind", "ward1,ward2", "--strategies", "explicit,scaling"],
+        ["check", "--kind", "ward1", "--strategies", "recurrence,Recurrence"],
+    ],
+    ids=["no-kind", "no-strategy", "bench-no-strategy", "no-pair", "route-with-itself"],
+)
+def test_nothing_to_run_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in errors
+    assert errors.splitlines()[-1].startswith("wardtri")
 
 
 def test_bfile_compare_value_past_the_digit_limit(tmp_path, capsys):

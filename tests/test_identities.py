@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from wardtri import identities as ids
+from wardtri import triangles
 from wardtri.exact_arith import binomial, factorial, rising_factorial
 from wardtri.series import one_minus_x
 from wardtri.triangles import Kind, Strategy, lah
@@ -226,9 +227,11 @@ def test_horizontal_counterexample_carries_m():
 
 
 # Test-only oracles: the rational checks as they read before their
-# denominators were cleared, one Fraction sum per tuple over entry calls.
-# The integer checks must give the same verdict, counts and first
-# counterexample.
+# denominators were cleared, one Fraction sum per tuple over entry calls,
+# and direct sums for the integer ones.  They are typed out here and never
+# read `triangles._RECURRENCE`, the statement that the builder runs and the
+# checks read.  The integer checks must give the same verdict, counts and
+# first counterexample.
 
 def _oracle_two_term(rhs, skip=lambda n, k: False):
     def run(max_n, e):
@@ -254,6 +257,32 @@ def _oracle_order5(max_n, e):
                 (2 * (n - 1) ** 2 - 1) * e(n - 1, k - 1) + 2 * (n - 1) ** 2 * e(n - 1, k)
             )
             sweep.compare(Fraction(e(n, k)), rhs, n, k)
+    return sweep.report()
+
+
+def _oracle_order3(max_n, e):
+    sweep = ids._Sweep("oracle", "")
+    for n in range(2, max_n + 1):
+        for k in range(1, n + 1):
+            rhs = (
+                2 * (2 * n - 1) * e(n - 1, k - 1)
+                - n * (n - 2) * e(n - 2, k)
+                - (-2 * n + 1) * e(n - 1, k)
+            )
+            sweep.compare(Fraction(e(n, k)), rhs, n, k)
+    return sweep.report()
+
+
+def _oracle_alternating_sum(max_n, e):
+    """sum_{m=1..k} (-1)^(m+k) C(n+k, n+m) L(n+m, m) against e(n, k), with
+    the Lah numbers from their classical recurrence."""
+    sweep = ids._Sweep("oracle", "")
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            lhs = sum(
+                (-1) ** (m + k) * binomial(n + k, n + m) * lah(n + m, m) for m in range(1, k + 1)
+            )
+            sweep.compare(lhs, e(n, k), n, k)
     return sweep.report()
 
 
@@ -283,7 +312,11 @@ def _oracle_horizontal(term, prefactor, kk_min, kk_bounded, skip_diagonal=False)
 
 
 F = factorial
-TWO_TERM_ORACLES = {
+# The checks swept by `identities._recurrence`.
+SWEEP_ORACLES = {
+    "alternating-sum-ward-lah": (
+        ids.check_alternating_sum_wardlah, Kind.WARD_LAH, _oracle_alternating_sum,
+    ),
     "triangular-ward-lah-weighted": (
         ids.check_triangular_wardlah_weighted, Kind.WARD_LAH,
         _oracle_two_term(
@@ -345,6 +378,7 @@ TWO_TERM_ORACLES = {
             skip=lambda n, k: n - k < 1,
         ),
     ),
+    "order3-ward-lah": (ids.check_order3_wardlah, Kind.WARD_LAH, _oracle_order3),
     "order5-binomial-ward-lah": (
         ids.check_order5_binomial_wardlah, Kind.BINOMIAL_WARD_LAH, _oracle_order5,
     ),
@@ -377,7 +411,7 @@ HORIZONTAL_ORACLES = {
     ),
 }
 
-ALL_ORACLES = {**TWO_TERM_ORACLES, **HORIZONTAL_ORACLES}
+ALL_ORACLES = {**SWEEP_ORACLES, **HORIZONTAL_ORACLES}
 
 
 def outcome(report):
@@ -385,9 +419,9 @@ def outcome(report):
     return report.passed, report.cases, report.skipped, c and (c.n, c.k, c.m, c.lhs, c.rhs)
 
 
-@pytest.mark.parametrize("name", sorted(TWO_TERM_ORACLES))
+@pytest.mark.parametrize("name", sorted(SWEEP_ORACLES))
 def test_cleared_checks_match_fraction_oracles(name):
-    check, kind, oracle = TWO_TERM_ORACLES[name]
+    check, kind, oracle = SWEEP_ORACLES[name]
     e = ids.default_entry(kind)
     for max_n in range(-1, 13):
         report = check(max_n)
@@ -421,6 +455,23 @@ def test_flipped_entry_gives_the_oracles_first_counterexample(name):
                 assert report.counterexample.fields() == expected.counterexample.fields()
                 caught += 1
     assert caught > 0
+
+
+def test_a_builder_recurrence_is_checked_by_both_guards(monkeypatch):
+    # Double one coefficient of the single statement of varied-ward-lah's
+    # recurrence: the route comparison and the identity check both fail.
+    num, den = triangles._RECURRENCE[Kind.VARIED_WARD_LAH]
+    monkeypatch.setitem(
+        triangles._RECURRENCE, Kind.VARIED_WARD_LAH, (lambda n, k, a, b: num(n, k, a, 2 * b), den)
+    )
+    triangles.clear_caches()
+    try:
+        assert not ids.compare_strategies(
+            Kind.VARIED_WARD_LAH, 8, Strategy.RECURRENCE, Strategy.EXPLICIT
+        ).passed
+        assert not ids.check_triangular_varied_wardlah(8).passed
+    finally:
+        triangles.clear_caches()
 
 
 IDENTITY_CASES = Path(__file__).parents[1] / "perfbench" / "identity_cases.json"
