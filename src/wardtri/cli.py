@@ -168,9 +168,9 @@ def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace
     from . import bfile as bfile_mod
 
     try:
-        with open(args.file) as f:
+        with open(args.file, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read {args.file}: {exc}")
     try:
         bf = bfile_mod.parse_bfile(text)
@@ -205,8 +205,9 @@ def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace
 def _cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.rows < 1:
         parser.error("--rows must be at least 1")
+    strategies = _routes(parser, args.kind, args.strategies, strict=True)
     print("kind strategy rows entries max_bits seconds")
-    for strategy in _routes(parser, args.kind, args.strategies, strict=True):
+    for strategy in strategies:
         triangles.clear_caches()
         start = time.perf_counter()
         tri = triangles.triangle(args.kind, args.rows, strategy)
@@ -227,44 +228,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="print one triangle")
+    def command(name: str, run: Callable[[argparse.ArgumentParser, argparse.Namespace], int],
+                help: str) -> argparse.ArgumentParser:
+        # A command reports its usage errors through its own subparser.
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=lambda args: run(p, args))
+        return p
+
+    p_gen = command("gen", _cmd_gen, "print one triangle")
     p_gen.add_argument("--kind", type=parse_kind, required=True)
     p_gen.add_argument("--rows", type=_count, required=True)
     p_gen.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
     p_gen.add_argument("--format", choices=["table", "csv", "bfile"], default="table")
     p_gen.add_argument("--offset", type=int, default=1, help="first b-file index")
-    p_gen.set_defaults(func=_cmd_gen)
 
-    p_check = sub.add_parser("check", help="pairwise strategy cross-validation")
+    p_check = command("check", _cmd_check, "pairwise strategy cross-validation")
     p_check.add_argument("--kind", dest="kinds", type=_list_parser(parse_kind), default=None,
                          help="comma-separated kinds or 'all' (default)")
     p_check.add_argument("--rows", type=_count, default=15)
     p_check.add_argument("--strategies", type=_list_parser(parse_strategy), default=None,
                          help="comma-separated strategies or 'all' (default)")
-    p_check.set_defaults(func=_cmd_check)
 
-    p_ident = sub.add_parser("identities", help="run the identity suite")
+    p_ident = command("identities", _cmd_identities, "run the identity suite")
     p_ident.add_argument("--max-n", type=_count, default=15)
     p_ident.add_argument("--machine", action="store_true", help="key=value output")
-    p_ident.set_defaults(func=_cmd_identities)
 
-    p_conj = sub.add_parser("conjecture", help="row-sum evidence reports")
+    p_conj = command("conjecture", _cmd_conjecture, "row-sum evidence reports")
     p_conj.add_argument("which", choices=sorted(_CONJECTURES))
     p_conj.add_argument("--max-n", type=_count, default=15)
-    p_conj.set_defaults(func=_cmd_conjecture)
 
-    p_cmp = sub.add_parser("bfile-compare", help="compare a b-file against a triangle")
+    p_cmp = command("bfile-compare", _cmd_bfile_compare, "compare a b-file against a triangle")
     p_cmp.add_argument("--kind", type=parse_kind, required=True)
     p_cmp.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
     p_cmp.add_argument("--file", required=True)
     p_cmp.add_argument("--offset", type=int, default=1)
-    p_cmp.set_defaults(func=_cmd_bfile_compare)
 
-    p_bench = sub.add_parser("bench", help="time triangle construction per strategy")
+    p_bench = command("bench", _cmd_bench, "time triangle construction per strategy")
     p_bench.add_argument("--kind", type=parse_kind, required=True)
     p_bench.add_argument("--rows", type=_count, required=True)
     p_bench.add_argument("--strategies", type=_list_parser(parse_strategy), default=None)
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 
@@ -278,9 +280,8 @@ def main(argv: list[str] | None = None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.func(parser, args)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     finally:
         if lift:
             sys.set_int_max_str_digits(limit)

@@ -292,6 +292,42 @@ def test_nothing_to_run_is_a_usage_error(capsys, argv):
     assert errors.splitlines()[-1].startswith("wardtri")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "ward2", "--rows", "3", "--strategy", "explicit"],
+        ["check", "--kind", "ward1", "--strategies", "explicit"],
+        ["identities", "--max-n", "0"],
+        ["conjecture", "central-lah", "--max-n", "x"],
+        ["bfile-compare", "--kind", "ward2", "--file", "/nonexistent.txt"],
+        # bench resolves its routes before it prints its header
+        ["bench", "--kind", "ward2", "--rows", "5", "--strategies", "explicit"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_usage_errors_name_their_subcommand(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    lines = errors.splitlines()
+    assert lines[0].startswith(f"usage: wardtri {argv[0]} ")
+    assert lines[-1].startswith(f"wardtri {argv[0]}: error: ")
+
+
+def test_bfile_compare_undecodable_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin.txt"
+    bad.write_bytes(b"\xff\xfe1 1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["bfile-compare", "--kind", "ward2", "--file", str(bad)])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.splitlines()[-1].startswith(f"wardtri bfile-compare: error: cannot read {bad}: ")
+    assert "Traceback" not in errors
+
+
 def test_bfile_compare_value_past_the_digit_limit(tmp_path, capsys):
     big = tmp_path / "big.txt"
     big.write_text("1 " + "7" * 5000 + "\n")  # ward2 T(1,1) = 1
@@ -357,7 +393,7 @@ def test_each_command_loads_only_what_it_runs():
     check = loaded_modules("check", "--kind", "ward2", "--rows", "5")
     gen = loaded_modules("gen", "--kind", "ward2", "--rows", "3")
     for modules in (check, gen):
-        assert not modules & {"dataclasses", "inspect", "wardtri.series"}
+        assert not modules & {"dataclasses", "inspect"}
     assert "wardtri.identities" in check and "wardtri.bfile" not in check
     assert "wardtri.identities" not in gen
 

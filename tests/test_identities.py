@@ -7,7 +7,6 @@ import pytest
 from wardtri import identities as ids
 from wardtri import triangles
 from wardtri.exact_arith import binomial, factorial, rising_factorial
-from wardtri.series import one_minus_x
 from wardtri.triangles import Kind, Strategy, lah
 
 
@@ -95,11 +94,10 @@ def test_egf_wardlah():
     assert ids.check_egf_wardlah(1, 8).passed
     assert ids.check_egf_wardlah(2, 6).passed
     # k=1: the series is x^2 + x^3 + ..., all unit coefficients
-    s = one_minus_x(8).inverse().shift(2)
-    assert [s.coefficient(n) for n in range(9)] == [0, 0, 1, 1, 1, 1, 1, 1, 1]
-    # k=2 coefficient of x^4 is wardlah(2,2)/4! = 12/24
-    s2 = (one_minus_x(6).inverse() ** 2).shift(4).scalar_div(2)
-    assert s2.coefficient(4) == Fraction(1, 2)
+    assert [0, 0] + ids._geometric(1, 6) == [0, 0, 1, 1, 1, 1, 1, 1, 1]
+    # k=2 coefficient of x^4 is coefficient 0 of (1-x)^-2 over 2!, and
+    # wardlah(2,2)/4! = 12/24
+    assert Fraction(ids._geometric(2, 2)[0], factorial(2)) == Fraction(12, factorial(4)) == Fraction(1, 2)
     with pytest.raises(ValueError):
         ids.check_egf_wardlah(3, 5)  # order below 2k
 
@@ -196,6 +194,33 @@ def test_every_check_detects_injected_fault(runner, kind, where):
     assert not report.passed
     assert report.counterexample is not None
     assert report.counterexample.lhs != report.counterexample.rhs
+
+
+# The first counterexample of each generating-function check under one
+# flipped entry, as both report formats print it.
+GF_COUNTEREXAMPLES = [
+    (
+        lambda e: ids.check_egf_wardlah(2, 12, entry=e), Kind.WARD_LAH, (4, 2),
+        "FAIL egf-ward-lah-k2 [k=2, n<=12] cases=15 skipped=0"
+        " counterexample: n=6 k=2 lhs=3/2 rhs=1081/720",
+        "name=egf-ward-lah-k2 status=fail range=k=2,n<=12 cases=15 skipped=0"
+        " conjecture=false n=6 k=2 lhs=3/2 rhs=1081/720",
+    ),
+    (
+        lambda e: ids.check_gf_variedwardlah(2, 12, entry=e), Kind.VARIED_WARD_LAH, (5, 2),
+        "FAIL gf-varied-ward-lah-k2 [k=2, n<=12] cases=13 skipped=0"
+        " counterexample: n=5 k=2 lhs=4 rhs=14515201/3628800",
+        "name=gf-varied-ward-lah-k2 status=fail range=k=2,n<=12 cases=13 skipped=0"
+        " conjecture=false n=5 k=2 lhs=4 rhs=14515201/3628800",
+    ),
+]
+
+
+@pytest.mark.parametrize("runner,kind,where,human,machine", GF_COUNTEREXAMPLES, ids=["egf", "ogf"])
+def test_gf_counterexamples_are_pinned(runner, kind, where, human, machine):
+    report = runner(flip(ids.default_entry(kind), *where))
+    assert report.human() == human
+    assert report.machine() == machine
 
 
 def test_report_serialization():

@@ -1,4 +1,4 @@
-"""The five record types are immutable values: no attribute can be set or
+"""The four record types are immutable values: no attribute can be set or
 deleted, equal fields make equal records with equal hashes, and keyword
 construction fills in the documented defaults."""
 
@@ -9,7 +9,6 @@ import pytest
 
 from wardtri.bfile import BFile
 from wardtri.identities import CheckReport, Counterexample
-from wardtri.series import PowerSeries
 from wardtri.triangles import Kind, Strategy, Triangle
 
 # (type, required fields, defaults, a field and a different value for it)
@@ -20,7 +19,6 @@ RECORDS = [
     (Counterexample, dict(n=4, k=2, lhs=7, rhs=Fraction(15, 2)), {"m": None}, ("m", 1)),
     (CheckReport, dict(name="order3-ward-lah", param_range="2<=n<=5, 1<=k<=n", passed=True, cases=14),
      {"skipped": 0, "conjecture": False, "counterexample": None}, ("skipped", 1)),
-    (PowerSeries, dict(coeffs=(Fraction(1), Fraction(-1, 2))), {}, ("coeffs", (Fraction(1),))),
 ]
 
 
@@ -41,9 +39,3 @@ def test_records_are_immutable_values(cls, fields, defaults, change):
     assert a == b
     assert pickle.loads(pickle.dumps(a)) == a
 
-
-def test_power_series_normalises_its_coefficients():
-    s = PowerSeries((1, 0, Fraction(2, 4)))
-    assert s == PowerSeries((Fraction(1), Fraction(0), Fraction(1, 2)))
-    assert all(type(c) is Fraction for c in s.coeffs)
-    assert repr(s) == "PowerSeries(coeffs=(Fraction(1, 1), Fraction(0, 1), Fraction(1, 2)))"
