@@ -165,6 +165,7 @@ def _cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
 
 def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    _routes(parser, args.kind, [args.strategy], strict=True)  # before the file is read
     from . import bfile as bfile_mod
 
     try:
@@ -181,10 +182,7 @@ def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace
     # Sized by the file's length, never by the value of its last index; a
     # file that starts before --offset fails at its first line.
     rows = bfile_mod.rows_needed(len(bf.values)) if bf.offset == args.offset else 0
-    try:
-        tri = triangles.triangle(args.kind, rows, args.strategy)
-    except triangles.UnsupportedStrategyError as exc:
-        parser.error(str(exc))
+    tri = triangles.triangle(args.kind, rows, args.strategy)
     if bf.offset < args.offset:
         print(f"mismatch at index {bf.offset}: index below offset {args.offset}")
         return 1

@@ -7,13 +7,17 @@ every kind.  The routes of a kind follow from it: `recurrence` and
 `partition-transform` always, `explicit` when the base is ward-lah (the only
 base with a closed form), `scaling` (the rescaling factor times the base
 triangle) when the kind is rescaled, and `alternating-sum` (a signed sum of
-Lah numbers) for ward-lah itself.
+Lah numbers, grouped as (n+k)!/k! times the k-th forward difference at 0 of
+c(m) = C(n+m-1, m-1), so one difference table per row gives every k) for
+ward-lah itself.
 
 The recurrences and explicit formulas are written out per kind, as the
 paper states them, and never derived from the rescaling factor: they are
-the independent routes that check it.  Each recurrence is stated once, in
+the independent routes that check it.  The rescaling factor and the parts
+of each closed form that do not vary along a row, or step along it (such as
+(n+k)!/k!), are formed once per row.  Each recurrence is stated once, in
 `_RECURRENCE`, as an integer numerator and denominator: the builder runs it
-and `identities` checks the same statement on reference-route values.  The
+and `identities` checks the same statement on reference-route values.  Every
 builder divides with `exact_div`, so a result that is not an integer raises
 `ExactnessError` rather than being rounded.
 
@@ -34,6 +38,8 @@ import threading
 from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
+from itertools import accumulate
+from operator import mul, sub
 
 from .exact_arith import as_integer, binomial, exact_div, factorial, falling_factorial
 from .partition_transform import (
@@ -87,13 +93,15 @@ class Rescaling(Enum):
     VARIED = "varied"
     BINOMIAL = "binomial"
 
-    def factor(self, n: int, k: int) -> int:
-        """Rescaled T(n, k) over base T(n, k): 1, (2n)_(n-k) * k! or C(2n, n+k)."""
+    def factors(self, n: int) -> list[int]:
+        """Rescaled T(n, k) over base T(n, k) for k = 0..n: 1, (2n)_(n-k) * k!
+        (from running products of (2n)_j and k!, no division) or C(2n, n+k)."""
         if self is Rescaling.VARIED:
-            return falling_factorial(2 * n, n - k) * factorial(k)
+            falling = list(accumulate(range(2 * n, n, -1), mul, initial=1))  # (2n)_j
+            return list(map(mul, reversed(falling), accumulate(range(1, n + 1), mul, initial=1)))
         if self is Rescaling.BINOMIAL:
-            return binomial(2 * n, n + k)
-        return 1
+            return [binomial(2 * n, n + k) for k in range(n + 1)]
+        return [1] * (n + 1)
 
 
 SPEC: dict[Kind, tuple[Base, Rescaling]] = {
@@ -193,14 +201,6 @@ _RECURRENCE: dict[Kind, tuple[Callable[..., int], Callable[[int, int], int] | No
                              lambda n, k: k * (n - k)),
 }
 
-# Closed forms of the kinds over the ward-lah base, given f = (2n)!.
-_EXPLICIT: dict[Kind, Callable[[int, int, int], int]] = {
-    Kind.WARD_LAH: lambda n, k, f: exact_div(factorial(n + k), factorial(k)) * binomial(n - 1, k - 1),
-    Kind.VARIED_WARD_LAH: lambda n, k, f: f * binomial(n - 1, k - 1),
-    Kind.BINOMIAL_WARD_LAH: lambda n, k, f: exact_div(f, factorial(k) * factorial(n - k))
-    * binomial(n - 1, k - 1),
-}
-
 
 # Row builders: row n >= 1 of one kind, given the rows before it.
 
@@ -221,16 +221,27 @@ def _recurrence_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[in
 
 
 def _explicit_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    formula, f = _EXPLICIT[kind], factorial(2 * n)
-    return (0, *(formula(n, k, f) for k in range(1, n + 1)))
+    # The closed forms of the kinds over the ward-lah base, T(n, k) =
+    # X(n, k) * C(n-1, k-1), with X(n, 0..n) formed once per row.
+    if kind is Kind.WARD_LAH:  # X = (n+k)!/k!, stepped from n! by (n+k)/k
+        x = [factorial(n)]
+        for k in range(1, n + 1):
+            x.append(exact_div(x[-1] * (n + k), k))
+    elif kind is Kind.VARIED_WARD_LAH:  # X = (2n)!
+        x = [factorial(2 * n)] * (n + 1)
+    else:  # binomial-ward-lah: X = (2n)!/(k!(n-k)!) = (2n)!/n! * C(n, k)
+        f = exact_div(factorial(2 * n), factorial(n))
+        x = [f * binomial(n, k) for k in range(n + 1)]
+    return (0, *(x[k] * binomial(n - 1, k - 1) for k in range(1, n + 1)))
 
 
 def _transform_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     base, rescaling = SPEC[kind]
+    factors = rescaling.factors(n)
 
     def entry(k: int) -> int:
         # (-1)^k (n+k)_n P(n, k) is the base triangle; the factor rescales it.
-        scale = (-1) ** k * rescaling.factor(n, k) * falling_factorial(n + k, n)
+        scale = (-1) ** k * factors[k] * falling_factorial(n + k, n)
         return as_integer(scale * partition_transform(n, k, base.rule))
 
     return (0, *map(entry, range(1, n + 1)))
@@ -239,20 +250,20 @@ def _transform_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int
 def _scaling_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     base, rescaling = SPEC[kind]
     base_row = _rows_upto(base.kind, Strategy.RECURRENCE, n)[n]
-    return (0, *(rescaling.factor(n, k) * base_row[k] for k in range(1, n + 1)))
+    return (0, *map(mul, rescaling.factors(n)[1:], base_row[1:]))
 
 
 def _alternating_sum_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     # ward-lah(n, k) = sum_{m=1..k} (-1)^(m+k) C(n+k, n+m) L(n+m, m), with
-    # the Lah numbers L(n+m, m) = (n+m)!/m! C(n+m-1, m-1) signed once per row.
-    lah_terms = [0] + [
-        (-1) ** m * exact_div(factorial(n + m), factorial(m)) * binomial(n + m - 1, m - 1)
-        for m in range(1, n + 1)
-    ]
-    return (0, *(
-        (-1) ** k * sum(binomial(n + k, n + m) * lah_terms[m] for m in range(1, k + 1))
-        for k in range(1, n + 1)
-    ))
+    # L(n+m, m) = (n+m)!/m! C(n+m-1, m-1).  As C(n+k, n+m) (n+m)!/m! is
+    # (n+k)!/k! C(k, m), the sum is (n+k)!/k! times the k-th forward
+    # difference at 0 of c(m) = C(n+m-1, m-1): one table gives every k.
+    f = list(accumulate(range(1, 2 * n + 1), mul, initial=1))  # 0!..(2n)!
+    c, row = [binomial(n + m - 1, m - 1) for m in range(n + 1)], []
+    for k in range(1, n + 1):
+        c = list(map(sub, c[1:], c))
+        row.append(exact_div(f[n + k], f[k]) * c[0])
+    return (0, *row)
 
 
 _ROW = {

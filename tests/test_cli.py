@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import wardtri.cli
 import wardtri.identities
 from wardtri import triangles
 from wardtri.bfile import BFile, linearize, render_bfile
@@ -224,6 +225,25 @@ def test_bfile_compare_missing_file():
     with pytest.raises(SystemExit) as err:
         main(["bfile-compare", "--kind", "ward2", "--file", "/nonexistent.txt"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("contents", [None, "1 2\n3 4\n"], ids=["missing", "malformed"])
+def test_bfile_compare_refuses_an_unsupported_strategy_before_reading(tmp_path, monkeypatch, capsys,
+                                                                       contents):
+    path = tmp_path / "b.txt"
+    if contents is not None:
+        path.write_text(contents)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("opened the file")
+
+    monkeypatch.setattr(wardtri.cli, "open", no_open, raising=False)
+    with pytest.raises(SystemExit) as err:
+        main(["bfile-compare", "--kind", "ward2", "--strategy", "explicit", "--file", str(path)])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.splitlines()[-1] == "wardtri bfile-compare: error: ward2 does not support: explicit"
 
 
 def test_bench_structure(capsys):

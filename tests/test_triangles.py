@@ -132,6 +132,73 @@ def test_every_route_agrees_at_random_entries(kind, n, data):
     assert len(set(values.values())) == 1, values
 
 
+# The per-entry formulas the row builders used before they formed their
+# per-row parts once: test-only oracles for the rewritten rows.
+ORACLE_ROWS = 120
+RESCALED = [kind for kind in ALL_KINDS if S in SUPPORTED[kind]]
+
+
+def _oracle_factor(rescaling, n, k):
+    if rescaling is triangles.Rescaling.VARIED:
+        return falling_factorial(2 * n, n - k) * factorial(k)
+    if rescaling is triangles.Rescaling.BINOMIAL:
+        return binomial(2 * n, n + k)
+    return 1
+
+
+_ORACLE_EXPLICIT = {  # the README's closed forms, one entry at a time
+    Kind.WARD_LAH: lambda n, k: exact_div(factorial(n + k), factorial(k)) * binomial(n - 1, k - 1),
+    Kind.VARIED_WARD_LAH: lambda n, k: factorial(2 * n) * binomial(n - 1, k - 1),
+    Kind.BINOMIAL_WARD_LAH: lambda n, k: exact_div(factorial(2 * n), factorial(k) * factorial(n - k))
+    * binomial(n - 1, k - 1),
+}
+
+
+def _oracle_rows(entry):
+    return tuple((1,) if n == 0 else (0, *(entry(n, k) for k in range(1, n + 1)))
+                 for n in range(ORACLE_ROWS + 1))
+
+
+def test_alternating_sum_equals_the_signed_lah_sum():
+    def signed_sum(n, k):
+        return sum((-1) ** (m + k) * binomial(n + k, n + m) * lah(n + m, m) for m in range(1, k + 1))
+
+    assert triangle(Kind.WARD_LAH, ORACLE_ROWS, A).rows == _oracle_rows(signed_sum)
+
+
+@pytest.mark.parametrize("rescaling", list(triangles.Rescaling), ids=lambda r: r.value)
+def test_rescaling_factors_equal_the_per_entry_factor(rescaling):
+    for n in range(ORACLE_ROWS + 1):
+        assert rescaling.factors(n) == [_oracle_factor(rescaling, n, k) for k in range(n + 1)], n
+
+
+@pytest.mark.parametrize("kind", RESCALED, ids=lambda kind: kind.value)
+def test_scaling_route_equals_the_per_entry_factor_times_the_base(kind):
+    base, rescaling = triangles.SPEC[kind]
+    base_rows = triangle(base.kind, ORACLE_ROWS, R).rows
+    expected = _oracle_rows(lambda n, k: _oracle_factor(rescaling, n, k) * base_rows[n][k])
+    assert triangle(kind, ORACLE_ROWS, S).rows == expected
+
+
+@pytest.mark.parametrize("kind", LAH_FAMILY, ids=lambda kind: kind.value)
+def test_explicit_route_equals_the_readme_closed_form(kind):
+    assert triangle(kind, ORACLE_ROWS, E).rows == _oracle_rows(_ORACLE_EXPLICIT[kind])
+
+
+def test_a_perturbed_running_product_step_is_not_rounded(monkeypatch):
+    # Off by one after the (n+k)/k step at k = 2 of the explicit ward-lah
+    # row: the k = 3 step then divides (n+2)!/2 + 1 times n+3 by 3, which is
+    # inexact for n = 4, so the build raises rather than rounding.
+    real = triangles.exact_div
+    monkeypatch.setattr(triangles, "exact_div", lambda a, b: real(a, b) + (b == 2))
+    clear_caches()
+    try:
+        with pytest.raises(ExactnessError):
+            triangle(Kind.WARD_LAH, 6, E)
+    finally:
+        clear_caches()
+
+
 def test_rational_recurrence_rejects_a_perturbed_row():
     rows = list(triangle(Kind.BINOMIAL_WARD1, 3).rows)
     assert triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, rows[:3]) == rows[3]
