@@ -98,10 +98,8 @@ def _write_triangle(tri: triangles.Triangle, fmt: str, offset: int) -> None:
 
 
 def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    try:
-        tri = triangles.triangle(args.kind, args.rows, args.strategy)
-    except triangles.UnsupportedStrategyError as exc:
-        parser.error(str(exc))
+    _routes(parser, args.kind, [args.strategy], strict=True)
+    tri = triangles.triangle(args.kind, args.rows, args.strategy)
     _write_triangle(tri, args.format, args.offset)
     return 0
 

@@ -11,14 +11,16 @@ recurrence against values built by that same recurrence.
 
 The seven triangular recurrences the builder runs (ward-lah's integer one,
 the varied and the binomial kinds) are stated once, in
-`triangles._RECURRENCE`, and checked here on reference-route values.  The
-test oracles are the independent transcription.
+`triangles._RECURRENCE`, and checked here on reference-route values by the
+checks `_builder_check` returns, one per kind.  The test oracles are the
+independent transcription.
 
 A check reads each entry once, into a row table, and compares integers: a
 rational identity is multiplied through by its positive denominator, and
 fractions are formed only to report a counterexample.  The two
-generating-function checks expand (1-x)^-k by integer prefix sums and
-compare each coefficient with the entry over its factorial, a `Fraction`.
+generating-function checks share one evaluator of x^shift (1-x)^-k / scale:
+it expands (1-x)^-k by integer prefix sums and compares each coefficient
+with the entry over its factorial, a `Fraction`.
 
 Conjectured relations are flagged as such: their reports are evidence, and
 a disagreement is surfaced rather than treated as a library bug.
@@ -30,6 +32,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
 from .exact_arith import factorial, rising_factorial
 from .exact_arith import binomial as binom
@@ -50,14 +53,6 @@ def _table(e: EntryFn, max_n: int) -> list[list[int]]:
     are max_n + 2 long and zero past k = n, so the reads just outside the
     triangle give 0, as `value` does."""
     return [[e(n, k) for k in range(n + 1)] + [0] * (max_n + 1 - n) for n in range(max_n + 1)]
-
-
-def _factorials(limit: int) -> list[int]:
-    """F[i] = i! for 0 <= i <= limit."""
-    out = [1]
-    for i in range(1, limit + 1):
-        out.append(out[-1] * i)
-    return out
 
 
 class Counterexample(namedtuple("Counterexample", "n k lhs rhs m", defaults=(None,))):
@@ -205,18 +200,37 @@ def _recurrence(
     return sweep.report()
 
 
-def _builder_recurrence(kind: Kind, entry: EntryFn | None, max_n: int, name: str) -> CheckReport:
-    """The recurrence `triangles` builds `kind` by, on reference-route values;
-    a binomial kind's holds off the diagonal only, so diagonal tuples are
-    skipped."""
-    num, den = _RECURRENCE[kind]
+def _builder_check(kind: Kind, name: str) -> Callable[..., CheckReport]:
+    """The check, reported as `name`, of the recurrence `triangles` builds
+    `kind` by, on reference-route values.  It reads `_RECURRENCE[kind]` each
+    time it runs; a binomial kind's holds off the diagonal only, so diagonal
+    tuples are skipped."""
     off_diagonal = SPEC[kind][1] is Rescaling.BINOMIAL
-    return _recurrence(
-        kind, entry, max_n, name,
-        f"1<=k<=n-1, n<={max_n}" if off_diagonal else f"1<=k<=n<={max_n}",
-        lambda n, k, t: (num(n, k, t[n - 1][k], t[n - 1][k - 1]), den(n, k) if den else 1),
-        skip=(lambda n, k: k == n) if off_diagonal else None,
+
+    def check(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
+        num, den = _RECURRENCE[kind]
+        return _recurrence(
+            kind, entry, max_n, name,
+            f"1<=k<=n-1, n<={max_n}" if off_diagonal else f"1<=k<=n<={max_n}",
+            lambda n, k, t: (num(n, k, t[n - 1][k], t[n - 1][k - 1]), den(n, k) if den else 1),
+            skip=(lambda n, k: k == n) if off_diagonal else None,
+        )
+
+    check.__doc__ = f"The triangular recurrence the builder uses for {kind.value}" + (
+        ", off the diagonal." if off_diagonal else "."
     )
+    return check
+
+
+check_triangular_wardlah_integer = _builder_check(Kind.WARD_LAH, "triangular-ward-lah-integer")
+check_triangular_varied_ward1 = _builder_check(Kind.VARIED_WARD1, "triangular-varied-ward1")
+check_triangular_varied_ward2 = _builder_check(Kind.VARIED_WARD2, "triangular-varied-ward2")
+check_triangular_varied_wardlah = _builder_check(Kind.VARIED_WARD_LAH, "triangular-varied-ward-lah")
+check_triangular_binomial_ward1 = _builder_check(Kind.BINOMIAL_WARD1, "triangular-binomial-ward1")
+check_triangular_binomial_ward2 = _builder_check(Kind.BINOMIAL_WARD2, "triangular-binomial-ward2")
+check_triangular_binomial_wardlah = _builder_check(
+    Kind.BINOMIAL_WARD_LAH, "triangular-binomial-ward-lah"
+)
 
 
 def check_alternating_sum_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
@@ -242,11 +256,6 @@ def check_triangular_wardlah_weighted(max_n: int, *, entry: EntryFn | None = Non
         ),
         skip=lambda n, k: k < 2,
     )
-
-
-def check_triangular_wardlah_integer(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
-    """Integer-coefficient ward-lah recurrence, the one the builder uses."""
-    return _builder_recurrence(Kind.WARD_LAH, entry, max_n, "triangular-ward-lah-integer")
 
 
 def check_triangular_wardlah_onestep(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
@@ -283,7 +292,7 @@ def _horizontal(
     direct sum finds.
     """
     t = _table(entry or default_entry(kind), max_n)
-    f = _factorials(2 * max_n)
+    f = list(accumulate(range(1, 2 * max_n + 1), mul, initial=1))  # 0!..(2 max_n)!
     if max_m is None:
         max_m = max_n - 1
     sweep = _Sweep(name, f"{domain}, 1<=m<=min({max_m},n-1)")
@@ -338,21 +347,6 @@ def check_order3_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckRe
     )
 
 
-def check_triangular_varied_ward1(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
-    """Triangular recurrence for varied Ward numbers of the first kind."""
-    return _builder_recurrence(Kind.VARIED_WARD1, entry, max_n, "triangular-varied-ward1")
-
-
-def check_triangular_varied_ward2(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
-    """Triangular recurrence for varied Ward numbers of the second kind."""
-    return _builder_recurrence(Kind.VARIED_WARD2, entry, max_n, "triangular-varied-ward2")
-
-
-def check_triangular_varied_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
-    """Triangular recurrence for varied ward-lah with factor 2n(2n-1)."""
-    return _builder_recurrence(Kind.VARIED_WARD_LAH, entry, max_n, "triangular-varied-ward-lah")
-
-
 def check_horizontal_varied_wardlah(
     max_n: int, max_m: int | None = None, *, entry: EntryFn | None = None
 ) -> CheckReport:
@@ -367,24 +361,6 @@ def check_horizontal_varied_wardlah(
         lambda f, n, k: f[2 * n],
         lambda f, p, kk: 1,
     )
-
-
-def check_triangular_binomial_ward1(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
-    """Triangular recurrence for binomial Ward numbers of the first kind.
-
-    Stated only off the diagonal (n-k >= 1); diagonal tuples are skipped.
-    """
-    return _builder_recurrence(Kind.BINOMIAL_WARD1, entry, max_n, "triangular-binomial-ward1")
-
-
-def check_triangular_binomial_ward2(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
-    """Triangular recurrence for binomial Ward numbers of the second kind."""
-    return _builder_recurrence(Kind.BINOMIAL_WARD2, entry, max_n, "triangular-binomial-ward2")
-
-
-def check_triangular_binomial_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
-    """Triangular recurrence for binomial ward-lah, off the diagonal."""
-    return _builder_recurrence(Kind.BINOMIAL_WARD_LAH, entry, max_n, "triangular-binomial-ward-lah")
 
 
 def check_horizontal_binomial_wardlah(
@@ -429,6 +405,21 @@ def _geometric(k: int, order: int) -> list[int]:
     return c
 
 
+def _column_gf(kind: Kind, entry: EntryFn | None, k: int, order: int, name: str,
+               shift: int, scale: int, weight: int) -> CheckReport:
+    """Sweep the coefficients of x^shift (1-x)^-k / scale through x^order:
+    each one below x^shift is 0, and for k <= n <= order the coefficient
+    of x^n is T(n+k-shift, k) / (weight*n)!, a `Fraction`."""
+    e = entry or default_entry(kind)
+    sweep = _Sweep(f"{name}-k{k}", f"k={k}, n<={order}")
+    series = [0] * shift + [Fraction(c, scale) for c in _geometric(k, order - shift)]
+    for n in range(shift):
+        sweep.compare(series[n], Fraction(0), n, k)
+    for n in range(k, order + 1):
+        sweep.compare(series[n], Fraction(e(n + k - shift, k), factorial(weight * n)), n, k)
+    return sweep.report()
+
+
 def check_egf_wardlah(k: int, order: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Column-k exponential generating function x^(2k) / (k! (1-x)^k).
 
@@ -437,16 +428,7 @@ def check_egf_wardlah(k: int, order: int, *, entry: EntryFn | None = None) -> Ch
     """
     if k < 1 or order < 2 * k:
         raise ValueError(f"need k >= 1 and order >= 2k, got k={k}, order={order}")
-    e = entry or default_entry(Kind.WARD_LAH)
-    sweep = _Sweep(f"egf-ward-lah-k{k}", f"k={k}, n<={order}")
-    f = factorial(k)
-    series = [Fraction(0)] * (2 * k) + [Fraction(c, f) for c in _geometric(k, order - 2 * k)]
-    for n in range(2 * k):
-        sweep.compare(series[n], Fraction(0), n, k)
-    for n in range(k, order + 1):
-        expected = Fraction(e(n - k, k), factorial(n))
-        sweep.compare(series[n], expected, n, k)
-    return sweep.report()
+    return _column_gf(Kind.WARD_LAH, entry, k, order, "egf-ward-lah", 2 * k, factorial(k), 1)
 
 
 def check_gf_variedwardlah(k: int, order: int, *, entry: EntryFn | None = None) -> CheckReport:
@@ -457,15 +439,7 @@ def check_gf_variedwardlah(k: int, order: int, *, entry: EntryFn | None = None) 
     """
     if k < 1 or order < k:
         raise ValueError(f"need 1 <= k <= order, got k={k}, order={order}")
-    e = entry or default_entry(Kind.VARIED_WARD_LAH)
-    sweep = _Sweep(f"gf-varied-ward-lah-k{k}", f"k={k}, n<={order}")
-    series = [0] * k + _geometric(k, order - k)
-    for n in range(k):
-        sweep.compare(series[n], Fraction(0), n, k)
-    for n in range(k, order + 1):
-        expected = Fraction(e(n, k), factorial(2 * n))
-        sweep.compare(series[n], expected, n, k)
-    return sweep.report()
+    return _column_gf(Kind.VARIED_WARD_LAH, entry, k, order, "gf-varied-ward-lah", k, 1, 2)
 
 
 def check_lah_variedwardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:

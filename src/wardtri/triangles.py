@@ -27,9 +27,9 @@ n, k >= 1, and T(n,k) = 0 for k > n.
 Construction is row by row into per-(kind, strategy) caches of immutable
 tuples.  One thread at a time grows a cache, under that cache's lock, and
 a row is appended only once complete; completed rows never change, so a
-reader of rows already built takes no lock.  A row that needs the base
-triangle (scaling, the binomial diagonal) takes the base's lock inside its
-own, and a base's builders take no other, so locks are taken in one order.
+reader of rows already built takes no lock.  Only a scaling row needs the
+base triangle, and it takes the base's lock inside its own; a base's
+builders take no other, so locks are taken in one order.
 """
 
 from __future__ import annotations
@@ -209,14 +209,15 @@ def _recurrence_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[in
     prev = (*rows[n - 1], 0)
     base, rescaling = SPEC[kind]
     # The binomial recurrences stop short of the diagonal, which is the
-    # base triangle's: C(2n, 2n) = 1.
+    # base triangle's (C(2n, 2n) = 1), so the base's own step gives it from
+    # T(n-1, n-1) and a = 0.
     ks = range(1, n if rescaling is Rescaling.BINOMIAL else n + 1)
     if den is None:
         row = [num(n, k, prev[k], prev[k - 1]) for k in ks]
     else:
         row = [exact_div(num(n, k, prev[k], prev[k - 1]), den(n, k)) for k in ks]
     if rescaling is Rescaling.BINOMIAL:
-        row.append(_rows_upto(base.kind, Strategy.RECURRENCE, n)[n][n])
+        row.append(_RECURRENCE[base.kind][0](n, n, 0, prev[n - 1]))
     return (0, *row)
 
 

@@ -142,6 +142,15 @@ def test_identities_machine_format(capsys):
         assert "status=pass" in line
 
 
+def test_identities_machine_output_matches_the_golden_file(capsys):
+    # Every report name, range, count and verdict of the suite at max-n 22,
+    # byte for byte.  Regenerate it only for an intended change, with
+    # `wardtri identities --max-n 22 --machine > tests/fixtures/identities-22.machine`.
+    code, out = run(capsys, "identities", "--max-n", "22", "--machine")
+    assert code == 0
+    assert out == (FIXTURES / "identities-22.machine").read_text()
+
+
 def test_identities_rejects_bad_range():
     with pytest.raises(SystemExit) as err:
         main(["identities", "--max-n", "0"])
@@ -244,6 +253,24 @@ def test_bfile_compare_refuses_an_unsupported_strategy_before_reading(tmp_path, 
     out, errors = capsys.readouterr()
     assert out == ""
     assert errors.splitlines()[-1] == "wardtri bfile-compare: error: ward2 does not support: explicit"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "ward2", "--rows", "3", "--strategy", "explicit"],
+        ["check", "--kind", "ward2", "--strategies", "explicit,recurrence"],
+        ["bench", "--kind", "ward2", "--rows", "3", "--strategies", "explicit"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_missing_route_is_worded_alike_by_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.splitlines()[-1] == f"wardtri {argv[0]}: error: ward2 does not support: explicit"
 
 
 def test_bench_structure(capsys):

@@ -508,3 +508,63 @@ def test_identity_counts_match_the_recorded_ones(max_n):
     reports = ids.run_identity_suite(max_n)
     assert all(r.passed for r in reports)
     assert {r.name: [r.cases, r.skipped] for r in reports} == recorded
+
+
+# Every check of the suite with the kind it reads and the route it sweeps
+# itself, if any (the builder's recurrence, the alternating sum): an entry
+# from that route would check the route against itself.
+SUITE_CHECKS = [
+    ("check_alternating_sum_wardlah", Kind.WARD_LAH, Strategy.ALTERNATING_SUM),
+    ("check_triangular_wardlah_weighted", Kind.WARD_LAH, None),
+    ("check_triangular_wardlah_integer", Kind.WARD_LAH, Strategy.RECURRENCE),
+    ("check_triangular_wardlah_onestep", Kind.WARD_LAH, None),
+    ("check_horizontal_wardlah", Kind.WARD_LAH, None),
+    ("check_order3_wardlah", Kind.WARD_LAH, None),
+    ("check_triangular_varied_ward1", Kind.VARIED_WARD1, Strategy.RECURRENCE),
+    ("check_triangular_varied_ward2", Kind.VARIED_WARD2, Strategy.RECURRENCE),
+    ("check_triangular_varied_wardlah", Kind.VARIED_WARD_LAH, Strategy.RECURRENCE),
+    ("check_horizontal_varied_wardlah", Kind.VARIED_WARD_LAH, None),
+    ("check_triangular_binomial_ward1", Kind.BINOMIAL_WARD1, Strategy.RECURRENCE),
+    ("check_triangular_binomial_ward2", Kind.BINOMIAL_WARD2, Strategy.RECURRENCE),
+    ("check_triangular_binomial_wardlah", Kind.BINOMIAL_WARD_LAH, Strategy.RECURRENCE),
+    ("check_horizontal_binomial_wardlah", Kind.BINOMIAL_WARD_LAH, None),
+    ("check_order5_binomial_wardlah", Kind.BINOMIAL_WARD_LAH, None),
+    ("check_lah_variedwardlah", Kind.VARIED_WARD_LAH, None),
+    ("check_central_lah_rowsums", Kind.BINOMIAL_WARD_LAH, None),
+]
+ROUTE_MAX_N = 20
+
+
+def _other_routes(kind, own=None):
+    skip = {triangles.reference_route(kind), own}
+    return sorted(set(triangles.supported_strategies(kind)) - skip, key=lambda s: s.value)
+
+
+ROUTE_RUNS = [
+    (name, (ROUTE_MAX_N,), kind, s)
+    for name, kind, own in SUITE_CHECKS
+    for s in _other_routes(kind, own)
+] + [
+    (name, (k, max(ROUTE_MAX_N, 2 * k)), kind, s)
+    for name, kind in [("check_egf_wardlah", Kind.WARD_LAH),
+                       ("check_gf_variedwardlah", Kind.VARIED_WARD_LAH)]
+    for k in range(1, ids.GF_MAX_K + 1)
+    for s in _other_routes(kind)
+]
+
+
+def test_the_route_runs_cover_the_suite():
+    names = {getattr(ids, name)(2).name for name, _, _ in SUITE_CHECKS}
+    assert names == {r.name for r in ids.run_identity_suite(2) if "gf-" not in r.name}
+
+
+@pytest.mark.parametrize(
+    "name,args,kind,strategy", ROUTE_RUNS,
+    ids=[f"{name}{list(args)}-{s.value}" for name, args, _, s in ROUTE_RUNS],
+)
+def test_each_identity_holds_on_the_other_routes_of_its_kind(name, args, kind, strategy):
+    # The suite reads reference-route entries; the identity must hold just
+    # as well on every other route of the kind.
+    report = getattr(ids, name)(*args, entry=lambda n, k: triangles.value(kind, n, k, strategy))
+    assert report.passed, report.human()
+    assert report.cases > 0

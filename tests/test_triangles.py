@@ -207,6 +207,26 @@ def test_rational_recurrence_rejects_a_perturbed_row():
         triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, rows[:3])
 
 
+@pytest.mark.parametrize(
+    "binom_kind,base",
+    [
+        (Kind.BINOMIAL_WARD1, Kind.WARD1),
+        (Kind.BINOMIAL_WARD2, Kind.WARD2),
+        (Kind.BINOMIAL_WARD_LAH, Kind.WARD_LAH),
+    ],
+)
+def test_binomial_recurrence_builds_its_diagonal_without_the_base(binom_kind, base):
+    # The diagonal is the base's step from T(n-1, n-1): no base row is built.
+    clear_caches()
+    try:
+        rows = triangle(binom_kind, 40, Strategy.RECURRENCE).rows
+        assert (base, Strategy.RECURRENCE) not in triangles._cache
+        base_rows = triangle(base, 40, Strategy.RECURRENCE).rows
+        assert [row[-1] for row in rows] == [row[-1] for row in base_rows]
+    finally:
+        clear_caches()
+
+
 def test_negative_rows_rejected():
     with pytest.raises(ValueError):
         triangle(Kind.WARD1, -1, Strategy.RECURRENCE)
