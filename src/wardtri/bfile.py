@@ -19,7 +19,7 @@ class BFileParseError(ValueError):
 
 
 # A token int() accepts unless it is longer than the interpreter's digit limit.
-_INTEGER = re.compile(r"[+-]?\d+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def abbreviate(text: str) -> str:
@@ -56,6 +56,10 @@ def parse_bfile(text: str) -> BFile:
         if len(parts) != 2:
             raise BFileParseError(f"line {lineno}: expected 'index value', got {abbreviate(raw)!r}")
         try:
+            # int() alone would also read "1_0" and non-ASCII digits; this
+            # test is linear, and cheap beside int() on a long token.
+            if "_" in line or not (parts[0].isascii() and parts[1].isascii()):
+                raise ValueError(line)
             index, val = int(parts[0]), int(parts[1])
         except ValueError:
             if all(_INTEGER.fullmatch(part) for part in parts):

@@ -177,13 +177,11 @@ def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace
         parser.error(f"{args.file}: {exc}")
     if bf.offset > args.offset:
         parser.error(f"{args.file}: first index {bf.offset} is past --offset {args.offset}")
-    # Sized by the file's length, never by the value of its last index; a
-    # file that starts before --offset fails at its first line.
-    rows = bfile_mod.rows_needed(len(bf.values)) if bf.offset == args.offset else 0
-    tri = triangles.triangle(args.kind, rows, args.strategy)
     if bf.offset < args.offset:
         print(f"mismatch at index {bf.offset}: index below offset {args.offset}")
         return 1
+    # Sized by the file's length, never by the value of its last index.
+    tri = triangles.triangle(args.kind, bfile_mod.rows_needed(len(bf.values)), args.strategy)
     linear = bfile_mod.linearize(tri)
     for (index, found), expected in zip(bf.pairs(), linear):
         if expected != found:

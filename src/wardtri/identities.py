@@ -36,7 +36,7 @@ from operator import mul
 
 from .exact_arith import factorial, rising_factorial
 from .exact_arith import binomial as binom
-from .triangles import SPEC, Kind, Rescaling, Strategy, central, lah, reference_route, triangle
+from .triangles import SPEC, Base, Kind, Rescaling, Strategy, central, lah, reference_route, triangle
 from .triangles import _RECURRENCE, value
 
 EntryFn = Callable[[int, int], int]
@@ -455,19 +455,22 @@ def check_lah_variedwardlah(max_n: int, *, entry: EntryFn | None = None) -> Chec
     return sweep.report()
 
 
-# Central numbers the row sums of each binomial kind are compared with.
-_ROWSUM_CENTRAL = {
-    Kind.BINOMIAL_WARD1: "stirling1",
-    Kind.BINOMIAL_WARD2: "stirling2",
-    Kind.BINOMIAL_WARD_LAH: "lah",
-}
-
-
 def rowsum_pairs(kind: Kind, max_n: int, *, entry: EntryFn | None = None) -> list[tuple[int, int, int]]:
-    """(n, row sum, reference central value) for the row-sum relations."""
+    """(n, row sum, reference central value) for the row-sum relations of a
+    binomial kind: the central numbers of its base's classical partner."""
+    base, rescaling = SPEC[kind]
+    if rescaling is not Rescaling.BINOMIAL:
+        raise ValueError(f"row sums are compared for the binomial kinds only, not {kind.value}")
     e = entry or default_entry(kind)
-    which = _ROWSUM_CENTRAL[kind]
-    return [(n, sum(e(n, k) for k in range(n + 1)), central(which, n)) for n in range(max_n + 1)]
+    return [(n, sum(e(n, k) for k in range(n + 1)), central(base.classical, n)) for n in range(max_n + 1)]
+
+
+def _rowsums(kind: Kind, max_n: int, entry: EntryFn | None, name: str, conjecture: bool) -> CheckReport:
+    """Sweep the `rowsum_pairs` of a binomial kind for n <= max_n."""
+    sweep = _Sweep(name, f"0<=n<={max_n}", conjecture=conjecture)
+    for n, rowsum, ref in rowsum_pairs(kind, max_n, entry=entry):
+        sweep.compare(rowsum, ref, n, 0)
+    return sweep.report()
 
 
 def check_conjecture_rowsums_stirling(
@@ -478,21 +481,15 @@ def check_conjecture_rowsums_stirling(
 
     Reported as evidence; a failure is a finding, not a bug.
     """
-    which = _ROWSUM_CENTRAL.get(kind)
-    if which not in ("stirling1", "stirling2"):
+    base, rescaling = SPEC[kind]
+    if rescaling is not Rescaling.BINOMIAL or base is Base.WARD_LAH:
         raise ValueError(f"row-sum conjecture applies to binomial Ward kinds, not {kind.value}")
-    sweep = _Sweep(f"conjecture-rowsums-{kind.value}-{which}", f"0<=n<={max_n}", conjecture=True)
-    for n, rowsum, ref in rowsum_pairs(kind, max_n, entry=entry):
-        sweep.compare(rowsum, ref, n, 0)
-    return sweep.report()
+    return _rowsums(kind, max_n, entry, f"conjecture-rowsums-{kind.value}-{base.classical}", True)
 
 
 def check_central_lah_rowsums(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
     """Row sums of binomial ward-lah equal central Lah numbers."""
-    sweep = _Sweep("central-lah-rowsums", f"0<=n<={max_n}")
-    for n, rowsum, ref in rowsum_pairs(Kind.BINOMIAL_WARD_LAH, max_n, entry=entry):
-        sweep.compare(rowsum, ref, n, 0)
-    return sweep.report()
+    return _rowsums(Kind.BINOMIAL_WARD_LAH, max_n, entry, "central-lah-rowsums", False)
 
 
 # Columns 1..GF_MAX_K of the two generating-function checks.

@@ -24,12 +24,18 @@ builder divides with `exact_div`, so a result that is not an integer raises
 All triangles share the same boundary: T(0,0) = 1, T(n,0) = T(0,k) = 0 for
 n, k >= 1, and T(n,k) = 0 for k > n.
 
-Construction is row by row into per-(kind, strategy) caches of immutable
-tuples.  One thread at a time grows a cache, under that cache's lock, and
-a row is appended only once complete; completed rows never change, so a
-reader of rows already built takes no lock.  Only a scaling row needs the
-base triangle, and it takes the base's lock inside its own; a base's
-builders take no other, so locks are taken in one order.
+Each base also names its classical partner (Stirling cycle, Stirling set
+or Lah numbers), whose central numbers the row sums of the base's binomial
+kind are compared with.  The three classical triangles are `_RECURRENCE`
+entries too, keyed by that name and built by the recurrence builder.
+
+Construction is row by row into one cache of immutable tuples, with one
+table and one lock for each (kind, strategy) pair of the nine kinds and for
+each of the three classical triangles.  One thread at a time grows a table,
+under its lock, and a row is appended only once complete; completed rows
+never change, so a reader of rows already built takes no lock.  Only a
+scaling row needs the base triangle, and it takes the base's lock inside its
+own; a base's builders take no other, so locks are taken in one order.
 """
 
 from __future__ import annotations
@@ -77,15 +83,18 @@ class UnsupportedStrategyError(ValueError):
 
 
 class Base(Enum):
-    """An unrescaled triangle and the argument rule of its partition transform."""
+    """An unrescaled triangle, the argument rule of its partition transform
+    and its classical partner, whose central numbers the row sums of the
+    base's binomial kind are compared with."""
 
-    WARD1 = (Kind.WARD1, ward_first_kind)
-    WARD2 = (Kind.WARD2, ward_second_kind)
-    WARD_LAH = (Kind.WARD_LAH, constant_one)
+    WARD1 = (Kind.WARD1, ward_first_kind, "stirling1")
+    WARD2 = (Kind.WARD2, ward_second_kind, "stirling2")
+    WARD_LAH = (Kind.WARD_LAH, constant_one, "lah")
 
-    def __init__(self, kind: Kind, rule: ArgumentRule) -> None:
+    def __init__(self, kind: Kind, rule: ArgumentRule, classical: str) -> None:
         self.kind = kind
         self.rule = rule
+        self.classical = classical
 
 
 class Rescaling(Enum):
@@ -144,12 +153,10 @@ class Triangle(namedtuple("Triangle", "kind strategy rows")):
         return len(self.rows) - 1
 
 
-_cache: dict[tuple[Kind, Strategy], list[tuple[int, ...]]] = {}
+# Keyed by (kind, strategy), or by (classical name, RECURRENCE).
+_cache: dict[tuple[Kind | str, Strategy], list[tuple[int, ...]]] = {}
 _cache_locks = {(kind, s): threading.Lock() for kind, routes in SUPPORTED.items() for s in routes}
-_classical_lock = threading.Lock()
-_stirling1_rows: list[tuple[int, ...]] = []
-_stirling2_rows: list[tuple[int, ...]] = []
-_lah_rows: list[tuple[int, ...]] = []
+_cache_locks.update({(base.classical, Strategy.RECURRENCE): threading.Lock() for base in Base})
 
 
 def clear_caches() -> None:
@@ -157,9 +164,6 @@ def clear_caches() -> None:
     benchmarks to time cold builds)."""
     _cache.clear()
     clear_tables()
-    _stirling1_rows.clear()
-    _stirling2_rows.clear()
-    _lah_rows.clear()
 
 
 def supported_strategies(kind: Kind) -> frozenset[Strategy]:
@@ -184,8 +188,10 @@ def _check_supported(kind: Kind, strategy: Strategy) -> None:
 # T(n, k) = num(n, k, a, b) / den(n, k), from a = T(n-1, k) and
 # b = T(n-1, k-1); den is None for the integer-coefficient kinds.  The
 # ward-lah one is the integer-coefficient form (its weighted variants are
-# identities only); the binomial ones hold for n-k >= 1 only.
-_RECURRENCE: dict[Kind, tuple[Callable[..., int], Callable[[int, int], int] | None]] = {
+# identities only); the binomial ones hold for n-k >= 1 only.  The classical
+# triangles, keyed by name, are the unsigned Stirling cycle numbers c(n, k),
+# the Stirling set numbers S(n, k) and the Lah numbers L(n, k).
+_RECURRENCE: dict[Kind | str, tuple[Callable[..., int], Callable[[int, int], int] | None]] = {
     Kind.WARD1: (lambda n, k, a, b: (n + k - 1) * (a + b), None),
     Kind.WARD2: (lambda n, k, a, b: k * a + (n + k - 1) * b, None),
     Kind.WARD_LAH: (lambda n, k, a, b: 2 * (n + k - 1) * b + (n + 2 * k - 1) * a, None),
@@ -199,15 +205,18 @@ _RECURRENCE: dict[Kind, tuple[Callable[..., int], Callable[[int, int], int] | No
                           lambda n, k: (n + k) * (n - k)),
     Kind.BINOMIAL_WARD_LAH: (lambda n, k, a, b: 2 * n * (2 * n - 1) * (k * a + (n - k) * b),
                              lambda n, k: k * (n - k)),
+    "stirling1": (lambda n, k, a, b: b + (n - 1) * a, None),
+    "stirling2": (lambda n, k, a, b: b + k * a, None),
+    "lah": (lambda n, k, a, b: b + (n - 1 + k) * a, None),
 }
 
 
 # Row builders: row n >= 1 of one kind, given the rows before it.
 
-def _recurrence_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _recurrence_row(kind: Kind | str, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     num, den = _RECURRENCE[kind]
     prev = (*rows[n - 1], 0)
-    base, rescaling = SPEC[kind]
+    base, rescaling = SPEC.get(kind, (None, Rescaling.NONE))  # a classical triangle is unrescaled
     # The binomial recurrences stop short of the diagonal, which is the
     # base triangle's (C(2n, 2n) = 1), so the base's own step gives it from
     # T(n-1, n-1) and a = 0.
@@ -276,7 +285,7 @@ _ROW = {
 }
 
 
-def _rows_upto(kind: Kind, strategy: Strategy, n: int) -> list[tuple[int, ...]]:
+def _rows_upto(kind: Kind | str, strategy: Strategy, n: int) -> list[tuple[int, ...]]:
     rows = _cache.get((kind, strategy))
     if rows is not None and len(rows) > n:
         return rows
@@ -313,51 +322,32 @@ def triangle(kind: Kind, rows: int, strategy: Strategy = Strategy.RECURRENCE) ->
     return Triangle(kind=kind, strategy=strategy, rows=tuple(built[: rows + 1]))
 
 
-def _classical_rows(rows: list[tuple[int, ...]], step, n: int) -> None:
-    # step(m, j, a, b) is T(m, j) from a = T(m-1, j) and b = T(m-1, j-1).
-    if len(rows) > n:
-        return
-    with _classical_lock:
-        if not rows:
-            rows.append((1,))
-        while len(rows) <= n:
-            m, prev = len(rows), (*rows[-1], 0)
-            rows.append((0, *(step(m, j, prev[j], prev[j - 1]) for j in range(1, m + 1))))
+def _classical(name: str, n: int, k: int) -> int:
+    if n < 0 or k < 0 or k > n:
+        return 0
+    return _rows_upto(name, Strategy.RECURRENCE, n)[n][k]
 
 
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling cycle numbers c(n, k)."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    _classical_rows(_stirling1_rows, lambda m, j, a, b: b + (m - 1) * a, n)
-    return _stirling1_rows[n][k]
+    return _classical("stirling1", n, k)
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling set numbers S(n, k)."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    _classical_rows(_stirling2_rows, lambda m, j, a, b: b + j * a, n)
-    return _stirling2_rows[n][k]
+    return _classical("stirling2", n, k)
 
 
 def lah(n: int, k: int) -> int:
     """Lah numbers L(n, k), built by the classical triangular recurrence."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    _classical_rows(_lah_rows, lambda m, j, a, b: b + (m - 1 + j) * a, n)
-    return _lah_rows[n][k]
-
-
-_CENTRAL = {"stirling1": stirling1_unsigned, "stirling2": stirling2, "lah": lah}
+    return _classical("lah", n, k)
 
 
 def central(name: str, n: int) -> int:
     """Central value (at row 2n, column n) of a classical triangle."""
-    try:
-        fn = _CENTRAL[name]
-    except KeyError:
-        raise ValueError(f"unknown central family {name!r}; pick from {sorted(_CENTRAL)}")
+    names = sorted(base.classical for base in Base)
+    if name not in names:
+        raise ValueError(f"unknown central family {name!r}; pick from {names}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return fn(2 * n, n)
+    return _classical(name, 2 * n, n)

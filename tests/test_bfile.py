@@ -41,6 +41,9 @@ def test_parse_accepts_nonunit_offset_and_negatives():
         "1 2\n3 4\n",  # gap in indices
         "1 2\n1 2\n",  # repeated index
         "1 2\n# late comment\n2 3\n",  # comment after data
+        "1 1_0\n",  # int() reads 1_0 as 10
+        "1_0 2\n",
+        "1 \u0661\n",  # Arabic-Indic one, which int() reads as 1
     ],
 )
 def test_parse_rejects_malformed(text):

@@ -188,11 +188,15 @@ def test_bfile_compare_truncated_prefix(tmp_path, capsys):
     assert "10 entries agree" in out
 
 
-def test_bfile_compare_off_by_one_offset(capsys):
+def test_bfile_compare_off_by_one_offset(monkeypatch, capsys):
+    def no_build(*args):
+        raise AssertionError("built a triangle")
+
+    monkeypatch.setattr(triangles, "triangle", no_build)  # the first index decides
     code, out = run(capsys, "bfile-compare", "--kind", "ward2",
                     "--file", str(FIXTURES / "b269939.txt"), "--offset", "2")
     assert code == 1
-    assert "mismatch at index 1" in out
+    assert out == "mismatch at index 1: index below offset 2\n"
 
 
 def test_bfile_compare_file_past_offset_is_usage_error(tmp_path, monkeypatch, capsys):
@@ -208,6 +212,17 @@ def test_bfile_compare_file_past_offset_is_usage_error(tmp_path, monkeypatch, ca
     out, errors = capsys.readouterr()
     assert out == ""
     assert errors.splitlines()[-1].endswith("first index 1000000000 is past --offset 1")
+
+
+def test_bfile_compare_non_ascii_digit_is_usage_error(tmp_path, capsys):
+    odd = tmp_path / "odd.txt"
+    odd.write_text("1 1\n2 \u0661\n3 3\n", encoding="utf-8")  # ward2 T(2,1) = 1
+    with pytest.raises(SystemExit) as err:
+        main(["bfile-compare", "--kind", "ward2", "--file", str(odd)])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert "line 2: non-integer token" in errors.splitlines()[-1]
 
 
 def test_bfile_compare_corrupted_value(tmp_path, capsys):

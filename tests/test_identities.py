@@ -139,6 +139,8 @@ def test_conjecture_rowsums():
     assert (e2(2, 1), e2(2, 2)) == (4, 3)  # sums to stirling2(4,2) = 7
     with pytest.raises(ValueError):
         ids.check_conjecture_rowsums_stirling(Kind.WARD1, 5)
+    with pytest.raises(ValueError, match="binomial"):
+        ids.rowsum_pairs(Kind.WARD1, 3)
 
 
 def test_central_lah_rowsums():

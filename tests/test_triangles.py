@@ -331,6 +331,15 @@ def test_stirling_and_lah_values():
     assert stirling1_unsigned(3, 5) == stirling2(3, 5) == lah(3, 5) == 0
 
 
+def test_classical_triangles_grow_in_the_shared_cache():
+    # Rows 0..2n of the classical triangle, in the cache the kinds use.
+    clear_caches()
+    assert central("lah", 3) == 1200
+    assert len(triangles._cache[("lah", Strategy.RECURRENCE)]) == 7
+    clear_caches()
+    assert ("lah", Strategy.RECURRENCE) not in triangles._cache
+
+
 def test_lah_matches_explicit_formula():
     for n in range(1, 31):
         for k in range(1, n + 1):
@@ -352,6 +361,15 @@ def test_central_values():
     assert central("stirling2", 1) == 1
     assert central("stirling1", 2) == 11
     assert central("stirling2", 3) == stirling2(6, 3)
+    # n = 0..6, written out by hand: c(2n, n), S(2n, n) and
+    # L(2n, n) = C(2n-1, n-1) (2n)!/n!
+    expected = {
+        "stirling1": [1, 1, 11, 225, 6769, 269325, 13339535],
+        "stirling2": [1, 1, 7, 90, 1701, 42525, 1323652],
+        "lah": [1, 2, 36, 1200, 58800, 3810240, 307359360],
+    }
+    for name, values in expected.items():
+        assert [central(name, n) for n in range(7)] == values
     with pytest.raises(ValueError):
         central("bell", 2)
     with pytest.raises(ValueError):
