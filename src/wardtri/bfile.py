@@ -52,14 +52,15 @@ def parse_bfile(text: str) -> BFile:
             comments.append(raw)
             continue
         in_header = False
+        # split() would also part tokens at non-ASCII whitespace, and int()
+        # would read "1_0" and non-ASCII digits; this test is linear, and
+        # cheap beside int() on a long token.
+        if "_" in line or not line.isascii():
+            raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}")
         parts = line.split()
         if len(parts) != 2:
             raise BFileParseError(f"line {lineno}: expected 'index value', got {abbreviate(raw)!r}")
         try:
-            # int() alone would also read "1_0" and non-ASCII digits; this
-            # test is linear, and cheap beside int() on a long token.
-            if "_" in line or not (parts[0].isascii() and parts[1].isascii()):
-                raise ValueError(line)
             index, val = int(parts[0]), int(parts[1])
         except ValueError:
             if all(_INTEGER.fullmatch(part) for part in parts):

@@ -1,14 +1,12 @@
-"""Exact integer and rational primitives used by every triangle formula.
+"""Exact integer primitives used by every triangle formula.
 
-Integers are plain Python ``int`` (arbitrary precision); rationals are
-``fractions.Fraction`` (always stored reduced, positive denominator).
-Nothing here ever touches floating point.
+Everything is a plain Python ``int`` (arbitrary precision): no rationals,
+and never floating point.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class ExactnessError(ArithmeticError):
@@ -73,12 +71,3 @@ def exact_div(a: int, b: int) -> int:
     if r != 0:
         raise ExactnessError(f"{a} is not divisible by {b}")
     return q
-
-
-def as_integer(q: Fraction | int) -> int:
-    """Collapse a rational known to be integral; raises ExactnessError if not."""
-    if isinstance(q, int):
-        return q
-    if q.denominator != 1:
-        raise ExactnessError(f"expected an integer, got {q}")
-    return q.numerator

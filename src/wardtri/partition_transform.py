@@ -21,6 +21,10 @@ and P(n, k) = (-1)^k * G(1, k, n-k).  This is the defining sum regrouped,
 not a recurrence of the triangles, so the route stays independent of the
 others.  A triangle of N rows needs O(N^2 log N) values of G and O(N^3)
 products in all, where listing partitions grows faster than any polynomial.
+
+The values of G are memoized in one dict per rule.  One thread at a time
+grows any of them, under the module's lock, and a value enters its dict
+only once final, so a lookup takes no lock.
 """
 
 from __future__ import annotations
@@ -49,58 +53,38 @@ def ward_second_kind(j: int) -> Fraction:
     return Fraction(1, j + 1)
 
 
-class _TailTable:
-    """The values G(d, p, r) of one argument rule, grown on demand.
-
-    A value enters `g` only once it is final, so readers may look it up
-    without the lock; `lock` serialises the growth.
-    """
-
-    def __init__(self, rule: ArgumentRule) -> None:
-        self.rule = rule
-        self.lock = threading.Lock()
-        self.g: dict[tuple[int, int, int], Fraction] = {}
-        self._terms: list[Fraction] = []  # a_1, a_2, ...
-        self._powers: dict[tuple[int, int], Fraction] = {}
-
-    def _power(self, d: int, p: int) -> Fraction:
-        power = self._powers.get((d, p))
-        if power is None:
-            while len(self._terms) < d:
-                self._terms.append(Fraction(self.rule(len(self._terms) + 1)))
-            power = self._powers[(d, p)] = self._terms[d - 1] ** p
-        return power
-
-    def fill(self, root: tuple[int, int, int]) -> Fraction:
-        """G at `root`, filling in every value it depends on.  Call with
-        `lock` held.  An explicit stack replaces recursion, whose depth
-        would grow with n."""
-        g = self.g
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if node in g:
-                stack.pop()
-                continue
-            d, p, r = node
-            tails = [(d + 1, q, r - q) for q in range(1, min(p, r) + 1)]
-            missing = [tail for tail in tails if tail not in g]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            total = sum(math.comb(p, q) * g[tail] for q, tail in enumerate(tails, 1)) if r else 1
-            g[node] = self._power(d, p) * total
-        return g[root]
+def _fill(
+    g: dict[tuple[int, int, int], Fraction], rule: ArgumentRule, root: tuple[int, int, int]
+) -> Fraction:
+    """G at `root`, filling in every value of `rule`'s table `g` it depends
+    on; call with `_lock` held.  The leaves G(d, p, 0) = a_d^p are also the
+    memo of the powers.  An explicit stack replaces recursion, whose depth
+    would grow with n."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node in g:
+            continue
+        d, p, r = node
+        if not r:
+            g[node] = Fraction(rule(d)) ** p
+            continue
+        tails = [(d + 1, q, r - q) for q in range(1, min(p, r) + 1)]
+        missing = [tail for tail in (*tails, (d, p, 0)) if tail not in g]
+        if missing:
+            stack += (node, *missing)  # node again once its children are in
+            continue
+        g[node] = g[d, p, 0] * sum(math.comb(p, q) * g[tail] for q, tail in enumerate(tails, 1))
+    return g[root]
 
 
-_tables: dict[ArgumentRule, _TailTable] = {}
-_tables_lock = threading.Lock()
+_tables: dict[ArgumentRule, dict[tuple[int, int, int], Fraction]] = {}
+_lock = threading.Lock()
 
 
 def clear_tables() -> None:
     """Drop the memoized tail tables of every rule."""
-    with _tables_lock:
+    with _lock:
         _tables.clear()
 
 
@@ -117,13 +101,9 @@ def partition_transform(n: int, k: int, rule: ArgumentRule) -> Fraction:
         return Fraction(1)
     if k == 0 or k > n:
         return Fraction(0)
-    table = _tables.get(rule)
-    if table is None:
-        with _tables_lock:
-            table = _tables.setdefault(rule, _TailTable(rule))
     root = (1, k, n - k)
-    value = table.g.get(root)
+    value = _tables.get(rule, {}).get(root)
     if value is None:
-        with table.lock:
-            value = table.fill(root)
+        with _lock:
+            value = _fill(_tables.setdefault(rule, {}), rule, root)
     return -value if k % 2 else value

@@ -30,12 +30,11 @@ kind are compared with.  The three classical triangles are `_RECURRENCE`
 entries too, keyed by that name and built by the recurrence builder.
 
 Construction is row by row into one cache of immutable tuples, with one
-table and one lock for each (kind, strategy) pair of the nine kinds and for
-each of the three classical triangles.  One thread at a time grows a table,
-under its lock, and a row is appended only once complete; completed rows
-never change, so a reader of rows already built takes no lock.  Only a
-scaling row needs the base triangle, and it takes the base's lock inside its
-own; a base's builders take no other, so locks are taken in one order.
+table for each (kind, strategy) pair of the nine kinds and for each of the
+three classical triangles.  One thread at a time grows any table, under the
+module's re-entrant lock (a scaling row grows its base's table while holding
+it), and a row is appended only once complete, so a reader of complete rows
+takes no lock.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from enum import Enum
 from itertools import accumulate
 from operator import mul, sub
 
-from .exact_arith import as_integer, binomial, exact_div, factorial, falling_factorial
+from .exact_arith import binomial, exact_div, factorial, falling_factorial
 from .partition_transform import (
     ArgumentRule,
     clear_tables,
@@ -155,15 +154,15 @@ class Triangle(namedtuple("Triangle", "kind strategy rows")):
 
 # Keyed by (kind, strategy), or by (classical name, RECURRENCE).
 _cache: dict[tuple[Kind | str, Strategy], list[tuple[int, ...]]] = {}
-_cache_locks = {(kind, s): threading.Lock() for kind, routes in SUPPORTED.items() for s in routes}
-_cache_locks.update({(base.classical, Strategy.RECURRENCE): threading.Lock() for base in Base})
+_lock = threading.RLock()
 
 
 def clear_caches() -> None:
     """Drop all memoized rows and partition-transform tables (used by
     benchmarks to time cold builds)."""
-    _cache.clear()
-    clear_tables()
+    with _lock:
+        _cache.clear()
+        clear_tables()
 
 
 def supported_strategies(kind: Kind) -> frozenset[Strategy]:
@@ -252,7 +251,8 @@ def _transform_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int
     def entry(k: int) -> int:
         # (-1)^k (n+k)_n P(n, k) is the base triangle; the factor rescales it.
         scale = (-1) ** k * factors[k] * falling_factorial(n + k, n)
-        return as_integer(scale * partition_transform(n, k, base.rule))
+        v = scale * partition_transform(n, k, base.rule)
+        return exact_div(v.numerator, v.denominator)
 
     return (0, *map(entry, range(1, n + 1)))
 
@@ -289,7 +289,7 @@ def _rows_upto(kind: Kind | str, strategy: Strategy, n: int) -> list[tuple[int, 
     rows = _cache.get((kind, strategy))
     if rows is not None and len(rows) > n:
         return rows
-    with _cache_locks[(kind, strategy)]:
+    with _lock:
         rows = _cache.setdefault((kind, strategy), [(1,)])
         build = _ROW[strategy]
         while len(rows) <= n:

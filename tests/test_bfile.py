@@ -24,7 +24,7 @@ def test_parse_render_roundtrip_with_comments():
 
 
 def test_parse_accepts_nonunit_offset_and_negatives():
-    bf = parse_bfile("0 1\n1 -5\n")
+    bf = parse_bfile("0 1\n\n1 -5\n")
     assert bf.offset == 0
     assert bf.values == (1, -5)
     assert bf.pairs() == [(0, 1), (1, -5)]
@@ -44,11 +44,22 @@ def test_parse_accepts_nonunit_offset_and_negatives():
         "1 1_0\n",  # int() reads 1_0 as 10
         "1_0 2\n",
         "1 \u0661\n",  # Arabic-Indic one, which int() reads as 1
+        "1\xa02\n",  # split() parts tokens at a no-break space,
+        "1\u20032\n",  # an em space
+        "1 2\n2\u30003\n",  # and an ideographic space
     ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(BFileParseError):
         parse_bfile(text)
+
+
+def test_non_ascii_whitespace_is_a_non_integer_token():
+    # str.split() would read "2\u30003" as the tokens "2" and "3"; the line
+    # is refused as a bad token, not with the digit-limit message that the
+    # regex fallback gives two valid tokens.
+    with pytest.raises(BFileParseError, match="line 2: non-integer token"):
+        parse_bfile("1 2\n2\u30003\n")
 
 
 def test_linearize_rows():

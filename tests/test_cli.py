@@ -134,6 +134,22 @@ def test_identities_command(capsys):
     assert "horizontal-ward-lah" in out
 
 
+def test_identities_exits_1_when_an_identity_fails(monkeypatch, capsys):
+    # A wrong builder recurrence for varied-ward-lah, checked on its
+    # explicit route, which does not use it: that one report fails.
+    num, den = triangles._RECURRENCE[Kind.VARIED_WARD_LAH]
+    monkeypatch.setitem(triangles._RECURRENCE, Kind.VARIED_WARD_LAH,
+                        (lambda n, k, a, b: num(n, k, a, b) + 1, den))
+    triangles.clear_caches()
+    try:
+        code, out = run(capsys, "identities", "--max-n", "8")
+    finally:
+        triangles.clear_caches()
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL triangular-varied-ward-lah ")
+
+
 def test_identities_machine_format(capsys):
     code, out = run(capsys, "identities", "--max-n", "6", "--machine")
     assert code == 0

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from wardtri.exact_arith import (
     ExactnessError,
-    as_integer,
     binomial,
     exact_div,
     factorial,
@@ -79,13 +78,6 @@ def test_exact_div():
         exact_div(12, 5)
     with pytest.raises(ZeroDivisionError):
         exact_div(1, 0)
-
-
-def test_as_integer():
-    assert as_integer(Fraction(6, 2)) == 3
-    assert as_integer(7) == 7
-    with pytest.raises(ExactnessError):
-        as_integer(Fraction(1, 2))
 
 
 @given(

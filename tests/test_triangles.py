@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from wardtri import triangles
 from wardtri.exact_arith import ExactnessError, binomial, exact_div, factorial, falling_factorial
-from wardtri.partition_transform import partition_transform
+from wardtri.partition_transform import partition_transform, ward_second_kind
 from wardtri.triangles import (
     SUPPORTED,
     Kind,
@@ -205,6 +205,23 @@ def test_rational_recurrence_rejects_a_perturbed_row():
     rows[2] = (0, rows[2][1] + 1, rows[2][2])  # T(2,1) + 1
     with pytest.raises(ExactnessError):
         triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, rows[:3])
+
+
+def test_transform_route_refuses_a_non_integral_value(monkeypatch):
+    # Row 1's only entry is -(1+1)_1 P(1, 1) = -2 P(1, 1): an integral
+    # product collapses to an int, and a non-integral one raises rather
+    # than being rounded.
+    clear_caches()
+    try:
+        monkeypatch.setattr(triangles, "partition_transform", lambda n, k, rule: Fraction(3, 2))
+        _, entry = triangle(Kind.WARD2, 1, P).rows[1]
+        assert entry == -3 and type(entry) is int
+        clear_caches()
+        monkeypatch.setattr(triangles, "partition_transform", lambda n, k, rule: Fraction(1, 4))
+        with pytest.raises(ExactnessError):
+            triangle(Kind.WARD2, 1, P)
+    finally:
+        clear_caches()
 
 
 @pytest.mark.parametrize(
@@ -447,3 +464,23 @@ def test_concurrent_transform_table_growth_matches_a_serial_build():
 
     results = _run_in_threads([functools.partial(evaluate, seed) for seed in range(8)])
     assert results == [expected] * 8
+
+
+def test_concurrent_mixed_table_growth_matches_a_serial_build():
+    # Two mixes at once: ward1's recurrence table grown directly and from
+    # inside varied-ward1's scaling rows, and ward2's transform route built
+    # while other threads read ward2's partition-transform table directly.
+    cells = [(n, k) for n in range(31) for k in range(n + 2)]
+
+    tasks = [
+        lambda: triangle(Kind.WARD1, 60, R).rows,
+        lambda: triangle(Kind.VARIED_WARD1, 60, S).rows,
+        lambda: triangle(Kind.WARD2, 30, P).rows,
+        # largest n first, where the row builder starts from n = 1
+        lambda: {cell: partition_transform(*cell, ward_second_kind) for cell in reversed(cells)},
+    ]
+    clear_caches()
+    expected = [task() for task in tasks]
+    for _ in range(3):
+        clear_caches()
+        assert _run_in_threads(tasks * 2) == expected * 2
