@@ -1,9 +1,10 @@
 """OEIS b-file interchange: parse, render, and triangle linearization.
 
 A b-file is optional leading '#' comment lines followed by one
-"index value" pair per line, indices increasing by 1.  Triangles are
-linearized by rows n = 1..N, k = 1..n, leaving out the all-zero k = 0
-column and the n = 0 row, matching how the OEIS reads these triangles.
+"index value" pair per line, indices increasing by 1; a line ends at a
+line feed or a CR LF and nowhere else.  Triangles are linearized by rows
+n = 1..N, k = 1..n, leaving out the all-zero k = 0 column and the n = 0
+row, matching how the OEIS reads these triangles.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ def parse_bfile(text: str) -> BFile:
     values: list[int] = []
     offset: int | None = None
     in_header = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" or "\r\n" only: splitlines() would also end them at
+    # "\x0c", "\x1e", "\x85", "\u2028" and others.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.strip()
         if not line:
             continue

@@ -6,8 +6,9 @@ error (argparse errors, negative row counts, unsupported strategy names, an
 empty kind or strategy list, a check that compares no pair, unreadable or
 malformed files).
 
-Each command imports only the modules it runs: `identities` for check,
-identities and conjecture, `bfile` for b-file output and bfile-compare.
+Each command imports only the modules it runs: `compare` for check,
+`identities` for identities and conjecture, `bfile` for b-file output and
+bfile-compare.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     plan = [(kind, _routes(parser, kind, args.strategies, len(kinds) == 1)) for kind in kinds]
     if all(len(strategies) < 2 for _, strategies in plan):
         parser.error("no kind has two of the given strategies; nothing to compare")
-    from . import identities
+    from . import compare
 
     failures = 0
     for kind, strategies in plan:
@@ -117,7 +118,7 @@ def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             print(f"note: {kind.value}: fewer than two applicable strategies, skipped")
             continue
         for a, b in itertools.combinations(strategies, 2):
-            report = identities.compare_strategies(kind, args.rows, a, b)
+            report = compare.compare_strategies(kind, args.rows, a, b)
             print(report.human())
             if not report.passed:
                 failures += 1

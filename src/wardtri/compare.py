@@ -1,0 +1,139 @@
+"""Check records and the route comparison behind `wardtri check`.
+
+A `_Sweep` accumulates one check's verdict over its parameter tuples and
+reports it as a `CheckReport`, naming the first `Counterexample`.  The
+identity suite in `identities` builds every check on these records, and
+`compare_strategies` compares two routes of one kind entry by entry.  This
+module imports neither `identities` nor `fractions`: a `Fraction` is formed
+only to report a failed ratio comparison.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from collections.abc import Callable
+
+from .triangles import Kind, Strategy, triangle, value
+
+EntryFn = Callable[[int, int], int]
+
+
+class Counterexample(namedtuple("Counterexample", "n k lhs rhs m", defaults=(None,))):
+    """The first tuple an identity fails at: n, k, the two sides and, for
+    an m-step recurrence, m (None otherwise)."""
+
+    __slots__ = ()
+
+    def fields(self) -> str:
+        where = f"n={self.n} k={self.k}"
+        if self.m is not None:
+            where += f" m={self.m}"
+        return f"{where} lhs={self.lhs} rhs={self.rhs}"
+
+
+class CheckReport(
+    namedtuple(
+        "CheckReport",
+        "name param_range passed cases skipped conjecture counterexample",
+        defaults=(0, False, None),
+    )
+):
+    """The verdict of one check: its name and parameter range, whether it
+    passed, the cases compared and skipped, whether the relation is only
+    conjectured, and the first `Counterexample` (None on a pass)."""
+
+    __slots__ = ()
+
+    def human(self) -> str:
+        tag = "PASS" if self.passed else "FAIL"
+        line = f"{tag} {self.name} [{self.param_range}] cases={self.cases} skipped={self.skipped}"
+        if self.conjecture:
+            line += " (conjecture)"
+        if self.counterexample is not None:
+            line += f" counterexample: {self.counterexample.fields()}"
+        return line
+
+    def machine(self) -> str:
+        status = "pass" if self.passed else "fail"
+        line = (
+            f"name={self.name} status={status} range={self.param_range.replace(' ', '')}"
+            f" cases={self.cases} skipped={self.skipped}"
+            f" conjecture={'true' if self.conjecture else 'false'}"
+        )
+        if self.counterexample is not None:
+            line += f" {self.counterexample.fields()}"
+        return line
+
+
+class _Sweep:
+    """Accumulates a pass/fail verdict over swept parameter tuples."""
+
+    def __init__(self, name: str, param_range: str, conjecture: bool = False):
+        self.name = name
+        self.param_range = param_range
+        self.conjecture = conjecture
+        self.cases = 0
+        self.skipped = 0
+        self.counterexample: Counterexample | None = None
+
+    def skip(self) -> None:
+        self.skipped += 1
+
+    def compare(self, lhs, rhs, n: int, k: int, m: int | None = None) -> None:
+        self.cases += 1
+        if self.counterexample is None and lhs != rhs:
+            self.counterexample = Counterexample(n=n, k=k, lhs=lhs, rhs=rhs, m=m)
+
+    def compare_ratio(self, lhs: int, num: int, den: int, n: int, k: int, m: int | None = None) -> None:
+        """lhs == num/den for den > 0, tested as lhs * den == num."""
+        self.cases += 1
+        if self.counterexample is None and lhs * den != num:
+            from fractions import Fraction
+
+            self.counterexample = Counterexample(
+                n=n, k=k, lhs=Fraction(lhs), rhs=Fraction(num, den), m=m
+            )
+
+    def report(self) -> CheckReport:
+        return CheckReport(
+            name=self.name,
+            param_range=self.param_range,
+            passed=self.counterexample is None,
+            cases=self.cases,
+            skipped=self.skipped,
+            conjecture=self.conjecture,
+            counterexample=self.counterexample,
+        )
+
+
+def compare_strategies(
+    kind: Kind,
+    rows: int,
+    strat_a: Strategy,
+    strat_b: Strategy,
+    *,
+    entry_a: EntryFn | None = None,
+    entry_b: EntryFn | None = None,
+) -> CheckReport:
+    """Entrywise agreement of two computation routes for one kind.
+
+    Without entry overrides the two triangles are compared row by row, and
+    scanned entry by entry only to name the first mismatch.
+    """
+    sweep = _Sweep(
+        f"equivalence-{kind.value}-{strat_a.value}~{strat_b.value}",
+        f"0<=k<=n<={rows}",
+    )
+    if entry_a is None and entry_b is None:
+        rows_a = triangle(kind, rows, strat_a).rows
+        rows_b = triangle(kind, rows, strat_b).rows
+        if rows_a == rows_b:
+            sweep.cases = (rows + 1) * (rows + 2) // 2
+            return sweep.report()
+        entry_a, entry_b = (lambda n, k: rows_a[n][k]), (lambda n, k: rows_b[n][k])
+    a = entry_a or (lambda n, k: value(kind, n, k, strat_a))
+    b = entry_b or (lambda n, k: value(kind, n, k, strat_b))
+    for n in range(rows + 1):
+        for k in range(n + 1):
+            sweep.compare(a(n, k), b(n, k), n, k)
+    return sweep.report()

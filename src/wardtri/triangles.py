@@ -46,7 +46,7 @@ from enum import Enum
 from itertools import accumulate
 from operator import mul, sub
 
-from .exact_arith import binomial, exact_div, factorial, falling_factorial
+from .exact_arith import binomial, exact_div, factorial
 from .partition_transform import (
     ArgumentRule,
     clear_tables,
@@ -103,12 +103,16 @@ class Rescaling(Enum):
 
     def factors(self, n: int) -> list[int]:
         """Rescaled T(n, k) over base T(n, k) for k = 0..n: 1, (2n)_(n-k) * k!
-        (from running products of (2n)_j and k!, no division) or C(2n, n+k)."""
+        (from running products of (2n)_j and k!, no division) or C(2n, n+k)
+        (stepped down from C(2n, 2n) = 1 by (n+k)/(n-k+1))."""
         if self is Rescaling.VARIED:
             falling = list(accumulate(range(2 * n, n, -1), mul, initial=1))  # (2n)_j
             return list(map(mul, reversed(falling), accumulate(range(1, n + 1), mul, initial=1)))
         if self is Rescaling.BINOMIAL:
-            return [binomial(2 * n, n + k) for k in range(n + 1)]
+            c = [1]
+            for k in range(n, 0, -1):
+                c.append(exact_div(c[-1] * (n + k), n - k + 1))
+            return c[::-1]
         return [1] * (n + 1)
 
 
@@ -229,13 +233,19 @@ def _recurrence_row(kind: Kind | str, n: int, rows: list[tuple[int, ...]]) -> tu
     return (0, *row)
 
 
+def _falling_row(n: int) -> list[int]:
+    """(n+k)_n = (n+k)!/k! for k = 0..n, stepped from n! by (n+k)/k."""
+    x = [factorial(n)]
+    for k in range(1, n + 1):
+        x.append(exact_div(x[-1] * (n + k), k))
+    return x
+
+
 def _explicit_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     # The closed forms of the kinds over the ward-lah base, T(n, k) =
     # X(n, k) * C(n-1, k-1), with X(n, 0..n) formed once per row.
-    if kind is Kind.WARD_LAH:  # X = (n+k)!/k!, stepped from n! by (n+k)/k
-        x = [factorial(n)]
-        for k in range(1, n + 1):
-            x.append(exact_div(x[-1] * (n + k), k))
+    if kind is Kind.WARD_LAH:  # X = (n+k)!/k!
+        x = _falling_row(n)
     elif kind is Kind.VARIED_WARD_LAH:  # X = (2n)!
         x = [factorial(2 * n)] * (n + 1)
     else:  # binomial-ward-lah: X = (2n)!/(k!(n-k)!) = (2n)!/n! * C(n, k)
@@ -246,15 +256,13 @@ def _explicit_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int,
 
 def _transform_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     base, rescaling = SPEC[kind]
-    factors = rescaling.factors(n)
 
-    def entry(k: int) -> int:
+    def entry(k: int, factor: int, falling: int) -> int:
         # (-1)^k (n+k)_n P(n, k) is the base triangle; the factor rescales it.
-        scale = (-1) ** k * factors[k] * falling_factorial(n + k, n)
-        v = scale * partition_transform(n, k, base.rule)
-        return exact_div(v.numerator, v.denominator)
+        num, den = partition_transform(n, k, base.rule)
+        return exact_div((-1) ** k * factor * falling * num, den)
 
-    return (0, *map(entry, range(1, n + 1)))
+    return (0, *map(entry, range(1, n + 1), rescaling.factors(n)[1:], _falling_row(n)[1:]))
 
 
 def _scaling_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:

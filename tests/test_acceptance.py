@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import functools
 import itertools
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from wardtri import bfile as bf
@@ -68,7 +69,7 @@ def test_criterion_02_transform_calibration():
                 scaled = (
                     (-1) ** k
                     * falling_factorial(n + k, n)
-                    * partition_transform(n, k, rule)
+                    * Fraction(*partition_transform(n, k, rule))
                 )
                 assert scaled == value(kind, n, k, Strategy.RECURRENCE), (kind, n, k)
 

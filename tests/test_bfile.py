@@ -47,11 +47,19 @@ def test_parse_accepts_nonunit_offset_and_negatives():
         "1\xa02\n",  # split() parts tokens at a no-break space,
         "1\u20032\n",  # an em space
         "1 2\n2\u30003\n",  # and an ideographic space
+        "1 2\x0c2 3\n",  # splitlines() breaks lines at a form feed,
+        "1 2\x1e2 3\n",  # a record separator,
+        "1 2\x852 3\n",  # a next-line control
+        "1 2\u20282 3\n",  # and a line separator
     ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(BFileParseError):
         parse_bfile(text)
+
+
+def test_crlf_line_ends_are_line_ends():
+    assert parse_bfile("# c\r\n1 2\r\n2 3\r\n") == BFile(offset=1, values=(2, 3), comments=("# c",))
 
 
 def test_non_ascii_whitespace_is_a_non_integer_token():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import wardtri.cli
-import wardtri.identities
+import wardtri.compare
 from wardtri import triangles
 from wardtri.bfile import BFile, linearize, render_bfile
 from wardtri.cli import main
@@ -94,9 +94,9 @@ def test_check_all_kinds(capsys):
 
 
 def test_check_detects_fault(monkeypatch, capsys):
-    # `check` compares whole rows read through identities.triangle; corrupt
+    # `check` compares whole rows read through compare.triangle; corrupt
     # ward2 partition-transform T(4, 2) there.
-    real = wardtri.identities.triangle
+    real = wardtri.compare.triangle
 
     def corrupted(kind, rows, strategy=Strategy.RECURRENCE):
         tri = real(kind, rows, strategy)
@@ -106,7 +106,7 @@ def test_check_detects_fault(monkeypatch, capsys):
         bad[4] = (*bad[4][:2], bad[4][2] + 1, *bad[4][3:])
         return tri._replace(rows=tuple(bad))
 
-    monkeypatch.setattr(wardtri.identities, "triangle", corrupted)
+    monkeypatch.setattr(wardtri.compare, "triangle", corrupted)
     code, out = run(capsys, "check", "--kind", "ward2", "--rows", "6")
     assert code == 1
     assert "FAIL" in out and "n=4 k=2" in out
@@ -239,6 +239,17 @@ def test_bfile_compare_non_ascii_digit_is_usage_error(tmp_path, capsys):
     out, errors = capsys.readouterr()
     assert out == ""
     assert "line 2: non-integer token" in errors.splitlines()[-1]
+
+
+def test_bfile_compare_line_separator_inside_a_line_is_usage_error(tmp_path, capsys):
+    odd = tmp_path / "odd.txt"
+    odd.write_text("1 1\u20282 1\n3 3\n", encoding="utf-8")  # ward2 T(1,1), T(2,1), T(2,2)
+    with pytest.raises(SystemExit) as err:
+        main(["bfile-compare", "--kind", "ward2", "--file", str(odd)])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert "line 1: non-integer token" in errors.splitlines()[-1]
 
 
 def test_bfile_compare_corrupted_value(tmp_path, capsys):
@@ -452,7 +463,10 @@ _FOOTPRINT = """
 import io, sys
 from wardtri import cli
 sys.stdout = io.StringIO()
-code = cli.main(sys.argv[1:])
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
 sys.__stdout__.write(f"{code} {' '.join(sorted(sys.modules))}")
 """
 
@@ -468,12 +482,19 @@ def loaded_modules(*argv):
 
 
 def test_each_command_loads_only_what_it_runs():
-    check = loaded_modules("check", "--kind", "ward2", "--rows", "5")
+    check = loaded_modules("check", "--kind", "ward2", "--rows", "5",
+                           "--strategies", "recurrence,partition-transform")
     gen = loaded_modules("gen", "--kind", "ward2", "--rows", "3")
-    for modules in (check, gen):
+    compare = loaded_modules("bfile-compare", "--kind", "ward2", "--file", str(FIXTURES / "b269939.txt"))
+    usage = loaded_modules("--help")
+    identities = loaded_modules("identities", "--max-n", "3")
+    for modules in (check, gen, compare, usage, identities):
         assert not modules & {"dataclasses", "inspect"}
-    assert "wardtri.identities" in check and "wardtri.bfile" not in check
-    assert "wardtri.identities" not in gen
+    for modules in (check, gen, compare, usage):
+        assert not modules & {"fractions", "decimal", "wardtri.identities"}
+    assert "wardtri.compare" in check and "wardtri.bfile" not in check
+    assert "wardtri.bfile" in compare
+    assert "wardtri.identities" in identities
 
 
 def test_bench_rejects_zero_rows():

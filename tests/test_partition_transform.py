@@ -1,8 +1,9 @@
+import importlib
 from fractions import Fraction
 
 import pytest
 
-from wardtri.exact_arith import binomial, factorial, falling_factorial
+from wardtri.exact_arith import ExactnessError, binomial, factorial, falling_factorial
 from wardtri.partition_transform import (
     constant_one,
     partition_transform,
@@ -30,7 +31,8 @@ def all_partitions(n):
 
 def enumerated_transform(n, k, rule):
     """The Partition transformation summed term by term over the partitions
-    listed by `all_partitions`: the reference for `partition_transform`."""
+    listed by `all_partitions`, in `Fraction`s: the reference for
+    `partition_transform`."""
     sign = -1 if k % 2 else 1
     total = Fraction(0)
     for q in all_partitions(n):
@@ -39,40 +41,46 @@ def enumerated_transform(n, k, rule):
         parts = (*q, 0)
         term = Fraction(1)
         for j in range(len(q)):
-            term *= binomial(parts[j], parts[j + 1]) * rule(j + 1) ** parts[j]
+            term *= binomial(parts[j], parts[j + 1]) * Fraction(*rule(j + 1)) ** parts[j]
         total += sign * term
     return total
+
+
+def transform(n, k, rule):
+    """`partition_transform`'s exact pair as one `Fraction`."""
+    return Fraction(*partition_transform(n, k, rule))
 
 
 def squares_over_three(j):
     """A rule outside the Ward families, with numerators and denominators
     that vary with j."""
-    return Fraction(j * j + 1, 3)
+    return j * j + 1, 3
 
 
 RULES = [constant_one, ward_first_kind, ward_second_kind, squares_over_three]
 
 
 def test_transform_examples():
-    assert partition_transform(2, 1, constant_one) == -1
-    assert partition_transform(0, 0, constant_one) == 1
-    assert partition_transform(0, 0, ward_first_kind) == 1
+    assert partition_transform(2, 1, constant_one) == (-1, 1)
+    assert partition_transform(0, 0, constant_one) == (1, 1)
+    assert partition_transform(0, 0, ward_first_kind) == (1, 1)
+    assert partition_transform(5, 0, ward_first_kind) == partition_transform(2, 3, ward_first_kind) == (0, 1)
     # single partition (2,1): C(2,1)*(1/2)^2 * C(1,0)*(1/3)^1 = 1/6
-    assert partition_transform(3, 2, ward_second_kind) == Fraction(1, 6)
+    assert transform(3, 2, ward_second_kind) == Fraction(1, 6)
     # cross-check against the recurrence-built triangle entry
     assert 60 * Fraction(1, 6) == value(Kind.WARD2, 3, 2, Strategy.RECURRENCE)
 
 
 def test_transform_custom_rule():
     # q = (1,1): sign -1, C(1,1)*2^1 * C(1,0)*2^1 = 4
-    assert partition_transform(2, 1, lambda j: Fraction(2)) == -4
+    assert transform(2, 1, lambda j: (2, 1)) == -4
 
 
 def test_closed_form_for_all_ones():
     for n in range(1, 21):
         for k in range(1, n + 1):
             expected = (-1) ** k * binomial(n - 1, k - 1)
-            assert partition_transform(n, k, constant_one) == expected, (n, k)
+            assert transform(n, k, constant_one) == expected, (n, k)
 
 
 def test_lah_reconstruction():
@@ -81,7 +89,7 @@ def test_lah_reconstruction():
             lhs = (
                 (-1) ** k
                 * Fraction(factorial(n), factorial(k))
-                * partition_transform(n, k, constant_one)
+                * transform(n, k, constant_one)
             )
             assert lhs == Fraction(factorial(n), factorial(k)) * binomial(n - 1, k - 1)
 
@@ -90,15 +98,15 @@ def test_lah_reconstruction():
 def test_scaled_transform_is_integral(rule):
     for n in range(1, 16):
         for k in range(1, n + 1):
-            scaled = (-1) ** k * falling_factorial(n + k, n) * partition_transform(n, k, rule)
-            assert scaled.denominator == 1, (rule.__name__, n, k)
+            num, den = partition_transform(n, k, rule)
+            assert den > 0 and (-1) ** k * falling_factorial(n + k, n) * num % den == 0, (rule.__name__, n, k)
 
 
 @pytest.mark.parametrize("rule", RULES)
 def test_transform_matches_enumerated_sum(rule):
     for n in range(21):
         for k in range(n + 2):
-            assert partition_transform(n, k, rule) == enumerated_transform(n, k, rule), (n, k)
+            assert transform(n, k, rule) == enumerated_transform(n, k, rule), (n, k)
 
 
 def test_transform_rejects_negative():
@@ -110,7 +118,7 @@ def test_transform_rejects_negative():
 
 def test_long_single_partition_needs_no_deep_recursion():
     # the only partition with largest part 1 is 1^n, and a_1...a_n = 1/(n+1)
-    assert partition_transform(1500, 1, ward_first_kind) == Fraction(-1, 1501)
+    assert transform(1500, 1, ward_first_kind) == Fraction(-1, 1501)
 
 
 def test_clear_caches_drops_transform_tables():
@@ -118,7 +126,7 @@ def test_clear_caches_drops_transform_tables():
 
     def rule(j):
         calls.append(j)
-        return Fraction(j, j + 2)
+        return j, j + 2
 
     partition_transform(12, 3, rule)
     first = len(calls)
@@ -128,3 +136,38 @@ def test_clear_caches_drops_transform_tables():
     partition_transform(12, 3, rule)
     assert len(calls) == 2 * first
 
+
+
+def _bound(rule, d, p, r):
+    """B(d, p, r) = v_d^p * prod_{i=1..r} v_(d+i)^min(p, r // i), term by term."""
+    out = rule(d)[1] ** p
+    for i in range(1, r + 1):
+        out *= rule(d + i)[1] ** min(p, r // i)
+    return out
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_denominator_is_the_stated_bound(rule):
+    for n in range(1, 25):
+        for k in range(1, n + 1):
+            assert partition_transform(n, k, rule)[1] == _bound(rule, 1, k, n - k), (n, k)
+
+
+def test_a_bound_too_small_raises(monkeypatch):
+    # With every exponent 1 the bound misses the v_(d+1)^2 of a tail whose
+    # first part after the d-th is 2, and the child's factor is not integral.
+    clear_caches()
+    try:
+        # the package's `partition_transform` attribute is the function
+        module = importlib.import_module("wardtri.partition_transform")
+        monkeypatch.setattr(module, "_runs", lambda p, r: [r])
+        with pytest.raises(ExactnessError):
+            partition_transform(6, 2, ward_second_kind)
+    finally:
+        clear_caches()
+
+
+def test_rule_needs_a_positive_denominator():
+    for v in (0, -3):
+        with pytest.raises(ValueError):
+            partition_transform(3, 1, lambda j, v=v: (1, v))

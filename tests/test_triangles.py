@@ -4,7 +4,6 @@ import random
 import sys
 import threading
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +171,11 @@ def test_rescaling_factors_equal_the_per_entry_factor(rescaling):
         assert rescaling.factors(n) == [_oracle_factor(rescaling, n, k) for k in range(n + 1)], n
 
 
+def test_falling_row_equals_the_per_entry_falling_factorial():
+    for n in range(ORACLE_ROWS + 1):
+        assert triangles._falling_row(n) == [falling_factorial(n + k, n) for k in range(n + 1)], n
+
+
 @pytest.mark.parametrize("kind", RESCALED, ids=lambda kind: kind.value)
 def test_scaling_route_equals_the_per_entry_factor_times_the_base(kind):
     base, rescaling = triangles.SPEC[kind]
@@ -213,11 +217,11 @@ def test_transform_route_refuses_a_non_integral_value(monkeypatch):
     # than being rounded.
     clear_caches()
     try:
-        monkeypatch.setattr(triangles, "partition_transform", lambda n, k, rule: Fraction(3, 2))
+        monkeypatch.setattr(triangles, "partition_transform", lambda n, k, rule: (3, 2))
         _, entry = triangle(Kind.WARD2, 1, P).rows[1]
         assert entry == -3 and type(entry) is int
         clear_caches()
-        monkeypatch.setattr(triangles, "partition_transform", lambda n, k, rule: Fraction(1, 4))
+        monkeypatch.setattr(triangles, "partition_transform", lambda n, k, rule: (1, 4))
         with pytest.raises(ExactnessError):
             triangle(Kind.WARD2, 1, P)
     finally:
@@ -452,11 +456,11 @@ def test_concurrent_classical_builds_match_a_serial_build():
 def test_concurrent_transform_table_growth_matches_a_serial_build():
     def rule(j):
         time.sleep(0.001)  # lets other threads run while the table grows
-        return Fraction(j * j + 1, 3)
+        return j * j + 1, 3
 
     cells = [(n, k) for n in range(19) for k in range(n + 2)]
     # a distinct rule object gets a table of its own
-    expected = {cell: partition_transform(*cell, lambda j: Fraction(j * j + 1, 3)) for cell in cells}
+    expected = {cell: partition_transform(*cell, lambda j: (j * j + 1, 3)) for cell in cells}
 
     def evaluate(seed):
         order = random.Random(seed).sample(cells, len(cells))
