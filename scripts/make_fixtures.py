@@ -36,10 +36,10 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for seq_id, kind in sorted(SEQUENCES.items()):
         tri = triangles.triangle(kind, FIXTURE_ROWS, Strategy.PARTITION_TRANSFORM)
-        values = bfile.linearize(tri)
+        values = tuple(bfile.linearize(tri.rows))
         bf = bfile.BFile(
             offset=1,
-            values=tuple(values),
+            values=values,
             comments=(
                 f"# {seq_id}: {kind.value} read by rows, n >= 1, 1 <= k <= n",
                 f"# generated by the partition-transform route, rows 1..{FIXTURE_ROWS}",

@@ -23,6 +23,7 @@ from .triangles import (
     lah,
     stirling1_unsigned,
     stirling2,
+    stream,
     supported_strategies,
     triangle,
     value,
@@ -47,6 +48,7 @@ __all__ = [
     "rising_factorial",
     "stirling1_unsigned",
     "stirling2",
+    "stream",
     "supported_strategies",
     "triangle",
     "value",

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-
-from .triangles import Triangle
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 
 
 class BFileParseError(ValueError):
@@ -34,28 +34,25 @@ class BFile(namedtuple("BFile", "offset values comments", defaults=((),))):
 
     __slots__ = ()
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(self.offset + i, v) for i, v in enumerate(self.values)]
 
-
-def parse_bfile(text: str) -> BFile:
-    comments: list[str] = []
-    values: list[int] = []
-    offset: int | None = None
-    in_header = True
-    # Lines end at "\n" or "\r\n" only: splitlines() would also end them at
-    # "\x0c", "\x1e", "\x85", "\u2028" and others.
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        raw = raw.removesuffix("\r")
+def parse_lines(lines: Iterable[str], comments: list[str] | None = None) -> Iterator[tuple[int, int]]:
+    """The (index, value) pairs of b-file lines, each line checked as it is
+    read; a line may keep its line feed or CR LF ending.  The leading comment
+    lines go to `comments` when it is given.  Raises `BFileParseError`,
+    naming the line, at the first malformed line, and at the end when no
+    line held data."""
+    expected: int | None = None  # the next index, once a data line is read
+    for lineno, raw in enumerate(lines, start=1):
+        raw = raw.removesuffix("\n").removesuffix("\r")
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if not in_header:
+            if expected is not None:
                 raise BFileParseError(f"line {lineno}: comment after data lines")
-            comments.append(raw)
+            if comments is not None:
+                comments.append(raw)
             continue
-        in_header = False
         # split() would also part tokens at non-ASCII whitespace, and int()
         # would read "1_0" and non-ASCII digits; this test is linear, and
         # cheap beside int() on a long token.
@@ -73,31 +70,34 @@ def parse_bfile(text: str) -> BFile:
                     f"interpreter's int/str digit limit (sys.set_int_max_str_digits)"
                 ) from None
             raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}") from None
-        if offset is None:
-            offset = index
-        elif index != offset + len(values):
-            raise BFileParseError(
-                f"line {lineno}: index {index} not contiguous "
-                f"(expected {offset + len(values)})"
-            )
-        values.append(val)
-    if offset is None:
+        if expected is not None and index != expected:
+            raise BFileParseError(f"line {lineno}: index {index} not contiguous (expected {expected})")
+        expected = index + 1
+        yield index, val
+    if expected is None:
         raise BFileParseError("no data lines")
-    return BFile(offset=offset, values=tuple(values), comments=tuple(comments))
+
+
+def parse_bfile(text: str) -> BFile:
+    comments: list[str] = []
+    # Lines end at "\n" or "\r\n" only: splitlines() would also end them at
+    # "\x0c", "\x1e", "\x85", "\u2028" and others.
+    pairs = parse_lines(text.split("\n"), comments)
+    offset, first = next(pairs)
+    values = (first, *(v for _, v in pairs))
+    return BFile(offset=offset, values=values, comments=tuple(comments))
 
 
 def render_bfile(bf: BFile) -> str:
-    lines = list(bf.comments)
-    lines.extend(f"{i} {v}" for i, v in bf.pairs())
+    lines = [*bf.comments, *(f"{i} {v}" for i, v in enumerate(bf.values, bf.offset))]
     return "\n".join(lines) + "\n"
 
 
-def linearize(tri: Triangle) -> list[int]:
-    """Row-by-row reading of the triangle, k = 1..n within row n >= 1."""
-    out: list[int] = []
-    for n in range(1, tri.n_rows + 1):
-        out.extend(tri.rows[n][1:])
-    return out
+def linearize(rows: Iterable[tuple[int, ...]]) -> Iterator[int]:
+    """Row-by-row reading of a triangle's rows 0, 1, ... (a `Triangle`'s
+    `rows`, or a `triangles.stream`), k = 1..n within row n >= 1.  It is
+    lazy: a row is read only when its first entry is asked for."""
+    return chain.from_iterable(row[1:] for row in islice(rows, 1, None))
 
 
 def index_to_entry(index: int, offset: int = 1) -> tuple[int, int]:

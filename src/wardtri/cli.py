@@ -8,7 +8,9 @@ malformed files).
 
 Each command imports only the modules it runs: `compare` for check,
 `identities` for identities and conjecture, `bfile` for b-file output and
-bfile-compare.
+bfile-compare.  gen, check and bfile-compare read each route as a stream
+of rows (`triangles.stream`) and hold one row at a time; bfile-compare also
+reads its file one line at a time.
 """
 
 from __future__ import annotations
@@ -82,26 +84,23 @@ def _routes(parser: argparse.ArgumentParser, kind: Kind, wanted: list | None, st
     return [s for s in wanted if s in supported]
 
 
-def _write_triangle(tri: triangles.Triangle, fmt: str, offset: int) -> None:
-    """Write `tri` to stdout one row at a time, so no copy of the whole
-    output is held.  A b-file leaves out row 0 and each row's k = 0 entry."""
+def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Write rows 0..--rows of the route's stream to stdout, each row as it
+    is made.  A b-file leaves out row 0 and each row's k = 0 entry."""
+    _routes(parser, args.kind, [args.strategy], strict=True)
+    rows = itertools.islice(triangles.stream(args.kind, args.strategy), args.rows + 1)
     out = sys.stdout
-    if fmt == "bfile":
+    if args.format == "bfile":
         from . import bfile as bfile_mod
 
-        for row in tri.rows[1:]:
+        offset = args.offset
+        for row in itertools.islice(rows, 1, None):
             out.write(bfile_mod.render_bfile(bfile_mod.BFile(offset=offset, values=row[1:])))
             offset += len(row) - 1
-        return
-    sep = " " if fmt == "table" else ","
-    for row in tri.rows:
+        return 0
+    sep = " " if args.format == "table" else ","
+    for row in rows:
         out.write(sep.join(map(str, row)) + "\n")
-
-
-def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _routes(parser, args.kind, [args.strategy], strict=True)
-    tri = triangles.triangle(args.kind, args.rows, args.strategy)
-    _write_triangle(tri, args.format, args.offset)
     return 0
 
 
@@ -117,8 +116,7 @@ def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         if len(strategies) < 2:
             print(f"note: {kind.value}: fewer than two applicable strategies, skipped")
             continue
-        for a, b in itertools.combinations(strategies, 2):
-            report = compare.compare_strategies(kind, args.rows, a, b)
+        for report in compare.compare_routes(kind, args.rows, strategies):
             print(report.human())
             if not report.passed:
                 failures += 1
@@ -163,37 +161,67 @@ def _cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     return 0
 
 
+def _decode_error(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError:
+    """The error that reading the whole file at once raises, whose byte
+    position counts from the start of the file; `exc`, from a file read a
+    chunk at a time, counts from the start of its chunk."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            f.read()
+    except UnicodeDecodeError as whole:
+        return whole
+    except OSError:  # the file went away since: keep the first report
+        pass
+    return exc
+
+
 def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Check the file line by line against the route's linearised stream.
+    The whole file is read and validated even after a mismatch, so an
+    unreadable or malformed file is a usage error wherever the fault is."""
     _routes(parser, args.kind, [args.strategy], strict=True)  # before the file is read
     from . import bfile as bfile_mod
 
+    first = entries = 0
+    expected = mismatch = None
     try:
         with open(args.file, encoding="utf-8") as f:
-            text = f.read()
-    except (OSError, UnicodeDecodeError) as exc:
+            try:
+                for index, found in bfile_mod.parse_lines(f):
+                    if not entries:
+                        first = index
+                        # A file that starts off --offset builds nothing.
+                        if index == args.offset:
+                            expected = bfile_mod.linearize(triangles.stream(args.kind, args.strategy))
+                    entries += 1
+                    if expected is None:
+                        continue
+                    want = next(expected)
+                    if want != found:
+                        n, k = bfile_mod.index_to_entry(index, args.offset)
+                        mismatch = (
+                            f"mismatch at index {index} (n={n}, k={k}): "
+                            f"expected {bfile_mod.abbreviate(str(want))}, "
+                            f"found {bfile_mod.abbreviate(str(found))}"
+                        )
+                        expected = None  # the rest of the file is only validated
+            except bfile_mod.BFileParseError as exc:
+                for _ in f:  # an undecodable byte further on is reported first
+                    pass
+                parser.error(f"{args.file}: {exc}")
+    except OSError as exc:
         parser.error(f"cannot read {args.file}: {exc}")
-    try:
-        bf = bfile_mod.parse_bfile(text)
-    except bfile_mod.BFileParseError as exc:
-        parser.error(f"{args.file}: {exc}")
-    if bf.offset > args.offset:
-        parser.error(f"{args.file}: first index {bf.offset} is past --offset {args.offset}")
-    if bf.offset < args.offset:
-        print(f"mismatch at index {bf.offset}: index below offset {args.offset}")
+    except UnicodeDecodeError as exc:
+        parser.error(f"cannot read {args.file}: {_decode_error(args.file, exc)}")
+    if first > args.offset:
+        parser.error(f"{args.file}: first index {first} is past --offset {args.offset}")
+    if first < args.offset:
+        print(f"mismatch at index {first}: index below offset {args.offset}")
         return 1
-    # Sized by the file's length, never by the value of its last index.
-    tri = triangles.triangle(args.kind, bfile_mod.rows_needed(len(bf.values)), args.strategy)
-    linear = bfile_mod.linearize(tri)
-    for (index, found), expected in zip(bf.pairs(), linear):
-        if expected != found:
-            n, k = bfile_mod.index_to_entry(index, args.offset)
-            print(
-                f"mismatch at index {index} (n={n}, k={k}): "
-                f"expected {bfile_mod.abbreviate(str(expected))}, "
-                f"found {bfile_mod.abbreviate(str(found))}"
-            )
-            return 1
-    print(f"{args.file}: {len(bf.values)} entries agree with {args.kind.value}/{args.strategy.value}")
+    if mismatch is not None:
+        print(mismatch)
+        return 1
+    print(f"{args.file}: {entries} entries agree with {args.kind.value}/{args.strategy.value}")
     return 0
 
 

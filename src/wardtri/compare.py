@@ -3,17 +3,19 @@
 A `_Sweep` accumulates one check's verdict over its parameter tuples and
 reports it as a `CheckReport`, naming the first `Counterexample`.  The
 identity suite in `identities` builds every check on these records, and
-`compare_strategies` compares two routes of one kind entry by entry.  This
-module imports neither `identities` nor `fractions`: a `Fraction` is formed
-only to report a failed ratio comparison.
+`compare_routes` compares the routes of one kind entry by entry, reading
+their row streams in lockstep.  This module imports neither `identities`
+nor `fractions`: a `Fraction` is formed only to report a failed ratio
+comparison.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
+from itertools import combinations, islice
 
-from .triangles import Kind, Strategy, triangle, value
+from .triangles import Kind, Strategy, stream, value
 
 EntryFn = Callable[[int, int], int]
 
@@ -106,6 +108,29 @@ class _Sweep:
         )
 
 
+def compare_routes(kind: Kind, rows: int, strategies: list[Strategy]) -> list[CheckReport]:
+    """Entrywise agreement of every pair of `strategies` for one kind, in
+    `itertools.combinations` order, over rows 0..rows.
+
+    The routes' streams are read in one lockstep pass, so each route builds
+    each row once and no whole triangle is held.  Two rows are compared
+    whole, and scanned entry by entry only to name the first mismatch.
+    """
+    pairs = list(combinations(range(len(strategies)), 2))
+    sweeps = [
+        _Sweep(f"equivalence-{kind.value}-{strategies[i].value}~{strategies[j].value}", f"0<=k<=n<={rows}")
+        for i, j in pairs
+    ]
+    for n, row in enumerate(islice(zip(*(stream(kind, s) for s in strategies)), rows + 1)):
+        for (i, j), sweep in zip(pairs, sweeps):
+            if row[i] == row[j]:
+                sweep.cases += n + 1
+            else:
+                for k in range(n + 1):
+                    sweep.compare(row[i][k], row[j][k], n, k)
+    return [sweep.report() for sweep in sweeps]
+
+
 def compare_strategies(
     kind: Kind,
     rows: int,
@@ -115,22 +140,16 @@ def compare_strategies(
     entry_a: EntryFn | None = None,
     entry_b: EntryFn | None = None,
 ) -> CheckReport:
-    """Entrywise agreement of two computation routes for one kind.
-
-    Without entry overrides the two triangles are compared row by row, and
-    scanned entry by entry only to name the first mismatch.
+    """Entrywise agreement of two computation routes for one kind: their
+    streams compared by `compare_routes`, or, when an entry override is
+    given, every entry read through it or `value`.
     """
+    if entry_a is None and entry_b is None:
+        return compare_routes(kind, rows, [strat_a, strat_b])[0]
     sweep = _Sweep(
         f"equivalence-{kind.value}-{strat_a.value}~{strat_b.value}",
         f"0<=k<=n<={rows}",
     )
-    if entry_a is None and entry_b is None:
-        rows_a = triangle(kind, rows, strat_a).rows
-        rows_b = triangle(kind, rows, strat_b).rows
-        if rows_a == rows_b:
-            sweep.cases = (rows + 1) * (rows + 2) // 2
-            return sweep.report()
-        entry_a, entry_b = (lambda n, k: rows_a[n][k]), (lambda n, k: rows_b[n][k])
     a = entry_a or (lambda n, k: value(kind, n, k, strat_a))
     b = entry_b or (lambda n, k: value(kind, n, k, strat_b))
     for n in range(rows + 1):

@@ -39,16 +39,20 @@ t * i <= r, so B(d, p, r) / v_d^p is the product over t = 1..min(p, r) of
 the runs v_(d+1) * ... * v_(d+floor(r/t)), and the run of length m is
 B(d+1, 1, m-1), the bound of the all-ones tail: the table's own entries.
 
-The pairs (H, B) are memoized in one dict per rule.  One thread at a time
-grows any of them, under the module's lock, and a pair enters its dict
-only once final, so a lookup takes no lock.  The fill is demand-driven: it
-reaches only the tails the requested value depends on.
+The pairs (H, B) are memoized in one dict per rule, kept while the rule
+object lives; a rule that cannot be weakly referenced (an instance of a
+class whose `__slots__` leave out `__weakref__`) gets a table for one call
+only.  One thread at a time grows any of them, under the module's lock,
+and a pair enters its dict only once final, so a lookup takes no lock.
+The fill is demand-driven: it reaches only the tails the requested value
+depends on.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import weakref
 from collections.abc import Callable
 
 from .exact_arith import exact_div
@@ -112,7 +116,12 @@ def _fill(
     return g[root]
 
 
-_tables: dict[ArgumentRule, dict[tuple[int, int, int], tuple[int, int]]] = {}
+# Held weakly by rule, so a table goes with the last reference to its rule
+# (a lambda made for one call leaves nothing behind); the named rules are
+# module functions and keep theirs.
+_tables: weakref.WeakKeyDictionary[ArgumentRule, dict[tuple[int, int, int], tuple[int, int]]] = (
+    weakref.WeakKeyDictionary()
+)
 _lock = threading.Lock()
 
 
@@ -129,7 +138,8 @@ def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
 
     Returns 1 for n = k = 0 (boundary convention) and 0 whenever no
     partition of n has largest part k.  Values are memoized per rule (one
-    table serves every (n, k)) until `clear_tables`.
+    table serves every (n, k)) until `clear_tables` or until the rule is
+    no longer referenced.
     """
     if n < 0 or k < 0:
         raise ValueError(f"partition bounds must be nonnegative, got ({n}, {k})")
@@ -138,7 +148,10 @@ def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
     if k == 0 or k > n:
         return 0, 1
     root = (1, k, n - k)
-    pair = _tables.get(rule, {}).get(root)
+    try:
+        pair = _tables.get(rule, {}).get(root)
+    except TypeError:  # a rule that cannot be weakly referenced gets a table for this call only
+        pair = _fill({}, rule, root)
     if pair is None:
         with _lock:
             pair = _fill(_tables.setdefault(rule, {}), rule, root)

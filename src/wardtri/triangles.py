@@ -29,21 +29,26 @@ or Lah numbers), whose central numbers the row sums of the base's binomial
 kind are compared with.  The three classical triangles are `_RECURRENCE`
 entries too, keyed by that name and built by the recurrence builder.
 
-Construction is row by row into one cache of immutable tuples, with one
-table for each (kind, strategy) pair of the nine kinds and for each of the
-three classical triangles.  One thread at a time grows any table, under the
-module's re-entrant lock (a scaling row grows its base's table while holding
-it), and a row is appended only once complete, so a reader of complete rows
-takes no lock.
+Each route has one step function, which makes row n from at most one
+other row: the recurrence from its own row n-1, scaling from its base's
+recurrence row n.  `stream` chains the steps into an endless generator of
+rows that keeps no more than that one row, so a caller that reads each row
+once (as `gen`, `check` and `bfile-compare` do) holds one row at a time.
+The same steps fill the memo behind `value` and `triangle`: one cache of
+immutable tuples, with one table for each (kind, strategy) pair of the nine
+kinds and for each of the three classical triangles.  One thread at a time
+grows any table, under the module's re-entrant lock (a scaling table grows
+its base's table while holding it), and a row is appended only once
+complete, so a reader of complete rows takes no lock.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain, count, islice
 from operator import mul, sub
 
 from .exact_arith import binomial, exact_div, factorial
@@ -156,8 +161,10 @@ class Triangle(namedtuple("Triangle", "kind strategy rows")):
         return len(self.rows) - 1
 
 
-# Keyed by (kind, strategy), or by (classical name, RECURRENCE).
-_cache: dict[tuple[Kind | str, Strategy], list[tuple[int, ...]]] = {}
+Row = tuple[int, ...]
+
+# The memo: keyed by (kind, strategy), or by (classical name, RECURRENCE).
+_cache: dict[tuple[Kind | str, Strategy], list[Row]] = {}
 _lock = threading.RLock()
 
 
@@ -214,11 +221,13 @@ _RECURRENCE: dict[Kind | str, tuple[Callable[..., int], Callable[[int, int], int
 }
 
 
-# Row builders: row n >= 1 of one kind, given the rows before it.
+# Step functions: row n >= 1 of one route.  The recurrence reads row n-1 of
+# its own route, scaling reads row n of its base's recurrence, and the
+# closed forms and the transform read no row.
 
-def _recurrence_row(kind: Kind | str, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _recurrence_row(kind: Kind | str, n: int, prev: Row) -> Row:
     num, den = _RECURRENCE[kind]
-    prev = (*rows[n - 1], 0)
+    prev = (*prev, 0)
     base, rescaling = SPEC.get(kind, (None, Rescaling.NONE))  # a classical triangle is unrescaled
     # The binomial recurrences stop short of the diagonal, which is the
     # base triangle's (C(2n, 2n) = 1), so the base's own step gives it from
@@ -241,7 +250,15 @@ def _falling_row(n: int) -> list[int]:
     return x
 
 
-def _explicit_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _binomial_row(n: int) -> list[int]:
+    """C(n, k) for k = 0..n, stepped from C(n, 0) = 1 by (n-k+1)/k."""
+    c = [1]
+    for k in range(1, n + 1):
+        c.append(exact_div(c[-1] * (n - k + 1), k))
+    return c
+
+
+def _explicit_row(kind: Kind, n: int) -> Row:
     # The closed forms of the kinds over the ward-lah base, T(n, k) =
     # X(n, k) * C(n-1, k-1), with X(n, 0..n) formed once per row.
     if kind is Kind.WARD_LAH:  # X = (n+k)!/k!
@@ -250,11 +267,11 @@ def _explicit_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int,
         x = [factorial(2 * n)] * (n + 1)
     else:  # binomial-ward-lah: X = (2n)!/(k!(n-k)!) = (2n)!/n! * C(n, k)
         f = exact_div(factorial(2 * n), factorial(n))
-        x = [f * binomial(n, k) for k in range(n + 1)]
-    return (0, *(x[k] * binomial(n - 1, k - 1) for k in range(1, n + 1)))
+        x = [f * c for c in _binomial_row(n)]
+    return (0, *map(mul, x[1:], _binomial_row(n - 1)))
 
 
-def _transform_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _transform_row(kind: Kind, n: int) -> Row:
     base, rescaling = SPEC[kind]
 
     def entry(k: int, factor: int, falling: int) -> int:
@@ -265,13 +282,11 @@ def _transform_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int
     return (0, *map(entry, range(1, n + 1), rescaling.factors(n)[1:], _falling_row(n)[1:]))
 
 
-def _scaling_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    base, rescaling = SPEC[kind]
-    base_row = _rows_upto(base.kind, Strategy.RECURRENCE, n)[n]
-    return (0, *map(mul, rescaling.factors(n)[1:], base_row[1:]))
+def _scaling_row(kind: Kind, n: int, base_row: Row) -> Row:
+    return (0, *map(mul, SPEC[kind][1].factors(n)[1:], base_row[1:]))
 
 
-def _alternating_sum_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _alternating_sum_row(kind: Kind, n: int) -> Row:
     # ward-lah(n, k) = sum_{m=1..k} (-1)^(m+k) C(n+k, n+m) L(n+m, m), with
     # L(n+m, m) = (n+m)!/m! C(n+m-1, m-1).  As C(n+k, n+m) (n+m)!/m! is
     # (n+k)!/k! C(k, m), the sum is (n+k)!/k! times the k-th forward
@@ -284,7 +299,7 @@ def _alternating_sum_row(kind: Kind, n: int, rows: list[tuple[int, ...]]) -> tup
     return (0, *row)
 
 
-_ROW = {
+_STEP: dict[Strategy, Callable[..., Row]] = {
     Strategy.RECURRENCE: _recurrence_row,
     Strategy.EXPLICIT: _explicit_row,
     Strategy.PARTITION_TRANSFORM: _transform_row,
@@ -293,15 +308,52 @@ _ROW = {
 }
 
 
-def _rows_upto(kind: Kind | str, strategy: Strategy, n: int) -> list[tuple[int, ...]]:
+def _rows_from(
+    kind: Kind | str, strategy: Strategy, n: int, prev: Row, base_rows: Iterator[Row] | None
+) -> Iterator[Row]:
+    """Rows n, n+1, ... of one route, each made by its step function when
+    asked for: the recurrence steps on from row n-1 = `prev`, scaling reads
+    its base's recurrence rows n, n+1, ... from `base_rows`, and the closed
+    forms read no row."""
+    step = _STEP[strategy]
+    for n in count(n):
+        if strategy is Strategy.RECURRENCE:
+            prev = step(kind, n, prev)
+        elif strategy is Strategy.SCALING:
+            prev = step(kind, n, next(base_rows))
+        else:
+            prev = step(kind, n)
+        yield prev
+
+
+def stream(kind: Kind, strategy: Strategy = Strategy.RECURRENCE) -> Iterator[Row]:
+    """Rows 0, 1, 2, ... of one triangle by one route, without end, each
+    made when asked for and held by no one but the caller: the recurrence
+    keeps only its previous row, scaling reads its base's recurrence stream
+    in lockstep, and the other routes keep no row.  It neither reads nor
+    fills the memo behind `value` and `triangle`."""
+    _check_supported(kind, strategy)
+    base_rows = None
+    if strategy is Strategy.SCALING:
+        base_rows = _rows_from(SPEC[kind][0].kind, Strategy.RECURRENCE, 1, (1,), None)
+    return chain([(1,)], _rows_from(kind, strategy, 1, (1,), base_rows))
+
+
+def _rows_upto(kind: Kind | str, strategy: Strategy, n: int) -> list[Row]:
+    """The memo of one route, grown to row n by the same step functions;
+    a scaling route reads its base's memo."""
     rows = _cache.get((kind, strategy))
     if rows is not None and len(rows) > n:
         return rows
     with _lock:
         rows = _cache.setdefault((kind, strategy), [(1,)])
-        build = _ROW[strategy]
-        while len(rows) <= n:
-            rows.append(build(kind, len(rows), rows))
+        start = len(rows)
+        if start <= n:
+            base_rows = None
+            if strategy is Strategy.SCALING:
+                base_rows = iter(_rows_upto(SPEC[kind][0].kind, Strategy.RECURRENCE, n)[start:])
+            for row in islice(_rows_from(kind, strategy, start, rows[-1], base_rows), n + 1 - start):
+                rows.append(row)
     return rows
 
 

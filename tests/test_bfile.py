@@ -1,4 +1,5 @@
 import sys
+from itertools import islice
 
 import pytest
 
@@ -11,7 +12,7 @@ from wardtri.bfile import (
     render_bfile,
     rows_needed,
 )
-from wardtri.triangles import Kind, Strategy, triangle
+from wardtri.triangles import Kind, Strategy, stream, triangle
 
 
 def test_parse_render_roundtrip_with_comments():
@@ -27,7 +28,7 @@ def test_parse_accepts_nonunit_offset_and_negatives():
     bf = parse_bfile("0 1\n\n1 -5\n")
     assert bf.offset == 0
     assert bf.values == (1, -5)
-    assert bf.pairs() == [(0, 1), (1, -5)]
+    assert render_bfile(bf) == "0 1\n1 -5\n"  # index i holds values[i - offset]
 
 
 @pytest.mark.parametrize(
@@ -72,8 +73,12 @@ def test_non_ascii_whitespace_is_a_non_integer_token():
 
 def test_linearize_rows():
     tri = triangle(Kind.WARD2, 3, Strategy.RECURRENCE)
-    assert linearize(tri) == [1, 1, 3, 1, 10, 15]
-    assert linearize(triangle(Kind.WARD2, 0, Strategy.RECURRENCE)) == []
+    assert list(linearize(tri.rows)) == [1, 1, 3, 1, 10, 15]
+    assert list(linearize(triangle(Kind.WARD2, 0, Strategy.RECURRENCE).rows)) == []
+
+
+def test_linearize_reads_an_endless_stream_lazily():
+    assert list(islice(linearize(stream(Kind.WARD2)), 6)) == [1, 1, 3, 1, 10, 15]
 
 
 def test_linearization_bijection():
@@ -99,7 +104,7 @@ def test_rows_needed():
 @pytest.mark.parametrize("kind", list(Kind))
 def test_roundtrip_byte_identical_for_every_kind(kind):
     tri = triangle(kind, 30, Strategy.RECURRENCE)
-    bf = BFile(offset=1, values=tuple(linearize(tri)), comments=("# header",))
+    bf = BFile(offset=1, values=tuple(linearize(tri.rows)), comments=("# header",))
     text = render_bfile(bf)
     assert render_bfile(parse_bfile(text)) == text
 

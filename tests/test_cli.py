@@ -1,7 +1,9 @@
+import collections
 import contextlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -41,7 +43,7 @@ def test_gen_bfile_streams_the_rendered_bfile(capsys, rows, offset):
     code, out = run(capsys, "gen", "--kind", "binomial-ward2", "--rows", str(rows),
                     "--format", "bfile", "--offset", str(offset))
     assert code == 0
-    values = tuple(linearize(triangle(Kind.BINOMIAL_WARD2, rows)))
+    values = tuple(linearize(triangle(Kind.BINOMIAL_WARD2, rows).rows))
     assert out == (render_bfile(BFile(offset=offset, values=values)) if values else "")
 
 
@@ -94,19 +96,17 @@ def test_check_all_kinds(capsys):
 
 
 def test_check_detects_fault(monkeypatch, capsys):
-    # `check` compares whole rows read through compare.triangle; corrupt
+    # `check` compares whole rows read through compare.stream; corrupt
     # ward2 partition-transform T(4, 2) there.
-    real = wardtri.compare.triangle
+    real = wardtri.compare.stream
 
-    def corrupted(kind, rows, strategy=Strategy.RECURRENCE):
-        tri = real(kind, rows, strategy)
-        if (kind, strategy) != (Kind.WARD2, Strategy.PARTITION_TRANSFORM) or rows < 4:
-            return tri
-        bad = list(tri.rows)
-        bad[4] = (*bad[4][:2], bad[4][2] + 1, *bad[4][3:])
-        return tri._replace(rows=tuple(bad))
+    def corrupted(kind, strategy=Strategy.RECURRENCE):
+        rows = real(kind, strategy)
+        if (kind, strategy) != (Kind.WARD2, Strategy.PARTITION_TRANSFORM):
+            return rows
+        return ((*row[:2], row[2] + 1, *row[3:]) if n == 4 else row for n, row in enumerate(rows))
 
-    monkeypatch.setattr(wardtri.compare, "triangle", corrupted)
+    monkeypatch.setattr(wardtri.compare, "stream", corrupted)
     code, out = run(capsys, "check", "--kind", "ward2", "--rows", "6")
     assert code == 1
     assert "FAIL" in out and "n=4 k=2" in out
@@ -208,7 +208,9 @@ def test_bfile_compare_off_by_one_offset(monkeypatch, capsys):
     def no_build(*args):
         raise AssertionError("built a triangle")
 
-    monkeypatch.setattr(triangles, "triangle", no_build)  # the first index decides
+    # the first index decides
+    monkeypatch.setattr(triangles, "triangle", no_build)
+    monkeypatch.setattr(triangles, "stream", no_build)
     code, out = run(capsys, "bfile-compare", "--kind", "ward2",
                     "--file", str(FIXTURES / "b269939.txt"), "--offset", "2")
     assert code == 1
@@ -220,6 +222,7 @@ def test_bfile_compare_file_past_offset_is_usage_error(tmp_path, monkeypatch, ca
         raise AssertionError("built a triangle")
 
     monkeypatch.setattr(triangles, "triangle", no_build)
+    monkeypatch.setattr(triangles, "stream", no_build)
     far = tmp_path / "far.txt"
     far.write_text("1000000000 1\n")
     with pytest.raises(SystemExit) as err:
@@ -262,6 +265,36 @@ def test_bfile_compare_corrupted_value(tmp_path, capsys):
     assert "mismatch at index 5" in out
     assert "n=3, k=2" in out
     assert "expected 10, found 11" in out
+
+
+def test_bfile_compare_parse_error_after_a_mismatch_is_usage_error(tmp_path, capsys):
+    lines = (FIXTURES / "b269939.txt").read_text().splitlines()
+    lines[6] = "5 11"  # a mismatch at index 5
+    lines[200] = "9999 1"  # then indices that are not contiguous
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as err:
+        main(["bfile-compare", "--kind", "ward2", "--file", str(bad)])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.splitlines()[-1].endswith("line 201: index 9999 not contiguous (expected 199)")
+
+
+def test_bfile_compare_undecodable_byte_far_on_is_usage_error(tmp_path, capsys):
+    # Past a mismatch and past any chunk the file is read in: the message
+    # counts the byte's position from the start of the file.
+    head = b"1 1\n2 2\n" + b"# pad\n" * 4000
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(head + b"\xff\n")
+    with pytest.raises(SystemExit) as err:
+        main(["bfile-compare", "--kind", "ward2", "--file", str(bad)])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.splitlines()[-1].endswith(
+        f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position {len(head)}: invalid start byte"
+    )
 
 
 def test_bfile_compare_parse_error(tmp_path):
@@ -455,6 +488,53 @@ def test_main_restores_the_digit_limit(capsys, argv):
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_streamed_commands_hold_one_row_at_a_time(tmp_path, capsys):
+    # At 300 rows the entries of binomial-ward2 take about 11 MB; a streamed
+    # check or bfile-compare peaks at a small part of that (about 0.7 MB
+    # and 0.4 MB under CPython 3.11), where holding whole triangles or the
+    # whole file took 32 MB and 59 MB.
+    rows = 300
+    whole = sum(sys.getsizeof(v) for row in triangle(Kind.BINOMIAL_WARD2, rows).rows for v in row)
+    triangles.clear_caches()
+    path = tmp_path / "b.txt"
+    with path.open("w") as f, contextlib.redirect_stdout(f):
+        assert main(["gen", "--kind", "binomial-ward2", "--rows", str(rows), "--format", "bfile"]) == 0
+    commands = [
+        ["check", "--kind", "binomial-ward2", "--rows", str(rows), "--strategies", "recurrence,scaling"],
+        ["bfile-compare", "--kind", "binomial-ward2", "--strategy", "scaling", "--file", str(path)],
+    ]
+    for argv in commands:
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, argv
+        assert peak < whole / 8, (argv[0], peak, whole)
+    out = capsys.readouterr().out
+    assert "PASS equivalence-binomial-ward2-recurrence~scaling" in out
+    assert f"{rows * (rows + 1) // 2} entries agree" in out
+
+
+def test_check_builds_each_route_once(monkeypatch, capsys):
+    # Three routes of varied-ward-lah, three pairs: each route's step runs
+    # once per row, and scaling's base (ward-lah's recurrence) once too.
+    made = collections.Counter()
+    for strategy, step in list(triangles._STEP.items()):
+        def counted(kind, n, *source, strategy=strategy, step=step):
+            made[kind, strategy, n] += 1
+            return step(kind, n, *source)
+
+        monkeypatch.setitem(triangles._STEP, strategy, counted)
+    code, out = run(capsys, "check", "--kind", "varied-ward-lah", "--rows", "12",
+                    "--strategies", "recurrence,explicit,scaling")
+    assert code == 0 and out.count("PASS") == 3
+    routes = [(Kind.VARIED_WARD_LAH, s) for s in (Strategy.RECURRENCE, Strategy.EXPLICIT, Strategy.SCALING)]
+    routes.append((Kind.WARD_LAH, Strategy.RECURRENCE))
+    assert made == {(kind, s, n): 1 for kind, s in routes for n in range(1, 13)}
 
 
 # Runs `main` in a fresh interpreter (this one has imported every module)

@@ -79,6 +79,31 @@ def test_binomial_triangular_skips_diagonal():
     assert report.skipped == 10  # one diagonal tuple per row
 
 
+@pytest.mark.parametrize(
+    "check,with_diagonal",
+    [
+        (ids.check_horizontal_wardlah, True),
+        (ids.check_horizontal_varied_wardlah, True),
+        (ids.check_horizontal_binomial_wardlah, False),
+    ],
+    ids=["ward-lah", "varied-ward-lah", "binomial-ward-lah"],
+)
+def test_horizontal_case_counts_at_the_smallest_steps(check, with_diagonal):
+    # max_m = 0 compares nothing; max_m = 1 compares every k of rows 2..10
+    # through row n-1 once (off the diagonal for the binomial kind).
+    none = check(10, 0)
+    assert none.passed and none.cases == 0
+    one = check(10, 1)
+    assert one.passed and one.cases == sum(range(2, 11)) - (0 if with_diagonal else 9)
+
+
+def test_egf_guard_is_an_order_below_2k():
+    for order in (6, 7):
+        with pytest.raises(ValueError):
+            ids.check_egf_wardlah(4, order)
+    assert ids.check_egf_wardlah(4, 8).passed
+
+
 def test_horizontal_varied_and_binomial_pass():
     assert ids.check_horizontal_varied_wardlah(12).passed
     assert ids.check_horizontal_binomial_wardlah(12).passed

@@ -1,3 +1,4 @@
+import gc
 import importlib
 from fractions import Fraction
 
@@ -119,6 +120,29 @@ def test_transform_rejects_negative():
 def test_long_single_partition_needs_no_deep_recursion():
     # the only partition with largest part 1 is 1^n, and a_1...a_n = 1/(n+1)
     assert transform(1500, 1, ward_first_kind) == Fraction(-1, 1501)
+
+
+def test_a_rule_no_longer_referenced_leaves_no_table():
+    # the package's `partition_transform` attribute is the function
+    tables = importlib.import_module("wardtri.partition_transform")._tables
+    before = len(tables)
+    for _ in range(10):
+        partition_transform(30, 5, lambda j: (1, j + 1))
+    gc.collect()
+    assert len(tables) == before
+    partition_transform(30, 5, ward_second_kind)  # a named rule keeps its table
+    gc.collect()
+    assert ward_second_kind in tables
+
+    class Slotted:  # no __weakref__ slot: cannot be weakly referenced
+        __slots__ = ()
+
+        def __call__(self, j):
+            return ward_second_kind(j)
+
+    kept = len(tables)
+    assert partition_transform(30, 5, Slotted()) == partition_transform(30, 5, ward_second_kind)
+    assert len(tables) == kept
 
 
 def test_clear_caches_drops_transform_tables():

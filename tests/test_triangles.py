@@ -23,6 +23,7 @@ from wardtri.triangles import (
     reference_route,
     stirling1_unsigned,
     stirling2,
+    stream,
     supported_strategies,
     triangle,
     value,
@@ -176,6 +177,11 @@ def test_falling_row_equals_the_per_entry_falling_factorial():
         assert triangles._falling_row(n) == [falling_factorial(n + k, n) for k in range(n + 1)], n
 
 
+def test_binomial_row_equals_the_per_entry_binomial():
+    for n in range(ORACLE_ROWS + 1):
+        assert triangles._binomial_row(n) == [binomial(n, k) for k in range(n + 1)], n
+
+
 @pytest.mark.parametrize("kind", RESCALED, ids=lambda kind: kind.value)
 def test_scaling_route_equals_the_per_entry_factor_times_the_base(kind):
     base, rescaling = triangles.SPEC[kind]
@@ -205,10 +211,10 @@ def test_a_perturbed_running_product_step_is_not_rounded(monkeypatch):
 
 def test_rational_recurrence_rejects_a_perturbed_row():
     rows = list(triangle(Kind.BINOMIAL_WARD1, 3).rows)
-    assert triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, rows[:3]) == rows[3]
-    rows[2] = (0, rows[2][1] + 1, rows[2][2])  # T(2,1) + 1
+    assert triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, rows[2]) == rows[3]
+    perturbed = (0, rows[2][1] + 1, rows[2][2])  # T(2,1) + 1
     with pytest.raises(ExactnessError):
-        triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, rows[:3])
+        triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, perturbed)
 
 
 def test_transform_route_refuses_a_non_integral_value(monkeypatch):
@@ -251,6 +257,34 @@ def test_binomial_recurrence_builds_its_diagonal_without_the_base(binom_kind, ba
 def test_negative_rows_rejected():
     with pytest.raises(ValueError):
         triangle(Kind.WARD1, -1, Strategy.RECURRENCE)
+
+
+@pytest.mark.parametrize(
+    "kind,strategy",
+    [(kind, s) for kind in ALL_KINDS for s in sorted(SUPPORTED[kind], key=lambda s: s.value)],
+    ids=lambda x: x.value,
+)
+def test_stream_rows_equal_the_memo_rows(kind, strategy):
+    rows = 16 if strategy is P else 40
+    assert tuple(itertools.islice(stream(kind, strategy), rows + 1)) == triangle(kind, rows, strategy).rows
+
+
+def test_stream_neither_fills_nor_reads_the_memo():
+    clear_caches()
+    try:
+        assert len(list(itertools.islice(stream(Kind.VARIED_WARD1, S), 10))) == 10
+        assert triangles._cache == {}
+        # a wrong memo row is not what the stream yields
+        expected = triangle(Kind.WARD2, 5).rows
+        triangles._cache[Kind.WARD2, R][3] = (0, 0, 0, 0)
+        assert tuple(itertools.islice(stream(Kind.WARD2), 6)) == expected
+    finally:
+        clear_caches()
+
+
+def test_stream_refuses_an_unsupported_route_at_once():
+    with pytest.raises(UnsupportedStrategyError):
+        stream(Kind.WARD1, E)
 
 
 def test_all_strategies_agree_small():
