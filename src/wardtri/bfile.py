@@ -114,10 +114,3 @@ def index_to_entry(index: int, offset: int = 1) -> tuple[int, int]:
     k = pos - n * (n - 1) // 2
     return n, k
 
-
-def rows_needed(count: int) -> int:
-    """Smallest N whose linearization holds at least `count` entries."""
-    n = 0
-    while n * (n + 1) // 2 < count:
-        n += 1
-    return n

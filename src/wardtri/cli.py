@@ -8,9 +8,9 @@ malformed files).
 
 Each command imports only the modules it runs: `compare` for check,
 `identities` for identities and conjecture, `bfile` for b-file output and
-bfile-compare.  gen, check and bfile-compare read each route as a stream
-of rows (`triangles.stream`) and hold one row at a time; bfile-compare also
-reads its file one line at a time.
+bfile-compare.  gen, check, bfile-compare and bench read each route as a
+stream of rows (`triangles.stream`) and hold one row at a time;
+bfile-compare also reads its file one line at a time.
 """
 
 from __future__ import annotations
@@ -185,7 +185,8 @@ def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace
     first = entries = 0
     expected = mismatch = None
     try:
-        with open(args.file, encoding="utf-8") as f:
+        # newline="\n": a lone CR ends no line, as in `bfile.parse_bfile`.
+        with open(args.file, encoding="utf-8", newline="\n") as f:
             try:
                 for index, found in bfile_mod.parse_lines(f):
                     if not entries:
@@ -226,17 +227,19 @@ def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace
 
 
 def _cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Time rows 0..--rows of each route's stream, read one row at a time,
+    together with the scan for the largest entry's bit length."""
     if args.rows < 1:
         parser.error("--rows must be at least 1")
     strategies = _routes(parser, args.kind, args.strategies, strict=True)
     print("kind strategy rows entries max_bits seconds")
+    entries = (args.rows + 1) * (args.rows + 2) // 2
     for strategy in strategies:
-        triangles.clear_caches()
+        triangles.clear_caches()  # the transform's tables start cold
         start = time.perf_counter()
-        tri = triangles.triangle(args.kind, args.rows, strategy)
+        rows = itertools.islice(triangles.stream(args.kind, strategy), args.rows + 1)
+        max_bits = max(v.bit_length() for row in rows for v in row)
         elapsed = time.perf_counter() - start
-        entries = (args.rows + 1) * (args.rows + 2) // 2
-        max_bits = max(v.bit_length() for row in tri.rows for v in row)
         print(
             f"{args.kind.value} {strategy.value} {args.rows} "
             f"{entries} {max_bits} {elapsed:.3f}"

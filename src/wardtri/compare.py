@@ -3,8 +3,8 @@
 A `_Sweep` accumulates one check's verdict over its parameter tuples and
 reports it as a `CheckReport`, naming the first `Counterexample`.  The
 identity suite in `identities` builds every check on these records, and
-`compare_routes` compares the routes of one kind entry by entry, reading
-their row streams in lockstep.  This module imports neither `identities`
+`compare_routes`, the one route comparison, compares the routes of one
+kind entry by entry, reading their row streams in lockstep.  This module imports neither `identities`
 nor `fractions`: a `Fraction` is formed only to report a failed ratio
 comparison.
 """
@@ -12,12 +12,9 @@ comparison.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
 from itertools import combinations, islice
 
-from .triangles import Kind, Strategy, stream, value
-
-EntryFn = Callable[[int, int], int]
+from .triangles import Kind, Strategy, stream
 
 
 class Counterexample(namedtuple("Counterexample", "n k lhs rhs m", defaults=(None,))):
@@ -130,29 +127,3 @@ def compare_routes(kind: Kind, rows: int, strategies: list[Strategy]) -> list[Ch
                     sweep.compare(row[i][k], row[j][k], n, k)
     return [sweep.report() for sweep in sweeps]
 
-
-def compare_strategies(
-    kind: Kind,
-    rows: int,
-    strat_a: Strategy,
-    strat_b: Strategy,
-    *,
-    entry_a: EntryFn | None = None,
-    entry_b: EntryFn | None = None,
-) -> CheckReport:
-    """Entrywise agreement of two computation routes for one kind: their
-    streams compared by `compare_routes`, or, when an entry override is
-    given, every entry read through it or `value`.
-    """
-    if entry_a is None and entry_b is None:
-        return compare_routes(kind, rows, [strat_a, strat_b])[0]
-    sweep = _Sweep(
-        f"equivalence-{kind.value}-{strat_a.value}~{strat_b.value}",
-        f"0<=k<=n<={rows}",
-    )
-    a = entry_a or (lambda n, k: value(kind, n, k, strat_a))
-    b = entry_b or (lambda n, k: value(kind, n, k, strat_b))
-    for n in range(rows + 1):
-        for k in range(n + 1):
-            sweep.compare(a(n, k), b(n, k), n, k)
-    return sweep.report()

@@ -25,8 +25,9 @@ with the entry over its factorial, a `Fraction`.
 Conjectured relations are flagged as such: their reports are evidence, and
 a disagreement is surfaced rather than treated as a library bug.
 
-The records, the sweep and the route comparison live in `compare`, which
-`wardtri check` imports without this module; they are re-exported here.
+The records and the sweep live in `compare`, which `wardtri check` imports
+without this module; they are re-exported here.  The route comparison,
+`compare.compare_routes`, is not: it reads row streams, not entries.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .compare import CheckReport, Counterexample, EntryFn, _Sweep, compare_strategies  # noqa: F401
+from .compare import CheckReport, Counterexample, _Sweep  # noqa: F401
 from .exact_arith import factorial, rising_factorial
 from .exact_arith import binomial as binom
 from .triangles import SPEC, Base, Kind, Rescaling, Strategy, central, lah, reference_route, triangle
 from .triangles import _RECURRENCE, value
+
+EntryFn = Callable[[int, int], int]
 
 
 def default_entry(kind: Kind) -> EntryFn:

@@ -13,6 +13,7 @@ from pathlib import Path
 from wardtri import bfile as bf
 from wardtri import identities as ids
 from wardtri.cli import main as cli_main
+from wardtri.compare import compare_routes
 from wardtri.exact_arith import falling_factorial
 from wardtri.partition_transform import (
     partition_transform,
@@ -23,8 +24,8 @@ from wardtri.triangles import (
     Kind,
     Strategy,
     reference_route,
+    stream,
     supported_strategies,
-    triangle,
     value,
 )
 
@@ -56,7 +57,7 @@ def test_criterion_01_strategy_equivalence():
         for a, b in itertools.combinations(
             sorted(supported_strategies(kind), key=lambda s: s.value), 2
         ):
-            report = ids.compare_strategies(kind, ROWS, a, b)
+            (report,) = compare_routes(kind, ROWS, [a, b])
             assert report.passed, report.human()
     assert time.perf_counter() - start < 60
 
@@ -144,26 +145,20 @@ def test_criterion_08_oeis_fixtures():
     for name, kind in sequences.items():
         fixture = bf.parse_bfile((FIXTURES / name).read_text())
         assert fixture.offset == 1
-        rows = bf.rows_needed(len(fixture.values))
         # fixtures were generated by the partition-transform route; compare
         # against the recurrence so the agreement crosses code paths
-        generated = bf.linearize(triangle(kind, rows, Strategy.RECURRENCE).rows)
-        assert tuple(generated)[: len(fixture.values)] == fixture.values, name
+        generated = bf.linearize(stream(kind, Strategy.RECURRENCE))
+        assert tuple(itertools.islice(generated, len(fixture.values))) == fixture.values, name
 
 
 @criterion(9, "any single flipped entry with n<=10 is caught, naming its row")
-def test_criterion_09_fault_injection():
+def test_criterion_09_fault_injection(flip_entry):
     for kind in Kind:
-        reference = reference_route(kind)
+        routes = [Strategy.RECURRENCE, reference_route(kind)]
         for n0 in range(11):
             for k0 in range(n0 + 1):
-                corrupted = (
-                    lambda n, k, n0=n0, k0=k0: value(kind, n, k, Strategy.RECURRENCE)
-                    + (1 if (n, k) == (n0, k0) else 0)
-                )
-                report = ids.compare_strategies(
-                    kind, 10, Strategy.RECURRENCE, reference, entry_a=corrupted
-                )
+                flip_entry(kind, Strategy.RECURRENCE, n0, k0)
+                (report,) = compare_routes(kind, 10, routes)
                 assert not report.passed, (kind, n0, k0)
                 assert report.counterexample.n == n0, (kind, n0, k0)
                 assert report.counterexample.k == k0, (kind, n0, k0)

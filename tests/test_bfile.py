@@ -10,7 +10,6 @@ from wardtri.bfile import (
     linearize,
     parse_bfile,
     render_bfile,
-    rows_needed,
 )
 from wardtri.triangles import Kind, Strategy, stream, triangle
 
@@ -91,14 +90,6 @@ def test_linearization_bijection():
     assert index_to_entry(1, offset=0) == (2, 1)
     with pytest.raises(ValueError):
         index_to_entry(0, offset=1)
-
-
-def test_rows_needed():
-    assert rows_needed(0) == 0
-    assert rows_needed(1) == 1
-    assert rows_needed(3) == 2
-    assert rows_needed(4) == 3
-    assert rows_needed(465) == 30
 
 
 @pytest.mark.parametrize("kind", list(Kind))

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import wardtri.cli
-import wardtri.compare
 from wardtri import triangles
 from wardtri.bfile import BFile, linearize, render_bfile
 from wardtri.cli import main
@@ -95,18 +94,10 @@ def test_check_all_kinds(capsys):
     assert "FAIL" not in out
 
 
-def test_check_detects_fault(monkeypatch, capsys):
+def test_check_detects_fault(flip_entry, capsys):
     # `check` compares whole rows read through compare.stream; corrupt
     # ward2 partition-transform T(4, 2) there.
-    real = wardtri.compare.stream
-
-    def corrupted(kind, strategy=Strategy.RECURRENCE):
-        rows = real(kind, strategy)
-        if (kind, strategy) != (Kind.WARD2, Strategy.PARTITION_TRANSFORM):
-            return rows
-        return ((*row[:2], row[2] + 1, *row[3:]) if n == 4 else row for n, row in enumerate(rows))
-
-    monkeypatch.setattr(wardtri.compare, "stream", corrupted)
+    flip_entry(Kind.WARD2, Strategy.PARTITION_TRANSFORM, 4, 2)
     code, out = run(capsys, "check", "--kind", "ward2", "--rows", "6")
     assert code == 1
     assert "FAIL" in out and "n=4 k=2" in out
@@ -253,6 +244,23 @@ def test_bfile_compare_line_separator_inside_a_line_is_usage_error(tmp_path, cap
     out, errors = capsys.readouterr()
     assert out == ""
     assert "line 1: non-integer token" in errors.splitlines()[-1]
+
+
+def test_bfile_compare_ends_lines_at_lf_and_crlf_only(tmp_path, capsys):
+    # A lone CR ends no line, as in parse_bfile: "1 1\r2 1" is one line.
+    lone_cr = tmp_path / "cr.bin"
+    lone_cr.write_bytes(b"1 1\r2 1\n3 3\n")  # ward2 T(1,1), T(2,1), T(2,2)
+    with pytest.raises(SystemExit) as err:
+        main(["bfile-compare", "--kind", "ward2", "--file", str(lone_cr)])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert "line 1: expected 'index value'" in errors.splitlines()[-1]
+    crlf = tmp_path / "crlf.bin"
+    crlf.write_bytes(b"1 1\r\n2 1\r\n3 3\r\n")
+    code, out = run(capsys, "bfile-compare", "--kind", "ward2", "--file", str(crlf))
+    assert code == 0
+    assert "3 entries agree" in out
 
 
 def test_bfile_compare_corrupted_value(tmp_path, capsys):
@@ -492,9 +500,9 @@ def test_main_restores_the_digit_limit(capsys, argv):
 
 def test_streamed_commands_hold_one_row_at_a_time(tmp_path, capsys):
     # At 300 rows the entries of binomial-ward2 take about 11 MB; a streamed
-    # check or bfile-compare peaks at a small part of that (about 0.7 MB
-    # and 0.4 MB under CPython 3.11), where holding whole triangles or the
-    # whole file took 32 MB and 59 MB.
+    # check, bfile-compare or bench peaks at a small part of that (about
+    # 0.7 MB, 0.4 MB and 0.6 MB under CPython 3.11), where holding whole
+    # triangles or the whole file took 32 MB, 59 MB and 32 MB.
     rows = 300
     whole = sum(sys.getsizeof(v) for row in triangle(Kind.BINOMIAL_WARD2, rows).rows for v in row)
     triangles.clear_caches()
@@ -504,6 +512,7 @@ def test_streamed_commands_hold_one_row_at_a_time(tmp_path, capsys):
     commands = [
         ["check", "--kind", "binomial-ward2", "--rows", str(rows), "--strategies", "recurrence,scaling"],
         ["bfile-compare", "--kind", "binomial-ward2", "--strategy", "scaling", "--file", str(path)],
+        ["bench", "--kind", "binomial-ward2", "--rows", str(rows), "--strategies", "recurrence,scaling"],
     ]
     for argv in commands:
         tracemalloc.start()

@@ -6,6 +6,7 @@ import pytest
 
 from wardtri import identities as ids
 from wardtri import triangles
+from wardtri.compare import compare_routes
 from wardtri.exact_arith import binomial, factorial, rising_factorial
 from wardtri.triangles import Kind, Strategy, lah
 
@@ -14,26 +15,37 @@ def flip(entry, n0, k0, delta=1):
     return lambda n, k: entry(n, k) + (delta if (n, k) == (n0, k0) else 0)
 
 
-def test_compare_strategies_passes():
-    report = ids.compare_strategies(
-        Kind.WARD_LAH, 15, Strategy.RECURRENCE, Strategy.EXPLICIT
-    )
+def test_compare_routes_passes():
+    (report,) = compare_routes(Kind.WARD_LAH, 15, [Strategy.RECURRENCE, Strategy.EXPLICIT])
     assert report.passed
     assert report.cases == 16 * 17 // 2
     assert report.counterexample is None
 
 
-def test_compare_strategies_detects_flip():
-    base = ids.default_entry(Kind.WARD_LAH)
-    report = ids.compare_strategies(
-        Kind.WARD_LAH,
-        10,
-        Strategy.RECURRENCE,
-        Strategy.EXPLICIT,
-        entry_b=flip(base, 7, 4),
-    )
+def test_compare_routes_detects_flip(flip_entry):
+    flip_entry(Kind.WARD_LAH, Strategy.EXPLICIT, 7, 4)
+    (report,) = compare_routes(Kind.WARD_LAH, 10, [Strategy.RECURRENCE, Strategy.EXPLICIT])
     assert not report.passed
     assert (report.counterexample.n, report.counterexample.k) == (7, 4)
+
+
+def test_compare_routes_flip_fails_only_the_pairs_of_its_route(flip_entry):
+    # One flipped entry in explicit: the two pairs holding explicit fail at
+    # it, and recurrence~scaling passes with every entry compared.
+    routes = [Strategy.RECURRENCE, Strategy.EXPLICIT, Strategy.SCALING]
+    flip_entry(Kind.VARIED_WARD_LAH, Strategy.EXPLICIT, 6, 3)
+    reports = compare_routes(Kind.VARIED_WARD_LAH, 9, routes)
+    assert [r.name for r in reports] == [
+        "equivalence-varied-ward-lah-recurrence~explicit",
+        "equivalence-varied-ward-lah-recurrence~scaling",
+        "equivalence-varied-ward-lah-explicit~scaling",
+    ]
+    flipped, clean, flipped_too = reports
+    for report in (flipped, flipped_too):
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (6, 3)
+    assert clean.passed and clean.counterexample is None
+    assert clean.cases == 10 * 11 // 2
 
 
 def test_horizontal_wardlah_pass_and_onestep():
@@ -518,9 +530,7 @@ def test_a_builder_recurrence_is_checked_by_both_guards(monkeypatch):
     )
     triangles.clear_caches()
     try:
-        assert not ids.compare_strategies(
-            Kind.VARIED_WARD_LAH, 8, Strategy.RECURRENCE, Strategy.EXPLICIT
-        ).passed
+        assert not compare_routes(Kind.VARIED_WARD_LAH, 8, [Strategy.RECURRENCE, Strategy.EXPLICIT])[0].passed
         assert not ids.check_triangular_varied_wardlah(8).passed
     finally:
         triangles.clear_caches()
