@@ -12,6 +12,7 @@ validated by strategy agreement plus the known special-value columns.
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from pathlib import Path
 
 from wardtri import bfile, triangles
@@ -35,8 +36,8 @@ def main() -> int:
     out_dir = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
     out_dir.mkdir(parents=True, exist_ok=True)
     for seq_id, kind in sorted(SEQUENCES.items()):
-        tri = triangles.triangle(kind, FIXTURE_ROWS, Strategy.PARTITION_TRANSFORM)
-        values = tuple(bfile.linearize(tri.rows))
+        rows = islice(triangles.stream(kind, Strategy.PARTITION_TRANSFORM), FIXTURE_ROWS + 1)
+        values = tuple(bfile.linearize(rows))
         bf = bfile.BFile(
             offset=1,
             values=values,

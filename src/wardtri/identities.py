@@ -3,11 +3,12 @@ Ward-related triangles.
 
 Every check sweeps a parameter range, honours the side conditions under
 which its identity is stated (tuples outside them are skipped and counted,
-never evaluated), and reports the first counterexample on failure.  Checks
-accept an ``entry`` override so tests can inject faults; by default entries
-come from the kind's `triangles.reference_route` (explicit, scaling or
-partition transform, never the recurrence), so a check never validates a
-recurrence against values built by that same recurrence.
+never evaluated), and reports the first counterexample on failure.  A
+check takes its range arguments and nothing else: it reads every entry
+through `default_entry`, from the kind's `triangles.reference_route`
+(explicit, scaling or partition transform, never the recurrence), so a
+check never validates a recurrence against values built by that same
+recurrence.  Tests inject a fault by rebinding this module's `value`.
 
 The seven triangular recurrences the builder runs (ward-lah's integer one,
 the varied and the binomial kinds) are stated once, in
@@ -32,7 +33,7 @@ without this module; they are re-exported here.  The route comparison,
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -43,37 +44,34 @@ from .exact_arith import binomial as binom
 from .triangles import SPEC, Base, Kind, Rescaling, Strategy, central, lah, reference_route, triangle
 from .triangles import _RECURRENCE, value
 
-EntryFn = Callable[[int, int], int]
 
-
-def default_entry(kind: Kind) -> EntryFn:
+def default_entry(kind: Kind) -> Callable[[int, int], int]:
     """Entry lookup for a kind via its reference route."""
     strategy = reference_route(kind)
     return lambda n, k: value(kind, n, k, strategy)
 
 
-def _table(e: EntryFn, max_n: int) -> list[list[int]]:
-    """T[n][k] = e(n, k) for 0 <= k <= n <= max_n, one call per entry.  Rows
-    are max_n + 2 long and zero past k = n, so the reads just outside the
-    triangle give 0, as `value` does."""
+def _table(kind: Kind, max_n: int) -> list[list[int]]:
+    """T[n][k] for 0 <= k <= n <= max_n, one `default_entry(kind)` call per
+    entry.  Rows are max_n + 2 long and zero past k = n, so the reads just
+    outside the triangle give 0, as `value` does."""
+    e = default_entry(kind)
     return [[e(n, k) for k in range(n + 1)] + [0] * (max_n + 1 - n) for n in range(max_n + 1)]
 
 
 def _recurrence(
-    kind: Kind,
-    entry: EntryFn | None,
+    t: Sequence[Sequence[int]],
     max_n: int,
     name: str,
     param_range: str,
-    step: Callable[[int, int, list[list[int]]], tuple[int, int]],
+    step: Callable[[int, int, Sequence[Sequence[int]]], tuple[int, int]],
     first_n: int = 1,
     first_k: int = 1,
     skip: Callable[[int, int], bool] | None = None,
 ) -> CheckReport:
-    """Sweep T(n, k) = num/den over first_k <= k <= n, first_n <= n <= max_n,
-    where (num, den) = step(n, k, t), t is the row table and den > 0; tuples
-    that `skip` holds for are counted as skipped."""
-    t = _table(entry or default_entry(kind), max_n)
+    """Sweep t[n][k] = num/den over first_k <= k <= n, first_n <= n <= max_n,
+    where (num, den) = step(n, k, t) and den > 0; tuples that `skip` holds
+    for are counted as skipped."""
     sweep = _Sweep(name, param_range)
     for n in range(first_n, max_n + 1):
         for k in range(first_k, n + 1):
@@ -92,10 +90,10 @@ def _builder_check(kind: Kind, name: str) -> Callable[..., CheckReport]:
     tuples are skipped."""
     off_diagonal = SPEC[kind][1] is Rescaling.BINOMIAL
 
-    def check(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
+    def check(max_n: int) -> CheckReport:
         num, den = _RECURRENCE[kind]
         return _recurrence(
-            kind, entry, max_n, name,
+            _table(kind, max_n), max_n, name,
             f"1<=k<=n-1, n<={max_n}" if off_diagonal else f"1<=k<=n<={max_n}",
             lambda n, k, t: (num(n, k, t[n - 1][k], t[n - 1][k - 1]), den(n, k) if den else 1),
             skip=(lambda n, k: k == n) if off_diagonal else None,
@@ -118,23 +116,23 @@ check_triangular_binomial_wardlah = _builder_check(
 )
 
 
-def check_alternating_sum_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
+def check_alternating_sum_wardlah(max_n: int) -> CheckReport:
     """Signed Lah-number sum route for ward-lah equals its explicit formula."""
-    t = _table(entry or default_entry(Kind.WARD_LAH), max_n)
+    t = _table(Kind.WARD_LAH, max_n)
     sums = triangle(Kind.WARD_LAH, max(max_n, 0), Strategy.ALTERNATING_SUM).rows
     # The swept side is the alternating-sum route; the reference entries are
     # the right-hand side.
     return _recurrence(
-        Kind.WARD_LAH, lambda n, k: sums[n][k], max_n, "alternating-sum-ward-lah",
+        sums, max_n, "alternating-sum-ward-lah",
         f"1<=k<=n<={max_n}", lambda n, k, _: (t[n][k], 1),
     )
 
 
-def check_triangular_wardlah_weighted(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
+def check_triangular_wardlah_weighted(max_n: int) -> CheckReport:
     """Two-term ward-lah recurrence with weight (n+k)(n-1)/n; needs k >= 2."""
     # (n+k)(n-1)/n * (a + (n+k-1)/(k-1) * b), over n(k-1)
     return _recurrence(
-        Kind.WARD_LAH, entry, max_n, "triangular-ward-lah-weighted", f"2<=k<=n<={max_n}",
+        _table(Kind.WARD_LAH, max_n), max_n, "triangular-ward-lah-weighted", f"2<=k<=n<={max_n}",
         lambda n, k, t: (
             (n + k) * (n - 1) * ((k - 1) * t[n - 1][k] + (n + k - 1) * t[n - 1][k - 1]),
             n * (k - 1),
@@ -143,20 +141,18 @@ def check_triangular_wardlah_weighted(max_n: int, *, entry: EntryFn | None = Non
     )
 
 
-def check_triangular_wardlah_onestep(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
+def check_triangular_wardlah_onestep(max_n: int) -> CheckReport:
     """One-step ward-lah recurrence with weight (n+k) and ratio (n+k-1)/k."""
     # (n+k) * (a + (n+k-1)/k * b), over k
     return _recurrence(
-        Kind.WARD_LAH, entry, max_n, "triangular-ward-lah-onestep", f"1<=k<=n<={max_n}",
+        _table(Kind.WARD_LAH, max_n), max_n, "triangular-ward-lah-onestep", f"1<=k<=n<={max_n}",
         lambda n, k, t: ((n + k) * (k * t[n - 1][k] + (n + k - 1) * t[n - 1][k - 1]), k),
     )
 
 
 def _horizontal(
     kind: Kind,
-    entry: EntryFn | None,
     max_n: int,
-    max_m: int | None,
     name: str,
     domain: str,
     lhs_weight: Callable[[list[int], int, int], int],
@@ -172,46 +168,36 @@ def _horizontal(
     where row_weight puts row p over the common denominator (2p)! and the
     weights take f, f[i] = i!, first.  S(p, m) is the coefficient list of
     (1+x)^m times the weighted row p, so S(p, m) = S(p, m-1) + S(p, m-1)
-    shifted by one: each n advances every kept p by one m.  Tuples are
-    swept in (n, k, m) order, so the first counterexample is the one a
-    direct sum finds.
+    shifted by one: each n starts row n-1 at m = 0 and advances every p
+    by one m.  Tuples are swept in (n, k, m) order, m = 1..n-1, so the
+    first counterexample is the one a direct sum finds.
     """
-    t = _table(entry or default_entry(kind), max_n)
+    t = _table(kind, max_n)
     f = list(accumulate(range(1, 2 * max_n + 1), mul, initial=1))  # 0!..(2 max_n)!
-    if max_m is None:
-        max_m = max_n - 1
-    sweep = _Sweep(name, f"{domain}, 1<=m<=min({max_m},n-1)")
-    sums: dict[int, list[int]] = {}  # p -> S(p, n - p)
+    sweep = _Sweep(name, f"{domain}, 1<=m<=min({max_n - 1},n-1)")
+    sums: list[list[int]] = []  # sums[p - 1] = S(p, n - p) for 1 <= p < n
     for n in range(2, max_n + 1):
-        if max_m >= 1:
-            p = n - 1
-            sums[p] = [row_weight(f, p, kk) * t[p][kk] for kk in range(p + 1)]
-        for p, s in list(sums.items()):
-            if n - p > max_m:
-                del sums[p]
-            else:
-                sums[p] = [x + y for x, y in zip(s + [0], [0] + s)]
+        sums.append([row_weight(f, n - 1, kk) * t[n - 1][kk] for kk in range(n)])
+        sums = [[x + y for x, y in zip(s + [0], [0] + s)] for s in sums]
         for k in range(1, n + 1):
             if skip_diagonal and k == n:
                 sweep.skip()
                 continue
             lhs, a, c = t[n][k], lhs_weight(f, n, k), rhs_weight(f, n, k)
-            for m in range(1, min(max_m, n - 1) + 1):
+            for m in range(1, n):
                 p = n - m
-                sweep.compare_ratio(lhs, c * sums[p][k], a * f[2 * p], n, k, m)
+                sweep.compare_ratio(lhs, c * sums[p - 1][k], a * f[2 * p], n, k, m)
     return sweep.report()
 
 
-def check_horizontal_wardlah(
-    max_n: int, max_m: int | None = None, *, entry: EntryFn | None = None
-) -> CheckReport:
+def check_horizontal_wardlah(max_n: int) -> CheckReport:
     """m-step horizontal recurrence for ward-lah across row n-m.
 
     T(n,k) = (n+k)!/k! * sum_j C(m,j) * kk!/(p+kk)! * T(p,kk), kk = k-j in
     1..p, p = n-m.
     """
     return _horizontal(
-        Kind.WARD_LAH, entry, max_n, max_m, "horizontal-ward-lah", f"1<=k<=n<={max_n}",
+        Kind.WARD_LAH, max_n, "horizontal-ward-lah", f"1<=k<=n<={max_n}",
         lambda f, n, k: f[k],
         lambda f, n, k: f[n + k],
         # kk!/(p+kk)! = kk! * ((2p)!/(p+kk)!) / (2p)!, an exact quotient
@@ -219,10 +205,10 @@ def check_horizontal_wardlah(
     )
 
 
-def check_order3_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
+def check_order3_wardlah(max_n: int) -> CheckReport:
     """Order-3 recurrence for ward-lah mixing rows n-1 and n-2."""
     return _recurrence(
-        Kind.WARD_LAH, entry, max_n, "order3-ward-lah", f"2<=n<={max_n}, 1<=k<=n",
+        _table(Kind.WARD_LAH, max_n), max_n, "order3-ward-lah", f"2<=n<={max_n}, 1<=k<=n",
         lambda n, k, t: (
             2 * (2 * n - 1) * t[n - 1][k - 1] - n * (n - 2) * t[n - 2][k]
             + (2 * n - 1) * t[n - 1][k],
@@ -232,15 +218,13 @@ def check_order3_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckRe
     )
 
 
-def check_horizontal_varied_wardlah(
-    max_n: int, max_m: int | None = None, *, entry: EntryFn | None = None
-) -> CheckReport:
+def check_horizontal_varied_wardlah(max_n: int) -> CheckReport:
     """m-step horizontal recurrence for varied ward-lah.
 
     T(n,k) = (2n)! * sum_j C(m,j) * T(p,kk)/(2p)!, kk = k-j >= 0, p = n-m.
     """
     return _horizontal(
-        Kind.VARIED_WARD_LAH, entry, max_n, max_m, "horizontal-varied-ward-lah",
+        Kind.VARIED_WARD_LAH, max_n, "horizontal-varied-ward-lah",
         f"1<=k<=n<={max_n}",
         lambda f, n, k: 1,
         lambda f, n, k: f[2 * n],
@@ -248,16 +232,14 @@ def check_horizontal_varied_wardlah(
     )
 
 
-def check_horizontal_binomial_wardlah(
-    max_n: int, max_m: int | None = None, *, entry: EntryFn | None = None
-) -> CheckReport:
+def check_horizontal_binomial_wardlah(max_n: int) -> CheckReport:
     """m-step horizontal recurrence for binomial ward-lah (off-diagonal).
 
     T(n,k) = (2n)!/(k!(n-k)!) * sum_j C(m,j) * kk!(p-kk)!/(2p)! * T(p,kk),
     kk = k-j in 1..p, p = n-m.
     """
     return _horizontal(
-        Kind.BINOMIAL_WARD_LAH, entry, max_n, max_m, "horizontal-binomial-ward-lah",
+        Kind.BINOMIAL_WARD_LAH, max_n, "horizontal-binomial-ward-lah",
         f"1<=k<=n-1, n<={max_n}",
         lambda f, n, k: f[k] * f[n - k],
         lambda f, n, k: f[2 * n],
@@ -266,7 +248,7 @@ def check_horizontal_binomial_wardlah(
     )
 
 
-def check_order5_binomial_wardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
+def check_order5_binomial_wardlah(max_n: int) -> CheckReport:
     """Order-5 recurrence for binomial ward-lah mixing rows n-1 and n-2."""
     # -4(n-2)(2n-1)^2/n * (c - 2d + e) + 4(2n-1)/(n(2n-3)) * (...), over n(2n-3)
     def step(n: int, k: int, t: list[list[int]]) -> tuple[int, int]:
@@ -276,7 +258,7 @@ def check_order5_binomial_wardlah(max_n: int, *, entry: EntryFn | None = None) -
         return num, n * (2 * n - 3)
 
     return _recurrence(
-        Kind.BINOMIAL_WARD_LAH, entry, max_n, "order5-binomial-ward-lah",
+        _table(Kind.BINOMIAL_WARD_LAH, max_n), max_n, "order5-binomial-ward-lah",
         f"2<=n<={max_n}, 2<=k<=n", step, first_n=2, first_k=2,
     )
 
@@ -290,12 +272,13 @@ def _geometric(k: int, order: int) -> list[int]:
     return c
 
 
-def _column_gf(kind: Kind, entry: EntryFn | None, k: int, order: int, name: str,
-               shift: int, scale: int, weight: int) -> CheckReport:
+def _column_gf(
+    kind: Kind, k: int, order: int, name: str, shift: int, scale: int, weight: int
+) -> CheckReport:
     """Sweep the coefficients of x^shift (1-x)^-k / scale through x^order:
     each one below x^shift is 0, and for k <= n <= order the coefficient
     of x^n is T(n+k-shift, k) / (weight*n)!, a `Fraction`."""
-    e = entry or default_entry(kind)
+    e = default_entry(kind)
     sweep = _Sweep(f"{name}-k{k}", f"k={k}, n<={order}")
     series = [0] * shift + [Fraction(c, scale) for c in _geometric(k, order - shift)]
     for n in range(shift):
@@ -305,7 +288,7 @@ def _column_gf(kind: Kind, entry: EntryFn | None, k: int, order: int, name: str,
     return sweep.report()
 
 
-def check_egf_wardlah(k: int, order: int, *, entry: EntryFn | None = None) -> CheckReport:
+def check_egf_wardlah(k: int, order: int) -> CheckReport:
     """Column-k exponential generating function x^(2k) / (k! (1-x)^k).
 
     Coefficient of x^n must be wardlah(n-k, k)/n! for k <= n <= order; the
@@ -313,10 +296,10 @@ def check_egf_wardlah(k: int, order: int, *, entry: EntryFn | None = None) -> Ch
     """
     if k < 1 or order < 2 * k:
         raise ValueError(f"need k >= 1 and order >= 2k, got k={k}, order={order}")
-    return _column_gf(Kind.WARD_LAH, entry, k, order, "egf-ward-lah", 2 * k, factorial(k), 1)
+    return _column_gf(Kind.WARD_LAH, k, order, "egf-ward-lah", 2 * k, factorial(k), 1)
 
 
-def check_gf_variedwardlah(k: int, order: int, *, entry: EntryFn | None = None) -> CheckReport:
+def check_gf_variedwardlah(k: int, order: int) -> CheckReport:
     """Column-k generating function (x/(1-x))^k for varied ward-lah.
 
     Coefficient of x^n must be variedwardlah(n, k)/(2n)! for k <= n <= order;
@@ -324,13 +307,13 @@ def check_gf_variedwardlah(k: int, order: int, *, entry: EntryFn | None = None) 
     """
     if k < 1 or order < k:
         raise ValueError(f"need 1 <= k <= order, got k={k}, order={order}")
-    return _column_gf(Kind.VARIED_WARD_LAH, entry, k, order, "gf-varied-ward-lah", k, 1, 2)
+    return _column_gf(Kind.VARIED_WARD_LAH, k, order, "gf-varied-ward-lah", k, 1, 2)
 
 
-def check_lah_variedwardlah(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
+def check_lah_variedwardlah(max_n: int) -> CheckReport:
     """Rising-factorial Lah identity against a binomial sum of varied
     ward-lah entries from row n-k."""
-    t = _table(entry or default_entry(Kind.VARIED_WARD_LAH), max_n)
+    t = _table(Kind.VARIED_WARD_LAH, max_n)
     sweep = _Sweep("lah-varied-ward-lah", f"1<=k<=n<={max_n}")
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
@@ -340,27 +323,25 @@ def check_lah_variedwardlah(max_n: int, *, entry: EntryFn | None = None) -> Chec
     return sweep.report()
 
 
-def rowsum_pairs(kind: Kind, max_n: int, *, entry: EntryFn | None = None) -> list[tuple[int, int, int]]:
+def rowsum_pairs(kind: Kind, max_n: int) -> list[tuple[int, int, int]]:
     """(n, row sum, reference central value) for the row-sum relations of a
     binomial kind: the central numbers of its base's classical partner."""
     base, rescaling = SPEC[kind]
     if rescaling is not Rescaling.BINOMIAL:
         raise ValueError(f"row sums are compared for the binomial kinds only, not {kind.value}")
-    e = entry or default_entry(kind)
+    e = default_entry(kind)
     return [(n, sum(e(n, k) for k in range(n + 1)), central(base.classical, n)) for n in range(max_n + 1)]
 
 
-def _rowsums(kind: Kind, max_n: int, entry: EntryFn | None, name: str, conjecture: bool) -> CheckReport:
+def _rowsums(kind: Kind, max_n: int, name: str, conjecture: bool) -> CheckReport:
     """Sweep the `rowsum_pairs` of a binomial kind for n <= max_n."""
     sweep = _Sweep(name, f"0<=n<={max_n}", conjecture=conjecture)
-    for n, rowsum, ref in rowsum_pairs(kind, max_n, entry=entry):
+    for n, rowsum, ref in rowsum_pairs(kind, max_n):
         sweep.compare(rowsum, ref, n, 0)
     return sweep.report()
 
 
-def check_conjecture_rowsums_stirling(
-    kind: Kind, max_n: int, *, entry: EntryFn | None = None
-) -> CheckReport:
+def check_conjecture_rowsums_stirling(kind: Kind, max_n: int) -> CheckReport:
     """Conjectured row sums: binomial Ward rows against central Stirling
     numbers (cycle numbers for the first kind, set numbers for the second).
 
@@ -369,12 +350,12 @@ def check_conjecture_rowsums_stirling(
     base, rescaling = SPEC[kind]
     if rescaling is not Rescaling.BINOMIAL or base is Base.WARD_LAH:
         raise ValueError(f"row-sum conjecture applies to binomial Ward kinds, not {kind.value}")
-    return _rowsums(kind, max_n, entry, f"conjecture-rowsums-{kind.value}-{base.classical}", True)
+    return _rowsums(kind, max_n, f"conjecture-rowsums-{kind.value}-{base.classical}", True)
 
 
-def check_central_lah_rowsums(max_n: int, *, entry: EntryFn | None = None) -> CheckReport:
+def check_central_lah_rowsums(max_n: int) -> CheckReport:
     """Row sums of binomial ward-lah equal central Lah numbers."""
-    return _rowsums(Kind.BINOMIAL_WARD_LAH, max_n, entry, "central-lah-rowsums", False)
+    return _rowsums(Kind.BINOMIAL_WARD_LAH, max_n, "central-lah-rowsums", False)
 
 
 # Columns 1..GF_MAX_K of the two generating-function checks.

@@ -11,10 +11,6 @@ from wardtri.exact_arith import binomial, factorial, rising_factorial
 from wardtri.triangles import Kind, Strategy, lah
 
 
-def flip(entry, n0, k0, delta=1):
-    return lambda n, k: entry(n, k) + (delta if (n, k) == (n0, k0) else 0)
-
-
 def test_compare_routes_passes():
     (report,) = compare_routes(Kind.WARD_LAH, 15, [Strategy.RECURRENCE, Strategy.EXPLICIT])
     assert report.passed
@@ -49,8 +45,7 @@ def test_compare_routes_flip_fails_only_the_pairs_of_its_route(flip_entry):
 
 
 def test_horizontal_wardlah_pass_and_onestep():
-    assert ids.check_horizontal_wardlah(10, 3).passed
-    assert ids.check_horizontal_wardlah(10, 1).passed  # one-step slice
+    assert ids.check_horizontal_wardlah(10).passed
     assert ids.check_triangular_wardlah_onestep(10).passed
 
 
@@ -89,24 +84,6 @@ def test_triangular_checks_pass():
 def test_binomial_triangular_skips_diagonal():
     report = ids.check_triangular_binomial_ward1(10)
     assert report.skipped == 10  # one diagonal tuple per row
-
-
-@pytest.mark.parametrize(
-    "check,with_diagonal",
-    [
-        (ids.check_horizontal_wardlah, True),
-        (ids.check_horizontal_varied_wardlah, True),
-        (ids.check_horizontal_binomial_wardlah, False),
-    ],
-    ids=["ward-lah", "varied-ward-lah", "binomial-ward-lah"],
-)
-def test_horizontal_case_counts_at_the_smallest_steps(check, with_diagonal):
-    # max_m = 0 compares nothing; max_m = 1 compares every k of rows 2..10
-    # through row n-1 once (off the diagonal for the binomial kind).
-    none = check(10, 0)
-    assert none.passed and none.cases == 0
-    one = check(10, 1)
-    assert one.passed and one.cases == sum(range(2, 11)) - (0 if with_diagonal else 9)
 
 
 def test_egf_guard_is_an_order_below_2k():
@@ -198,27 +175,27 @@ def test_run_identity_suite_all_green():
 
 
 FAULT_CASES = [
-    (lambda e: ids.check_alternating_sum_wardlah(8, entry=e), Kind.WARD_LAH, (5, 3)),
-    (lambda e: ids.check_triangular_wardlah_weighted(8, entry=e), Kind.WARD_LAH, (6, 3)),
-    (lambda e: ids.check_triangular_wardlah_integer(8, entry=e), Kind.WARD_LAH, (6, 3)),
-    (lambda e: ids.check_triangular_wardlah_onestep(8, entry=e), Kind.WARD_LAH, (6, 3)),
-    (lambda e: ids.check_horizontal_wardlah(8, entry=e), Kind.WARD_LAH, (6, 3)),
-    (lambda e: ids.check_order3_wardlah(8, entry=e), Kind.WARD_LAH, (6, 3)),
-    (lambda e: ids.check_triangular_varied_ward1(8, entry=e), Kind.VARIED_WARD1, (6, 3)),
-    (lambda e: ids.check_triangular_varied_ward2(8, entry=e), Kind.VARIED_WARD2, (6, 3)),
-    (lambda e: ids.check_triangular_varied_wardlah(8, entry=e), Kind.VARIED_WARD_LAH, (6, 3)),
-    (lambda e: ids.check_horizontal_varied_wardlah(8, entry=e), Kind.VARIED_WARD_LAH, (6, 3)),
-    (lambda e: ids.check_triangular_binomial_ward1(8, entry=e), Kind.BINOMIAL_WARD1, (6, 3)),
-    (lambda e: ids.check_triangular_binomial_ward2(8, entry=e), Kind.BINOMIAL_WARD2, (6, 3)),
-    (lambda e: ids.check_triangular_binomial_wardlah(8, entry=e), Kind.BINOMIAL_WARD_LAH, (6, 3)),
-    (lambda e: ids.check_horizontal_binomial_wardlah(8, entry=e), Kind.BINOMIAL_WARD_LAH, (6, 3)),
-    (lambda e: ids.check_order5_binomial_wardlah(8, entry=e), Kind.BINOMIAL_WARD_LAH, (6, 3)),
-    (lambda e: ids.check_egf_wardlah(2, 12, entry=e), Kind.WARD_LAH, (4, 2)),
-    (lambda e: ids.check_gf_variedwardlah(2, 12, entry=e), Kind.VARIED_WARD_LAH, (5, 2)),
-    (lambda e: ids.check_lah_variedwardlah(8, entry=e), Kind.VARIED_WARD_LAH, (4, 2)),
-    (lambda e: ids.check_central_lah_rowsums(8, entry=e), Kind.BINOMIAL_WARD_LAH, (5, 2)),
+    (lambda: ids.check_alternating_sum_wardlah(8), Kind.WARD_LAH, (5, 3)),
+    (lambda: ids.check_triangular_wardlah_weighted(8), Kind.WARD_LAH, (6, 3)),
+    (lambda: ids.check_triangular_wardlah_integer(8), Kind.WARD_LAH, (6, 3)),
+    (lambda: ids.check_triangular_wardlah_onestep(8), Kind.WARD_LAH, (6, 3)),
+    (lambda: ids.check_horizontal_wardlah(8), Kind.WARD_LAH, (6, 3)),
+    (lambda: ids.check_order3_wardlah(8), Kind.WARD_LAH, (6, 3)),
+    (lambda: ids.check_triangular_varied_ward1(8), Kind.VARIED_WARD1, (6, 3)),
+    (lambda: ids.check_triangular_varied_ward2(8), Kind.VARIED_WARD2, (6, 3)),
+    (lambda: ids.check_triangular_varied_wardlah(8), Kind.VARIED_WARD_LAH, (6, 3)),
+    (lambda: ids.check_horizontal_varied_wardlah(8), Kind.VARIED_WARD_LAH, (6, 3)),
+    (lambda: ids.check_triangular_binomial_ward1(8), Kind.BINOMIAL_WARD1, (6, 3)),
+    (lambda: ids.check_triangular_binomial_ward2(8), Kind.BINOMIAL_WARD2, (6, 3)),
+    (lambda: ids.check_triangular_binomial_wardlah(8), Kind.BINOMIAL_WARD_LAH, (6, 3)),
+    (lambda: ids.check_horizontal_binomial_wardlah(8), Kind.BINOMIAL_WARD_LAH, (6, 3)),
+    (lambda: ids.check_order5_binomial_wardlah(8), Kind.BINOMIAL_WARD_LAH, (6, 3)),
+    (lambda: ids.check_egf_wardlah(2, 12), Kind.WARD_LAH, (4, 2)),
+    (lambda: ids.check_gf_variedwardlah(2, 12), Kind.VARIED_WARD_LAH, (5, 2)),
+    (lambda: ids.check_lah_variedwardlah(8), Kind.VARIED_WARD_LAH, (4, 2)),
+    (lambda: ids.check_central_lah_rowsums(8), Kind.BINOMIAL_WARD_LAH, (5, 2)),
     (
-        lambda e: ids.check_conjecture_rowsums_stirling(Kind.BINOMIAL_WARD1, 8, entry=e),
+        lambda: ids.check_conjecture_rowsums_stirling(Kind.BINOMIAL_WARD1, 8),
         Kind.BINOMIAL_WARD1,
         (5, 2),
     ),
@@ -226,10 +203,10 @@ FAULT_CASES = [
 
 
 @pytest.mark.parametrize("runner,kind,where", FAULT_CASES, ids=[str(i) for i in range(len(FAULT_CASES))])
-def test_every_check_detects_injected_fault(runner, kind, where):
-    clean = runner(ids.default_entry(kind))
-    assert clean.passed
-    report = runner(flip(ids.default_entry(kind), *where))
+def test_every_check_detects_injected_fault(flip_entry, runner, kind, where):
+    assert runner().passed
+    flip_entry(kind, triangles.reference_route(kind), *where)
+    report = runner()
     assert not report.passed
     assert report.counterexample is not None
     assert report.counterexample.lhs != report.counterexample.rhs
@@ -239,14 +216,14 @@ def test_every_check_detects_injected_fault(runner, kind, where):
 # flipped entry, as both report formats print it.
 GF_COUNTEREXAMPLES = [
     (
-        lambda e: ids.check_egf_wardlah(2, 12, entry=e), Kind.WARD_LAH, (4, 2),
+        lambda: ids.check_egf_wardlah(2, 12), Kind.WARD_LAH, (4, 2),
         "FAIL egf-ward-lah-k2 [k=2, n<=12] cases=15 skipped=0"
         " counterexample: n=6 k=2 lhs=3/2 rhs=1081/720",
         "name=egf-ward-lah-k2 status=fail range=k=2,n<=12 cases=15 skipped=0"
         " conjecture=false n=6 k=2 lhs=3/2 rhs=1081/720",
     ),
     (
-        lambda e: ids.check_gf_variedwardlah(2, 12, entry=e), Kind.VARIED_WARD_LAH, (5, 2),
+        lambda: ids.check_gf_variedwardlah(2, 12), Kind.VARIED_WARD_LAH, (5, 2),
         "FAIL gf-varied-ward-lah-k2 [k=2, n<=12] cases=13 skipped=0"
         " counterexample: n=5 k=2 lhs=4 rhs=14515201/3628800",
         "name=gf-varied-ward-lah-k2 status=fail range=k=2,n<=12 cases=13 skipped=0"
@@ -256,18 +233,20 @@ GF_COUNTEREXAMPLES = [
 
 
 @pytest.mark.parametrize("runner,kind,where,human,machine", GF_COUNTEREXAMPLES, ids=["egf", "ogf"])
-def test_gf_counterexamples_are_pinned(runner, kind, where, human, machine):
-    report = runner(flip(ids.default_entry(kind), *where))
+def test_gf_counterexamples_are_pinned(flip_entry, runner, kind, where, human, machine):
+    flip_entry(kind, triangles.reference_route(kind), *where)
+    report = runner()
     assert report.human() == human
     assert report.machine() == machine
 
 
-def test_report_serialization():
+def test_report_serialization(flip_entry):
     good = ids.check_order3_wardlah(6)
     assert good.human().startswith("PASS order3-ward-lah")
     assert "status=pass" in good.machine()
 
-    bad = ids.check_order3_wardlah(8, entry=flip(ids.default_entry(Kind.WARD_LAH), 5, 2))
+    flip_entry(Kind.WARD_LAH, Strategy.EXPLICIT, 5, 2)
+    bad = ids.check_order3_wardlah(8)
     human = bad.human()
     machine = bad.machine()
     assert human.startswith("FAIL order3-ward-lah")
@@ -281,10 +260,9 @@ def test_report_serialization():
     assert "conjecture=true" in conj.machine()
 
 
-def test_horizontal_counterexample_carries_m():
-    report = ids.check_horizontal_wardlah(
-        8, entry=flip(ids.default_entry(Kind.WARD_LAH), 6, 3)
-    )
+def test_horizontal_counterexample_carries_m(flip_entry):
+    flip_entry(Kind.WARD_LAH, Strategy.EXPLICIT, 6, 3)
+    report = ids.check_horizontal_wardlah(8)
     assert not report.passed
     assert report.counterexample.m is not None
     assert "m=" in report.human()
@@ -353,16 +331,14 @@ def _oracle_alternating_sum(max_n, e):
 def _oracle_horizontal(term, prefactor, kk_min, kk_bounded, skip_diagonal=False):
     """rhs = prefactor(n, k) * sum_j C(m, j) * term(n - m, kk) * e(n - m, kk)."""
 
-    def run(max_n, e, max_m=None):
-        if max_m is None:
-            max_m = max_n - 1
+    def run(max_n, e):
         sweep = ids._Sweep("oracle", "")
         for n in range(2, max_n + 1):
             for k in range(1, n + 1):
                 if skip_diagonal and n - k < 1:
                     sweep.skip()
                     continue
-                for m in range(1, min(max_m, n - 1) + 1):
+                for m in range(1, n):
                     acc = Fraction(0)
                     for j in range(m + 1):
                         kk = k - j
@@ -498,22 +474,19 @@ def test_horizontal_checks_match_fraction_oracles(name):
     check, kind, oracle = HORIZONTAL_ORACLES[name]
     e = ids.default_entry(kind)
     for max_n in range(-1, 13):
-        assert outcome(check(max_n)) == outcome(oracle(max_n, e))
-    for max_m in range(-1, 14):
-        report = check(12, max_m)
+        report = check(max_n)
         assert report.name == name
-        assert outcome(report) == outcome(oracle(12, e, max_m))
+        assert outcome(report) == outcome(oracle(max_n, e))
 
 
 @pytest.mark.parametrize("name", sorted(ALL_ORACLES))
-def test_flipped_entry_gives_the_oracles_first_counterexample(name):
+def test_flipped_entry_gives_the_oracles_first_counterexample(flip_entry, name):
     check, kind, oracle = ALL_ORACLES[name]
-    base = ids.default_entry(kind)
     caught = 0
     for n0 in range(11):
         for k0 in range(n0 + 1):
-            e = flip(base, n0, k0)
-            report, expected = check(10, entry=e), oracle(10, e)
+            flip_entry(kind, triangles.reference_route(kind), n0, k0)
+            report, expected = check(10), oracle(10, ids.default_entry(kind))
             assert outcome(report) == outcome(expected), (n0, k0)
             if not report.passed:  # printed as before, too
                 assert report.counterexample.fields() == expected.counterexample.fields()
@@ -599,9 +572,35 @@ def test_the_route_runs_cover_the_suite():
     "name,args,kind,strategy", ROUTE_RUNS,
     ids=[f"{name}{list(args)}-{s.value}" for name, args, _, s in ROUTE_RUNS],
 )
-def test_each_identity_holds_on_the_other_routes_of_its_kind(name, args, kind, strategy):
+def test_each_identity_holds_on_the_other_routes_of_its_kind(monkeypatch, name, args, kind, strategy):
     # The suite reads reference-route entries; the identity must hold just
     # as well on every other route of the kind.
-    report = getattr(ids, name)(*args, entry=lambda n, k: triangles.value(kind, n, k, strategy))
+    read, value = set(), ids.value
+    monkeypatch.setattr(ids, "reference_route", lambda k: strategy)
+    monkeypatch.setattr(ids, "value", lambda *a: read.add(a[3]) or value(*a))
+    report = getattr(ids, name)(*args)
     assert report.passed, report.human()
     assert report.cases > 0
+    assert read == {strategy}
+
+
+def test_the_suite_builds_no_route_it_checks():
+    # The suite reads reference-route entries (and the Lah numbers), so the
+    # only recurrence tables it fills are ward1's and ward2's, which their
+    # scaling kinds read, and the classical Lah triangle: none for a kind
+    # whose recurrence it checks.
+    r = Strategy.RECURRENCE
+    triangles.clear_caches()
+    try:
+        ids.run_identity_suite(12)
+        built = set(triangles._cache)
+    finally:
+        triangles.clear_caches()
+    assert {key for key in built if key[1] is r} == {(Kind.WARD1, r), (Kind.WARD2, r), ("lah", r)}
+    assert built == {
+        (Kind.WARD1, r), (Kind.WARD2, r), ("lah", r),
+        (Kind.VARIED_WARD1, Strategy.SCALING), (Kind.VARIED_WARD2, Strategy.SCALING),
+        (Kind.BINOMIAL_WARD1, Strategy.SCALING), (Kind.BINOMIAL_WARD2, Strategy.SCALING),
+        (Kind.WARD_LAH, Strategy.EXPLICIT), (Kind.WARD_LAH, Strategy.ALTERNATING_SUM),
+        (Kind.VARIED_WARD_LAH, Strategy.EXPLICIT), (Kind.BINOMIAL_WARD_LAH, Strategy.EXPLICIT),
+    }
