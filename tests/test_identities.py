@@ -86,6 +86,30 @@ def test_binomial_triangular_skips_diagonal():
     assert report.skipped == 10  # one diagonal tuple per row
 
 
+@pytest.mark.parametrize(
+    "check,with_diagonal",
+    [
+        (ids.check_horizontal_wardlah, True),
+        (ids.check_horizontal_varied_wardlah, True),
+        (ids.check_horizontal_binomial_wardlah, False),
+    ],
+    ids=["ward-lah", "varied-ward-lah", "binomial-ward-lah"],
+)
+def test_horizontal_case_counts_at_the_smallest_steps(check, with_diagonal):
+    # m runs 1..n-1: max_n = 1 compares nothing, max_n = 2 compares row 2
+    # through row 1 at m = 1 only, and max_n = 10 compares each k of row n
+    # once per m (off the diagonal for the binomial kind, skipped once a row).
+    none = check(1)
+    assert none.passed and none.cases == 0 and none.skipped == 0
+    one = check(2)
+    assert one.passed and one.param_range.endswith("1<=m<=min(1,n-1)")
+    assert one.cases == (2 if with_diagonal else 1)
+    full = check(10)
+    rows = range(2, 11)
+    assert full.passed and full.skipped == (0 if with_diagonal else 9)
+    assert full.cases == sum((n if with_diagonal else n - 1) * (n - 1) for n in rows)
+
+
 def test_egf_guard_is_an_order_below_2k():
     for order in (6, 7):
         with pytest.raises(ValueError):
