@@ -2,7 +2,8 @@
 
 A b-file is optional leading '#' comment lines followed by one
 "index value" pair per line, indices increasing by 1; a line ends at a
-line feed or a CR LF and nowhere else.  Triangles are linearized by rows
+line feed or a CR LF and nowhere else, and a data line is ASCII text
+throughout, ends included.  Triangles are linearized by rows
 n = 1..N, k = 1..n, leaving out the all-zero k = 0 column and the n = 0
 row, matching how the OEIS reads these triangles.
 """
@@ -53,10 +54,11 @@ def parse_lines(lines: Iterable[str], comments: list[str] | None = None) -> Iter
             if comments is not None:
                 comments.append(raw)
             continue
-        # split() would also part tokens at non-ASCII whitespace, and int()
-        # would read "1_0" and non-ASCII digits; this test is linear, and
-        # cheap beside int() on a long token.
-        if "_" in line or not line.isascii():
+        # split() would also part tokens at non-ASCII whitespace, strip()
+        # would drop it at either end, and int() would read "1_0" and
+        # non-ASCII digits; so the unstripped line is tested.  The test is
+        # linear, and cheap beside int() on a long token.
+        if "_" in raw or not raw.isascii():
             raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}")
         parts = line.split()
         if len(parts) != 2:

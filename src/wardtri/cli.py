@@ -2,7 +2,8 @@
 
 Subcommands: gen, check, identities, conjecture, bfile-compare, bench.
 Exit codes: 0 success/agreement, 1 mismatch or identity failure, 2 usage
-error (argparse errors, negative row counts, unsupported strategy names, an
+error (argparse errors, negative row counts, an integer option that is not
+ASCII digits, `identities --max-n` below 2, unsupported strategy names, an
 empty kind or strategy list, a check that compares no pair, unreadable or
 malformed files).
 
@@ -51,9 +52,18 @@ parse_strategy = _enum_parser(Strategy)
 
 
 def _count(text: str) -> int:
-    """A row count or a bound: a nonnegative integer."""
-    if not text.isdecimal():  # digits only: int() cannot fail and the count is >= 0
+    """A row count or a bound: a nonnegative integer in ASCII digits."""
+    if not (text.isascii() and text.isdecimal()):  # int() cannot fail and the count is >= 0
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _index(text: str) -> int:
+    """A b-file index: ASCII digits after an optional sign, as a b-file
+    line's tokens are read (int() alone would take "1_0" and " 1")."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(text)
 
 
@@ -124,8 +134,8 @@ def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _cmd_identities(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.max_n < 1:
-        parser.error("--max-n must be at least 1")
+    if args.max_n < 2:  # below row 2 some checks would compare no case
+        parser.error("--max-n must be at least 2")
     from . import identities
 
     reports = identities.run_identity_suite(args.max_n)
@@ -266,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--rows", type=_count, required=True)
     p_gen.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
     p_gen.add_argument("--format", choices=["table", "csv", "bfile"], default="table")
-    p_gen.add_argument("--offset", type=int, default=1, help="first b-file index")
+    p_gen.add_argument("--offset", type=_index, default=1, help="first b-file index")
 
     p_check = command("check", _cmd_check, "pairwise strategy cross-validation")
     p_check.add_argument("--kind", dest="kinds", type=_list_parser(parse_kind), default=None,
@@ -287,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--kind", type=parse_kind, required=True)
     p_cmp.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
     p_cmp.add_argument("--file", required=True)
-    p_cmp.add_argument("--offset", type=int, default=1)
+    p_cmp.add_argument("--offset", type=_index, default=1)
 
     p_bench = command("bench", _cmd_bench, "time triangle construction per strategy")
     p_bench.add_argument("--kind", type=parse_kind, required=True)

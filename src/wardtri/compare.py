@@ -4,9 +4,9 @@ A `_Sweep` accumulates one check's verdict over its parameter tuples and
 reports it as a `CheckReport`, naming the first `Counterexample`.  The
 identity suite in `identities` builds every check on these records, and
 `compare_routes`, the one route comparison, compares the routes of one
-kind entry by entry, reading their row streams in lockstep.  This module imports neither `identities`
-nor `fractions`: a `Fraction` is formed only to report a failed ratio
-comparison.
+kind entry by entry, reading their row streams in lockstep.  This module
+imports neither `identities` nor `fractions`: a `Fraction` is formed only
+to report a failed ratio comparison.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ check takes its range arguments and nothing else: it reads every entry
 through `default_entry`, from the kind's `triangles.reference_route`
 (explicit, scaling or partition transform, never the recurrence), so a
 check never validates a recurrence against values built by that same
-recurrence.  Tests inject a fault by rebinding this module's `value`.
+recurrence.  Tests inject a fault where the rows are made, in
+`triangles._rows`; entries are still read through this module's own
+`value` binding, so a tracer that rebinds it sees every lookup.
 
 The seven triangular recurrences the builder runs (ward-lah's integer one,
 the varied and the binomial kinds) are stated once, in

@@ -31,15 +31,15 @@ entries too, keyed by that name and built by the recurrence builder.
 
 Each route has one step function, which makes row n from at most one
 other row: the recurrence from its own row n-1, scaling from its base's
-recurrence row n.  `stream` chains the steps into an endless generator of
-rows that keeps no more than that one row, so a caller that reads each row
-once (as `gen`, `check` and `bfile-compare` do) holds one row at a time.
-The same steps fill the memo behind `value` and `triangle`: one cache of
-immutable tuples, with one table for each (kind, strategy) pair of the nine
-kinds and for each of the three classical triangles.  One thread at a time
-grows any table, under the module's re-entrant lock (a scaling table grows
-its base's table while holding it), and a row is appended only once
-complete, so a reader of complete rows takes no lock.
+recurrence row n.  One generator, `_rows`, runs a route's steps and keeps
+only that row (scaling steps its own base recurrence in lockstep);
+`stream` hands it to the caller, so a caller that reads each row once (as
+`gen`, `check` and `bfile-compare` do) holds one row at a time.  The memo
+behind `value` and `triangle` keeps, per table, the immutable rows read so
+far and the generator it reads on from, and drops both when a step raises.
+No table grows another, and one thread at a time reads on, under the
+module's lock; a row is appended only once complete, so a reader of
+complete rows takes no lock.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import threading
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from enum import Enum
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, count, islice
 from operator import mul, sub
 
 from .exact_arith import binomial, exact_div, factorial
@@ -163,9 +163,11 @@ class Triangle(namedtuple("Triangle", "kind strategy rows")):
 
 Row = tuple[int, ...]
 
-# The memo: keyed by (kind, strategy), or by (classical name, RECURRENCE).
+# The memo, keyed by (kind, strategy) or by (classical name, RECURRENCE):
+# the rows read so far, and the `_rows` generator that makes the next ones.
 _cache: dict[tuple[Kind | str, Strategy], list[Row]] = {}
-_lock = threading.RLock()
+_sources: dict[tuple[Kind | str, Strategy], Iterator[Row]] = {}
+_lock = threading.Lock()
 
 
 def clear_caches() -> None:
@@ -173,6 +175,7 @@ def clear_caches() -> None:
     benchmarks to time cold builds)."""
     with _lock:
         _cache.clear()
+        _sources.clear()
         clear_tables()
 
 
@@ -308,52 +311,48 @@ _STEP: dict[Strategy, Callable[..., Row]] = {
 }
 
 
-def _rows_from(
-    kind: Kind | str, strategy: Strategy, n: int, prev: Row, base_rows: Iterator[Row] | None
-) -> Iterator[Row]:
-    """Rows n, n+1, ... of one route, each made by its step function when
-    asked for: the recurrence steps on from row n-1 = `prev`, scaling reads
-    its base's recurrence rows n, n+1, ... from `base_rows`, and the closed
-    forms read no row."""
+def _rows(kind: Kind | str, strategy: Strategy) -> Iterator[Row]:
+    """Rows 0, 1, 2, ... of one route, each made by its step function, from
+    the row that step reads, when asked for."""
+    row = (1,)
+    yield row
     step = _STEP[strategy]
-    for n in count(n):
+    if strategy is Strategy.SCALING:
+        base_rows = islice(_rows(SPEC[kind][0].kind, Strategy.RECURRENCE), 1, None)
+    for n in count(1):
         if strategy is Strategy.RECURRENCE:
-            prev = step(kind, n, prev)
+            row = step(kind, n, row)
         elif strategy is Strategy.SCALING:
-            prev = step(kind, n, next(base_rows))
+            row = step(kind, n, next(base_rows))
         else:
-            prev = step(kind, n)
-        yield prev
+            row = step(kind, n)
+        yield row
 
 
 def stream(kind: Kind, strategy: Strategy = Strategy.RECURRENCE) -> Iterator[Row]:
     """Rows 0, 1, 2, ... of one triangle by one route, without end, each
-    made when asked for and held by no one but the caller: the recurrence
-    keeps only its previous row, scaling reads its base's recurrence stream
-    in lockstep, and the other routes keep no row.  It neither reads nor
-    fills the memo behind `value` and `triangle`."""
+    made when asked for and held by no one but the caller.  It neither
+    reads nor fills the memo behind `value` and `triangle`."""
     _check_supported(kind, strategy)
-    base_rows = None
-    if strategy is Strategy.SCALING:
-        base_rows = _rows_from(SPEC[kind][0].kind, Strategy.RECURRENCE, 1, (1,), None)
-    return chain([(1,)], _rows_from(kind, strategy, 1, (1,), base_rows))
+    return _rows(kind, strategy)
 
 
 def _rows_upto(kind: Kind | str, strategy: Strategy, n: int) -> list[Row]:
-    """The memo of one route, grown to row n by the same step functions;
-    a scaling route reads its base's memo."""
-    rows = _cache.get((kind, strategy))
+    """The memo of one route, read on from its `_rows` generator to row n."""
+    key = (kind, strategy)
+    rows = _cache.get(key)
     if rows is not None and len(rows) > n:
         return rows
     with _lock:
-        rows = _cache.setdefault((kind, strategy), [(1,)])
-        start = len(rows)
-        if start <= n:
-            base_rows = None
-            if strategy is Strategy.SCALING:
-                base_rows = iter(_rows_upto(SPEC[kind][0].kind, Strategy.RECURRENCE, n)[start:])
-            for row in islice(_rows_from(kind, strategy, start, rows[-1], base_rows), n + 1 - start):
-                rows.append(row)
+        if key not in _sources:
+            _cache[key], _sources[key] = [], _rows(kind, strategy)
+        rows, source = _cache[key], _sources[key]
+        try:
+            while len(rows) <= n:
+                rows.append(next(source))
+        except BaseException:  # the generator is finished: start over next time
+            del _cache[key], _sources[key]
+            raise
     return rows
 
 

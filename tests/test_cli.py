@@ -37,13 +37,13 @@ def test_gen_bfile_offset(capsys):
     assert out.splitlines() == ["0 1", "1 1", "2 3"]
 
 
-@pytest.mark.parametrize("rows,offset", [(0, 1), (1, 0), (7, 0), (7, 1), (7, 5)])
+@pytest.mark.parametrize("rows,offset", [(0, "1"), (1, "0"), (7, "0"), (7, "1"), (7, "5"), (7, "-1"), (7, "+2")])
 def test_gen_bfile_streams_the_rendered_bfile(capsys, rows, offset):
     code, out = run(capsys, "gen", "--kind", "binomial-ward2", "--rows", str(rows),
-                    "--format", "bfile", "--offset", str(offset))
+                    "--format", "bfile", "--offset", offset)
     assert code == 0
     values = tuple(linearize(triangle(Kind.BINOMIAL_WARD2, rows).rows))
-    assert out == (render_bfile(BFile(offset=offset, values=values)) if values else "")
+    assert out == (render_bfile(BFile(offset=int(offset), values=values)) if values else "")
 
 
 def test_gen_csv(capsys):
@@ -158,10 +158,15 @@ def test_identities_machine_output_matches_the_golden_file(capsys):
     assert out == (FIXTURES / "identities-22.machine").read_text()
 
 
-def test_identities_rejects_bad_range():
-    with pytest.raises(SystemExit) as err:
-        main(["identities", "--max-n", "0"])
-    assert err.value.code == 2
+def test_identities_rejects_bad_range(capsys):
+    # Below max-n 2 some checks would pass having compared no case.
+    for max_n in ("0", "1"):
+        with pytest.raises(SystemExit) as err:
+            main(["identities", "--max-n", max_n])
+        assert err.value.code == 2
+        out, errors = capsys.readouterr()
+        assert out == ""
+        assert errors.splitlines()[-1].endswith("--max-n must be at least 2")
 
 
 @pytest.mark.parametrize("which", ["stirling1", "stirling2", "central-lah"])
@@ -236,14 +241,17 @@ def test_bfile_compare_non_ascii_digit_is_usage_error(tmp_path, capsys):
 
 
 def test_bfile_compare_line_separator_inside_a_line_is_usage_error(tmp_path, capsys):
+    # ward2 T(1,1), T(2,1), T(2,2); a non-ASCII space at either end of a
+    # line is refused as one inside it is.
     odd = tmp_path / "odd.txt"
-    odd.write_text("1 1\u20282 1\n3 3\n", encoding="utf-8")  # ward2 T(1,1), T(2,1), T(2,2)
-    with pytest.raises(SystemExit) as err:
-        main(["bfile-compare", "--kind", "ward2", "--file", str(odd)])
-    assert err.value.code == 2
-    out, errors = capsys.readouterr()
-    assert out == ""
-    assert "line 1: non-integer token" in errors.splitlines()[-1]
+    for text in ("1 1\u20282 1\n3 3\n", "1 1\u2028\n2 1\n3 3\n", "\u00a01 1\n2 1\n3 3\n"):
+        odd.write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as err:
+            main(["bfile-compare", "--kind", "ward2", "--file", str(odd)])
+        assert err.value.code == 2
+        out, errors = capsys.readouterr()
+        assert out == ""
+        assert "line 1: non-integer token" in errors.splitlines()[-1], text
 
 
 def test_bfile_compare_ends_lines_at_lf_and_crlf_only(tmp_path, capsys):
@@ -398,6 +406,28 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     out, errors = capsys.readouterr()
     assert out == ""
     assert errors.splitlines()[-1].endswith(f"expected a nonnegative integer, got '{argv[-1]}'")
+    assert "Traceback" not in errors
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "ward1", "--rows", "\uff13"],
+        ["check", "--rows", "1_0"],
+        ["identities", "--max-n", "\u0661\u0662"],
+        ["gen", "--kind", "ward1", "--rows", "2", "--format", "bfile", "--offset", "1_0"],
+        ["gen", "--kind", "ward1", "--rows", "2", "--format", "bfile", "--offset", "\uff11"],
+        ["gen", "--kind", "ward1", "--rows", "2", "--format", "bfile", "--offset", " 1"],
+        ["bfile-compare", "--kind", "ward2", "--file", str(FIXTURES / "b269939.txt"), "--offset", "+-1"],
+    ],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.splitlines()[-1].endswith(f"integer, got {argv[-1]!r}")
     assert "Traceback" not in errors
 
 

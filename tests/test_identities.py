@@ -610,9 +610,9 @@ def test_each_identity_holds_on_the_other_routes_of_its_kind(monkeypatch, name, 
 
 def test_the_suite_builds_no_route_it_checks():
     # The suite reads reference-route entries (and the Lah numbers), so the
-    # only recurrence tables it fills are ward1's and ward2's, which their
-    # scaling kinds read, and the classical Lah triangle: none for a kind
-    # whose recurrence it checks.
+    # only recurrence table it fills is the classical Lah triangle's: none
+    # for a kind whose recurrence it checks.  A scaling route steps its own
+    # base recurrence and fills no table of its base.
     r = Strategy.RECURRENCE
     triangles.clear_caches()
     try:
@@ -620,9 +620,9 @@ def test_the_suite_builds_no_route_it_checks():
         built = set(triangles._cache)
     finally:
         triangles.clear_caches()
-    assert {key for key in built if key[1] is r} == {(Kind.WARD1, r), (Kind.WARD2, r), ("lah", r)}
+    assert {key for key in built if key[1] is r} == {("lah", r)}
     assert built == {
-        (Kind.WARD1, r), (Kind.WARD2, r), ("lah", r),
+        ("lah", r),
         (Kind.VARIED_WARD1, Strategy.SCALING), (Kind.VARIED_WARD2, Strategy.SCALING),
         (Kind.BINOMIAL_WARD1, Strategy.SCALING), (Kind.BINOMIAL_WARD2, Strategy.SCALING),
         (Kind.WARD_LAH, Strategy.EXPLICIT), (Kind.WARD_LAH, Strategy.ALTERNATING_SUM),

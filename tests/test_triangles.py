@@ -282,6 +282,34 @@ def test_stream_neither_fills_nor_reads_the_memo():
         clear_caches()
 
 
+@pytest.mark.parametrize("kind,strategy", [(Kind.WARD2, R), (Kind.VARIED_WARD1, S)], ids=["recurrence", "scaling"])
+def test_a_step_that_raises_once_leaves_the_memo_usable(monkeypatch, kind, strategy):
+    # The recurrence step (scaling's, through its base) fails once, at row 5:
+    # the memo drops that table's rows and finished generator, and the next
+    # lookup starts over.
+    clear_caches()
+    expected = triangle(kind, 8, strategy).rows
+    step, failed = triangles._STEP[R], []
+
+    def fails_once(kind, n, prev):
+        if n == 5 and not failed:
+            failed.append(n)
+            raise RuntimeError("step failed")
+        return step(kind, n, prev)
+
+    monkeypatch.setitem(triangles._STEP, R, fails_once)
+    clear_caches()
+    try:
+        assert value(kind, 3, 2, strategy) == expected[3][2]
+        with pytest.raises(RuntimeError):
+            value(kind, 6, 3, strategy)
+        assert (kind, strategy) not in triangles._cache
+        assert value(kind, 6, 3, strategy) == expected[6][3]
+        assert triangle(kind, 8, strategy).rows == expected
+    finally:
+        clear_caches()
+
+
 def test_stream_refuses_an_unsupported_route_at_once():
     with pytest.raises(UnsupportedStrategyError):
         stream(Kind.WARD1, E)
@@ -505,9 +533,10 @@ def test_concurrent_transform_table_growth_matches_a_serial_build():
 
 
 def test_concurrent_mixed_table_growth_matches_a_serial_build():
-    # Two mixes at once: ward1's recurrence table grown directly and from
-    # inside varied-ward1's scaling rows, and ward2's transform route built
-    # while other threads read ward2's partition-transform table directly.
+    # Two mixes at once: ward1's recurrence table grown while varied-ward1's
+    # scaling table steps its own ward1 recurrence, and ward2's transform
+    # route built while other threads read ward2's partition-transform table
+    # directly.
     cells = [(n, k) for n in range(31) for k in range(n + 2)]
 
     tasks = [
