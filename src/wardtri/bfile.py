@@ -46,7 +46,7 @@ def parse_lines(lines: Iterable[str], comments: list[str] | None = None) -> Iter
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.removesuffix("\n").removesuffix("\r")
         line = raw.strip()
-        if not line:
+        if not line and raw.isascii():  # non-ASCII space alone is refused below
             continue
         if line.startswith("#"):
             if expected is not None:

@@ -365,7 +365,11 @@ GF_MAX_K = 8
 
 
 def run_identity_suite(max_n: int) -> list[CheckReport]:
-    """Every non-conjecture check at its full range, for the CLI and tests."""
+    """Every non-conjecture check at its full range, for the CLI and tests.
+    Raises `ValueError` for `max_n` below 2, where some checks would compare
+    no case and pass."""
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
     reports = [
         check_alternating_sum_wardlah(max_n),
         check_triangular_wardlah_weighted(max_n),

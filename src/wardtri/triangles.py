@@ -11,15 +11,15 @@ Lah numbers, grouped as (n+k)!/k! times the k-th forward difference at 0 of
 c(m) = C(n+m-1, m-1), so one difference table per row gives every k) for
 ward-lah itself.
 
-The recurrences and explicit formulas are written out per kind, as the
-paper states them, and never derived from the rescaling factor: they are
-the independent routes that check it.  The rescaling factor and the parts
-of each closed form that do not vary along a row, or step along it (such as
-(n+k)!/k!), are formed once per row.  Each recurrence is stated once, in
-`_RECURRENCE`, as an integer numerator and denominator: the builder runs it
-and `identities` checks the same statement on reference-route values.  Every
-builder divides with `exact_div`, so a result that is not an integer raises
-`ExactnessError` rather than being rounded.
+The recurrences and explicit formulas are written out per kind, as the paper
+states them, and never derived from the rescaling factor: they are the
+independent routes that check it.  The rescaling factor and the parts of
+each closed form that are constant along a row, or that `_stepped` steps
+along it by an exact ratio, are formed once per row.  Each recurrence is
+stated once, in `_RECURRENCE`, as an integer numerator and denominator: the
+builder runs it and `identities` checks the same statement on
+reference-route values.  Every builder divides with `exact_div`, so a result
+that is not an integer raises `ExactnessError` rather than being rounded.
 
 All triangles share the same boundary: T(0,0) = 1, T(n,0) = T(0,k) = 0 for
 n, k >= 1, and T(n,k) = 0 for k > n.
@@ -46,12 +46,12 @@ from __future__ import annotations
 
 import threading
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
-from itertools import accumulate, count, islice
+from itertools import count, islice
 from operator import mul, sub
 
-from .exact_arith import binomial, exact_div, factorial
+from .exact_arith import exact_div, factorial
 from .partition_transform import (
     ArgumentRule,
     clear_tables,
@@ -101,6 +101,15 @@ class Base(Enum):
         self.classical = classical
 
 
+def _stepped(first: int, ratios: Iterable[tuple[int, int]]) -> list[int]:
+    """`first`, then each previous value times num/den for each (num, den)
+    in `ratios`: a product stepped along a row, every quotient exact."""
+    out = [first]
+    for num, den in ratios:
+        out.append(exact_div(out[-1] * num, den))
+    return out
+
+
 class Rescaling(Enum):
     NONE = "none"
     VARIED = "varied"
@@ -108,16 +117,12 @@ class Rescaling(Enum):
 
     def factors(self, n: int) -> list[int]:
         """Rescaled T(n, k) over base T(n, k) for k = 0..n: 1, (2n)_(n-k) * k!
-        (from running products of (2n)_j and k!, no division) or C(2n, n+k)
-        (stepped down from C(2n, 2n) = 1 by (n+k)/(n-k+1))."""
+        (stepped down from n! at k = n by (n+k)/k) or C(2n, n+k) (stepped
+        down from C(2n, 2n) = 1 by (n+k)/(n-k+1))."""
         if self is Rescaling.VARIED:
-            falling = list(accumulate(range(2 * n, n, -1), mul, initial=1))  # (2n)_j
-            return list(map(mul, reversed(falling), accumulate(range(1, n + 1), mul, initial=1)))
+            return _stepped(factorial(n), zip(range(2 * n, n, -1), range(n, 0, -1)))[::-1]
         if self is Rescaling.BINOMIAL:
-            c = [1]
-            for k in range(n, 0, -1):
-                c.append(exact_div(c[-1] * (n + k), n - k + 1))
-            return c[::-1]
+            return _stepped(1, zip(range(2 * n, n, -1), range(1, n + 1)))[::-1]
         return [1] * (n + 1)
 
 
@@ -247,18 +252,12 @@ def _recurrence_row(kind: Kind | str, n: int, prev: Row) -> Row:
 
 def _falling_row(n: int) -> list[int]:
     """(n+k)_n = (n+k)!/k! for k = 0..n, stepped from n! by (n+k)/k."""
-    x = [factorial(n)]
-    for k in range(1, n + 1):
-        x.append(exact_div(x[-1] * (n + k), k))
-    return x
+    return _stepped(factorial(n), zip(range(n + 1, 2 * n + 1), range(1, n + 1)))
 
 
 def _binomial_row(n: int) -> list[int]:
     """C(n, k) for k = 0..n, stepped from C(n, 0) = 1 by (n-k+1)/k."""
-    c = [1]
-    for k in range(1, n + 1):
-        c.append(exact_div(c[-1] * (n - k + 1), k))
-    return c
+    return _stepped(1, zip(range(n, 0, -1), range(1, n + 1)))
 
 
 def _explicit_row(kind: Kind, n: int) -> Row:
@@ -294,11 +293,11 @@ def _alternating_sum_row(kind: Kind, n: int) -> Row:
     # L(n+m, m) = (n+m)!/m! C(n+m-1, m-1).  As C(n+k, n+m) (n+m)!/m! is
     # (n+k)!/k! C(k, m), the sum is (n+k)!/k! times the k-th forward
     # difference at 0 of c(m) = C(n+m-1, m-1): one table gives every k.
-    f = list(accumulate(range(1, 2 * n + 1), mul, initial=1))  # 0!..(2n)!
-    c, row = [binomial(n + m - 1, m - 1) for m in range(n + 1)], []
-    for k in range(1, n + 1):
+    # c(0) = 0, and c(m) steps up from c(1) = 1 by (n+m-1)/(m-1).
+    c, row = [0, *_stepped(1, zip(range(n + 1, 2 * n), range(1, n)))], []
+    for falling in _falling_row(n)[1:]:  # (n+k)!/k! for k = 1..n
         c = list(map(sub, c[1:], c))
-        row.append(exact_div(f[n + k], f[k]) * c[0])
+        row.append(falling * c[0])
     return (0, *row)
 
 

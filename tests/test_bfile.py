@@ -51,6 +51,8 @@ def test_parse_accepts_nonunit_offset_and_negatives():
         "1 2\x1e2 3\n",  # a record separator,
         "1 2\x852 3\n",  # a next-line control
         "1 2\u20282 3\n",  # and a line separator
+        "1 2\n\xa0\n2 3\n",  # a line of non-ASCII space alone is no blank line:
+        "1 2\n\u2028\n2 3\n",  # strip() would leave nothing of it
     ],
 )
 def test_parse_rejects_malformed(text):

@@ -242,16 +242,23 @@ def test_bfile_compare_non_ascii_digit_is_usage_error(tmp_path, capsys):
 
 def test_bfile_compare_line_separator_inside_a_line_is_usage_error(tmp_path, capsys):
     # ward2 T(1,1), T(2,1), T(2,2); a non-ASCII space at either end of a
-    # line is refused as one inside it is.
+    # line is refused as one inside it is, and so is a line holding only
+    # non-ASCII space.
     odd = tmp_path / "odd.txt"
-    for text in ("1 1\u20282 1\n3 3\n", "1 1\u2028\n2 1\n3 3\n", "\u00a01 1\n2 1\n3 3\n"):
+    for text, lineno in [
+        ("1 1\u20282 1\n3 3\n", 1),
+        ("1 1\u2028\n2 1\n3 3\n", 1),
+        ("\u00a01 1\n2 1\n3 3\n", 1),
+        ("1 1\n\u00a0\n2 1\n3 3\n", 2),
+        ("1 1\n\u2028\n2 1\n3 3\n", 2),
+    ]:
         odd.write_text(text, encoding="utf-8")
         with pytest.raises(SystemExit) as err:
             main(["bfile-compare", "--kind", "ward2", "--file", str(odd)])
         assert err.value.code == 2
         out, errors = capsys.readouterr()
         assert out == ""
-        assert "line 1: non-integer token" in errors.splitlines()[-1], text
+        assert f"line {lineno}: non-integer token" in errors.splitlines()[-1], text
 
 
 def test_bfile_compare_ends_lines_at_lf_and_crlf_only(tmp_path, capsys):

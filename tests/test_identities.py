@@ -44,6 +44,22 @@ def test_compare_routes_flip_fails_only_the_pairs_of_its_route(flip_entry):
     assert clean.cases == 10 * 11 // 2
 
 
+def test_a_fault_both_closed_forms_share_fails_both_against_the_recurrence(monkeypatch):
+    # explicit and alternating-sum both read (n+k)!/k! from _falling_row:
+    # off by one there, they agree with each other and the recurrence
+    # refutes both from the first entry.
+    real = triangles._falling_row
+    monkeypatch.setattr(triangles, "_falling_row", lambda n: [x + 1 for x in real(n)])
+    routes = [Strategy.RECURRENCE, Strategy.EXPLICIT, Strategy.ALTERNATING_SUM]
+    explicit, alternating, shared = compare_routes(Kind.WARD_LAH, 8, routes)
+    assert explicit.name == "equivalence-ward-lah-recurrence~explicit"
+    assert alternating.name == "equivalence-ward-lah-recurrence~alternating-sum"
+    for report in (explicit, alternating):
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (1, 1)
+    assert shared.passed
+
+
 def test_horizontal_wardlah_pass_and_onestep():
     assert ids.check_horizontal_wardlah(10).passed
     assert ids.check_triangular_wardlah_onestep(10).passed
@@ -187,6 +203,13 @@ def test_central_lah_rowsums():
     e = ids.default_entry(Kind.BINOMIAL_WARD_LAH)
     assert e(1, 1) == 2 == lah(2, 1)
     assert e(2, 1) + e(2, 2) == 24 + 12 == lah(4, 2)
+
+
+@pytest.mark.parametrize("max_n", [-1, 0, 1])
+def test_run_identity_suite_refuses_a_range_with_vacuous_checks(max_n):
+    # Below max-n 2 some checks would pass having compared no case.
+    with pytest.raises(ValueError, match="at least 2"):
+        ids.run_identity_suite(max_n)
 
 
 def test_run_identity_suite_all_green():

@@ -195,6 +195,12 @@ def test_explicit_route_equals_the_readme_closed_form(kind):
     assert triangle(kind, ORACLE_ROWS, E).rows == _oracle_rows(_ORACLE_EXPLICIT[kind])
 
 
+def test_stepped_refuses_an_inexact_ratio():
+    assert triangles._stepped(3, [(4, 2), (5, 3)]) == [3, 6, 10]
+    with pytest.raises(ExactnessError):
+        triangles._stepped(1, [(1, 2)])
+
+
 def test_a_perturbed_running_product_step_is_not_rounded(monkeypatch):
     # Off by one after the (n+k)/k step at k = 2 of the explicit ward-lah
     # row: the k = 3 step then divides (n+2)!/2 + 1 times n+3 by 3, which is
