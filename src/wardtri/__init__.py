@@ -24,7 +24,6 @@ from .triangles import (
     stirling1_unsigned,
     stirling2,
     stream,
-    supported_strategies,
     triangle,
     value,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "stirling1_unsigned",
     "stirling2",
     "stream",
-    "supported_strategies",
     "triangle",
     "value",
     "ward_first_kind",

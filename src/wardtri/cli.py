@@ -5,7 +5,7 @@ Exit codes: 0 success/agreement, 1 mismatch or identity failure, 2 usage
 error (argparse errors, negative row counts, an integer option that is not
 ASCII digits, `identities --max-n` below 2, unsupported strategy names, an
 empty kind or strategy list, a check that compares no pair, unreadable or
-malformed files).
+malformed files, a count of `sys.maxsize` or more), 141 a closed stdout.
 
 Each command imports only the modules it runs: `compare` for check,
 `identities` for identities and conjecture, `bfile` for b-file output and
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -52,9 +53,11 @@ parse_strategy = _enum_parser(Strategy)
 
 
 def _count(text: str) -> int:
-    """A row count or a bound: a nonnegative integer in ASCII digits."""
+    """A row count or a bound: ASCII digits, below `sys.maxsize` (islice's limit)."""
     if not (text.isascii() and text.isdecimal()):  # int() cannot fail and the count is >= 0
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    if int(text) >= sys.maxsize:
+        raise argparse.ArgumentTypeError(f"expected an integer below {sys.maxsize}, got {text!r}")
     return int(text)
 
 
@@ -85,7 +88,7 @@ def _list_parser(parse: Callable[[str], Enum]) -> Callable[[str], list | None]:
 def _routes(parser: argparse.ArgumentParser, kind: Kind, wanted: list | None, strict: bool) -> list:
     """The strategies to run for `kind`: all it supports for None, else those
     `wanted` that it supports.  When `strict`, one it lacks is a usage error."""
-    supported = triangles.supported_strategies(kind)
+    supported = triangles.SUPPORTED[kind]
     if wanted is None:
         return sorted(supported, key=lambda s: s.value)
     missing = [s for s in wanted if s not in supported]
@@ -317,7 +320,16 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout: exit as a tool killed by SIGPIPE, with
+        # fd 1 on devnull so that the interpreter's last flush is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     finally:
         if lift:
             sys.set_int_max_str_digits(limit)

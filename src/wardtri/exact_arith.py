@@ -65,8 +65,6 @@ def binomial(n: int, k: int) -> int:
 
 def exact_div(a: int, b: int) -> int:
     """a / b when b divides a exactly; raises ExactnessError otherwise."""
-    if b == 0:
-        raise ZeroDivisionError("exact_div by zero")
     q, r = divmod(a, b)
     if r != 0:
         raise ExactnessError(f"{a} is not divisible by {b}")

@@ -35,11 +35,11 @@ recurrence row n.  One generator, `_rows`, runs a route's steps and keeps
 only that row (scaling steps its own base recurrence in lockstep);
 `stream` hands it to the caller, so a caller that reads each row once (as
 `gen`, `check` and `bfile-compare` do) holds one row at a time.  The memo
-behind `value` and `triangle` keeps, per table, the immutable rows read so
-far and the generator it reads on from, and drops both when a step raises.
-No table grows another, and one thread at a time reads on, under the
-module's lock; a row is appended only once complete, so a reader of
-complete rows takes no lock.
+behind `value`, `triangle` and the classical lookups keeps, per table, the
+immutable rows read so far and the generator it reads on from, and drops
+both when a step raises.  A boundary entry makes no row.  No table grows
+another, and one thread at a time reads on, under the module's lock; a row
+is appended only once complete, so a reader of complete rows takes no lock.
 """
 
 from __future__ import annotations
@@ -182,10 +182,6 @@ def clear_caches() -> None:
         _cache.clear()
         _sources.clear()
         clear_tables()
-
-
-def supported_strategies(kind: Kind) -> frozenset[Strategy]:
-    return SUPPORTED[kind]
 
 
 def reference_route(kind: Kind) -> Strategy:
@@ -355,20 +351,20 @@ def _rows_upto(kind: Kind | str, strategy: Strategy, n: int) -> list[Row]:
     return rows
 
 
-def value(kind: Kind, n: int, k: int, strategy: Strategy = Strategy.RECURRENCE) -> int:
-    """Exact entry T(n, k) of one triangle by one computation route.
+def _entry(key: Kind | str, strategy: Strategy, n: int, k: int) -> int:
+    """Entry (n, k) of one memo table.  The boundary (0 for negative n or k
+    and for k > n, 1 at (0, 0), 0 in the k = 0 column) makes no row."""
+    if not 0 < k <= n:
+        return int(n == k == 0)
+    return _rows_upto(key, strategy, n)[n][k]
 
-    Boundary values (k > n, the k = 0 column, T(0,0) = 1) are returned
-    without invoking the strategy; negative k is likewise 0.
-    """
+
+def value(kind: Kind, n: int, k: int, strategy: Strategy = Strategy.RECURRENCE) -> int:
+    """Exact entry T(n, k) of one triangle by one computation route.  Boundary
+    values (k > n, the k = 0 column, T(0,0) = 1, negative n or k) are
+    returned without invoking the strategy."""
     _check_supported(kind, strategy)
-    if n < 0 or k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    return _rows_upto(kind, strategy, n)[n][k]
+    return _entry(kind, strategy, n, k)
 
 
 def triangle(kind: Kind, rows: int, strategy: Strategy = Strategy.RECURRENCE) -> Triangle:
@@ -380,25 +376,19 @@ def triangle(kind: Kind, rows: int, strategy: Strategy = Strategy.RECURRENCE) ->
     return Triangle(kind=kind, strategy=strategy, rows=tuple(built[: rows + 1]))
 
 
-def _classical(name: str, n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _rows_upto(name, Strategy.RECURRENCE, n)[n][k]
-
-
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling cycle numbers c(n, k)."""
-    return _classical("stirling1", n, k)
+    return _entry("stirling1", Strategy.RECURRENCE, n, k)
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling set numbers S(n, k)."""
-    return _classical("stirling2", n, k)
+    return _entry("stirling2", Strategy.RECURRENCE, n, k)
 
 
 def lah(n: int, k: int) -> int:
     """Lah numbers L(n, k), built by the classical triangular recurrence."""
-    return _classical("lah", n, k)
+    return _entry("lah", Strategy.RECURRENCE, n, k)
 
 
 def central(name: str, n: int) -> int:
@@ -408,4 +398,4 @@ def central(name: str, n: int) -> int:
         raise ValueError(f"unknown central family {name!r}; pick from {names}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _classical(name, 2 * n, n)
+    return _entry(name, Strategy.RECURRENCE, 2 * n, n)

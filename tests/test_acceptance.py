@@ -21,11 +21,11 @@ from wardtri.partition_transform import (
     ward_second_kind,
 )
 from wardtri.triangles import (
+    SUPPORTED,
     Kind,
     Strategy,
     reference_route,
     stream,
-    supported_strategies,
     value,
 )
 
@@ -55,7 +55,7 @@ def test_criterion_01_strategy_equivalence():
     start = time.perf_counter()
     for kind in Kind:
         for a, b in itertools.combinations(
-            sorted(supported_strategies(kind), key=lambda s: s.value), 2
+            sorted(SUPPORTED[kind], key=lambda s: s.value), 2
         ):
             (report,) = compare_routes(kind, ROWS, [a, b])
             assert report.passed, report.human()

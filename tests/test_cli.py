@@ -419,6 +419,25 @@ def test_negative_counts_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["gen", "--kind", "ward1", "--rows", str(sys.maxsize)],
+        ["check", "--rows", "9" * 40],
+        ["identities", "--max-n", str(sys.maxsize + 1)],
+        ["bench", "--kind", "ward1", "--rows", str(sys.maxsize)],
+    ],
+)
+def test_counts_too_large_to_index_a_row_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.splitlines()[-1].endswith(f"expected an integer below {sys.maxsize}, got {argv[-1]!r}")
+    assert "Traceback" not in errors
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["gen", "--kind", "ward1", "--rows", "\uff13"],
         ["check", "--rows", "1_0"],
         ["identities", "--max-n", "\u0661\u0662"],
@@ -621,6 +640,18 @@ def test_each_command_loads_only_what_it_runs():
     assert "wardtri.compare" in check and "wardtri.bfile" not in check
     assert "wardtri.bfile" in compare
     assert "wardtri.identities" in identities
+
+
+def test_a_closed_stdout_ends_quietly_with_status_141():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "wardtri.cli", "gen", "--kind", "ward2", "--rows", "200",
+                             "--format", "bfile"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1 1\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_bench_rejects_zero_rows():

@@ -594,7 +594,7 @@ ROUTE_MAX_N = 20
 
 def _other_routes(kind, own=None):
     skip = {triangles.reference_route(kind), own}
-    return sorted(set(triangles.supported_strategies(kind)) - skip, key=lambda s: s.value)
+    return sorted(set(triangles.SUPPORTED[kind]) - skip, key=lambda s: s.value)
 
 
 ROUTE_RUNS = [

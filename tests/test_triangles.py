@@ -24,7 +24,6 @@ from wardtri.triangles import (
     stirling1_unsigned,
     stirling2,
     stream,
-    supported_strategies,
     triangle,
     value,
 )
@@ -89,7 +88,7 @@ def test_triangle_examples():
 
 def test_boundaries_and_degenerate_lookups():
     for kind in ALL_KINDS:
-        for strategy in supported_strategies(kind):
+        for strategy in SUPPORTED[kind]:
             assert value(kind, 0, 0, strategy) == 1
             assert value(kind, 4, 0, strategy) == 0
             assert value(kind, 3, 5, strategy) == 0
@@ -98,7 +97,7 @@ def test_boundaries_and_degenerate_lookups():
 
 def test_unsupported_strategy_rejected_before_compute():
     for kind in ALL_KINDS:
-        for strategy in set(Strategy) - supported_strategies(kind):
+        for strategy in set(Strategy) - SUPPORTED[kind]:
             with pytest.raises(UnsupportedStrategyError):
                 value(kind, 3, 2, strategy)
             with pytest.raises(UnsupportedStrategyError):
@@ -106,11 +105,11 @@ def test_unsupported_strategy_rejected_before_compute():
 
 
 def test_strategy_table_shape():
-    assert supported_strategies(Kind.WARD1) == {
+    assert SUPPORTED[Kind.WARD1] == {
         Strategy.RECURRENCE,
         Strategy.PARTITION_TRANSFORM,
     }
-    assert Strategy.ALTERNATING_SUM in supported_strategies(Kind.WARD_LAH)
+    assert Strategy.ALTERNATING_SUM in SUPPORTED[Kind.WARD_LAH]
     for kind in ALL_KINDS:
         assert Strategy.RECURRENCE in SUPPORTED[kind]
         assert (Strategy.EXPLICIT in SUPPORTED[kind]) == (kind in LAH_FAMILY)
@@ -324,7 +323,7 @@ def test_stream_refuses_an_unsupported_route_at_once():
 def test_all_strategies_agree_small():
     for kind in ALL_KINDS:
         tables = {
-            s: triangle(kind, 8, s).rows for s in supported_strategies(kind)
+            s: triangle(kind, 8, s).rows for s in SUPPORTED[kind]
         }
         for a, b in itertools.combinations(tables, 2):
             assert tables[a] == tables[b], (kind, a, b)
@@ -427,6 +426,13 @@ def test_classical_triangles_grow_in_the_shared_cache():
     assert len(triangles._cache[("lah", Strategy.RECURRENCE)]) == 7
     clear_caches()
     assert ("lah", Strategy.RECURRENCE) not in triangles._cache
+    # A boundary entry, as in `value`, makes no row.
+    for lookup in (stirling1_unsigned, stirling2, lah):
+        assert lookup(60, 0) == 0
+        assert lookup(0, 0) == 1
+    for name in ("stirling1", "stirling2", "lah"):
+        assert central(name, 0) == 1
+    assert triangles._cache == {}
 
 
 def test_lah_matches_explicit_formula():
