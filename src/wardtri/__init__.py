@@ -1,13 +1,6 @@
 """Exact construction and cross-validation of Ward-related integer triangles."""
 
-from .exact_arith import (
-    ExactnessError,
-    binomial,
-    exact_div,
-    factorial,
-    falling_factorial,
-    rising_factorial,
-)
+from .exact_arith import ExactnessError, exact_div
 from .partition_transform import (
     constant_one,
     partition_transform,
@@ -36,15 +29,11 @@ __all__ = [
     "Strategy",
     "Triangle",
     "UnsupportedStrategyError",
-    "binomial",
     "central",
     "constant_one",
     "exact_div",
-    "factorial",
-    "falling_factorial",
     "lah",
     "partition_transform",
-    "rising_factorial",
     "stirling1_unsigned",
     "stirling2",
     "stream",

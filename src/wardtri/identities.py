@@ -38,11 +38,10 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import accumulate
+from math import comb, factorial, perm
 from operator import mul
 
 from .compare import CheckReport, Counterexample, _Sweep  # noqa: F401
-from .exact_arith import factorial, rising_factorial
-from .exact_arith import binomial as binom
 from .triangles import SPEC, Base, Kind, Rescaling, Strategy, central, lah, reference_route, triangle
 from .triangles import _RECURRENCE, value
 
@@ -319,8 +318,9 @@ def check_lah_variedwardlah(max_n: int) -> CheckReport:
     sweep = _Sweep("lah-varied-ward-lah", f"1<=k<=n<={max_n}")
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
-            lhs = rising_factorial(n - k + 1, n - k) * lah(n, k)
-            rhs = binom(n, k) * sum(binom(k, j) * t[n - k][j] for j in range(k + 1))
+            # the rising factorial (n-k+1)^(n-k) is (2(n-k))!/(n-k)!
+            lhs = perm(2 * (n - k), n - k) * lah(n, k)
+            rhs = comb(n, k) * sum(comb(k, j) * t[n - k][j] for j in range(k + 1))
             sweep.compare(lhs, rhs, n, k)
     return sweep.report()
 

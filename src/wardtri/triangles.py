@@ -49,9 +49,10 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from itertools import count, islice
+from math import factorial, perm
 from operator import mul, sub
 
-from .exact_arith import exact_div, factorial
+from .exact_arith import exact_div
 from .partition_transform import (
     ArgumentRule,
     clear_tables,
@@ -160,11 +161,6 @@ class Triangle(namedtuple("Triangle", "kind strategy rows")):
 
     __slots__ = ()
 
-    @property
-    def n_rows(self) -> int:
-        """Largest row index present."""
-        return len(self.rows) - 1
-
 
 Row = tuple[int, ...]
 
@@ -264,7 +260,7 @@ def _explicit_row(kind: Kind, n: int) -> Row:
     elif kind is Kind.VARIED_WARD_LAH:  # X = (2n)!
         x = [factorial(2 * n)] * (n + 1)
     else:  # binomial-ward-lah: X = (2n)!/(k!(n-k)!) = (2n)!/n! * C(n, k)
-        f = exact_div(factorial(2 * n), factorial(n))
+        f = perm(2 * n, n)
         x = [f * c for c in _binomial_row(n)]
     return (0, *map(mul, x[1:], _binomial_row(n - 1)))
 

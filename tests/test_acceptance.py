@@ -8,13 +8,13 @@ import functools
 import itertools
 import time
 from fractions import Fraction
+from math import perm
 from pathlib import Path
 
 from wardtri import bfile as bf
 from wardtri import identities as ids
 from wardtri.cli import main as cli_main
 from wardtri.compare import compare_routes
-from wardtri.exact_arith import falling_factorial
 from wardtri.partition_transform import (
     partition_transform,
     ward_first_kind,
@@ -69,7 +69,7 @@ def test_criterion_02_transform_calibration():
             for k in range(1, n + 1):
                 scaled = (
                     (-1) ** k
-                    * falling_factorial(n + k, n)
+                    * perm(n + k, n)
                     * Fraction(*partition_transform(n, k, rule))
                 )
                 assert scaled == value(kind, n, k, Strategy.RECURRENCE), (kind, n, k)

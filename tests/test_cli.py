@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,6 @@ import wardtri.cli
 from wardtri import triangles
 from wardtri.bfile import BFile, linearize, render_bfile
 from wardtri.cli import main
-from wardtri.exact_arith import factorial
 from wardtri.triangles import Kind, Strategy, triangle, value
 
 FIXTURES = Path(__file__).parent / "fixtures"

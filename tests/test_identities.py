@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import comb, factorial, perm, prod
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from wardtri import identities as ids
 from wardtri import triangles
 from wardtri.compare import compare_routes
-from wardtri.exact_arith import binomial, factorial, rising_factorial
 from wardtri.triangles import Kind, Strategy, lah
 
 
@@ -162,9 +162,9 @@ def test_gf_variedwardlah():
     # k=1 coefficients are all 1 from x/(1-x)
     e = ids.default_entry(Kind.VARIED_WARD_LAH)
     for n in range(1, 9):
-        assert Fraction(e(n, 1), ids.factorial(2 * n)) == 1
+        assert Fraction(e(n, 1), factorial(2 * n)) == 1
     # k=2, x^3: C(2,1) = 2 = variedwardlah(3,2)/6!
-    assert Fraction(e(3, 2), ids.factorial(6)) == 2
+    assert Fraction(e(3, 2), factorial(6)) == 2
     with pytest.raises(ValueError):
         ids.check_gf_variedwardlah(5, 4)
 
@@ -173,12 +173,12 @@ def test_lah_variedwardlah():
     assert ids.check_lah_variedwardlah(12).passed
     e = ids.default_entry(Kind.VARIED_WARD_LAH)
     # n=2, k=1 by hand: 2 * lah(2,1) = 4 on both sides
-    lhs = rising_factorial(2, 1) * lah(2, 1)
-    rhs = binomial(2, 1) * (binomial(1, 0) * e(1, 0) + binomial(1, 1) * e(1, 1))
+    lhs = perm(2, 1) * lah(2, 1)
+    rhs = comb(2, 1) * (comb(1, 0) * e(1, 0) + comb(1, 1) * e(1, 1))
     assert lhs == rhs == 4
     # n=k: empty rising factorial, both sides are lah(n,n) = 1
-    assert rising_factorial(1, 0) * lah(4, 4) == 1
-    assert binomial(4, 4) * sum(binomial(4, j) * e(0, j) for j in range(5)) == 1
+    assert perm(0, 0) * lah(4, 4) == 1
+    assert comb(4, 4) * sum(comb(4, j) * e(0, j) for j in range(5)) == 1
 
 
 def test_conjecture_rowsums():
@@ -369,9 +369,24 @@ def _oracle_alternating_sum(max_n, e):
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             lhs = sum(
-                (-1) ** (m + k) * binomial(n + k, n + m) * lah(n + m, m) for m in range(1, k + 1)
+                (-1) ** (m + k) * comb(n + k, n + m) * lah(n + m, m) for m in range(1, k + 1)
             )
             sweep.compare(lhs, e(n, k), n, k)
+    return sweep.report()
+
+
+def _oracle_lah(max_n, e):
+    """(n-k+1)^(n-k) L(n, k) against C(n, k) sum_j C(k, j) e(n-k, j), the
+    rising factorial a product of its factors and the binomials factorial
+    quotients."""
+    sweep = ids._Sweep("oracle", "")
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            lhs = prod(range(n - k + 1, 2 * (n - k) + 1)) * lah(n, k)
+            rhs = Fraction(factorial(n), factorial(k) * factorial(n - k)) * sum(
+                Fraction(factorial(k), factorial(j) * factorial(k - j)) * e(n - k, j) for j in range(k + 1)
+            )
+            sweep.compare(lhs, rhs, n, k)
     return sweep.report()
 
 
@@ -391,7 +406,7 @@ def _oracle_horizontal(term, prefactor, kk_min, kk_bounded, skip_diagonal=False)
                         kk = k - j
                         if kk < kk_min or (kk_bounded and kk > n - m):
                             continue
-                        acc += term(n - m, kk) * binomial(m, j) * e(n - m, kk)
+                        acc += term(n - m, kk) * comb(m, j) * e(n - m, kk)
                     sweep.compare(Fraction(e(n, k)), prefactor(n, k) * acc, n, k, m)
         return sweep.report()
 
@@ -469,6 +484,7 @@ SWEEP_ORACLES = {
     "order5-binomial-ward-lah": (
         ids.check_order5_binomial_wardlah, Kind.BINOMIAL_WARD_LAH, _oracle_order5,
     ),
+    "lah-varied-ward-lah": (ids.check_lah_variedwardlah, Kind.VARIED_WARD_LAH, _oracle_lah),
 }
 
 HORIZONTAL_ORACLES = {

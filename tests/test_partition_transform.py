@@ -1,10 +1,11 @@
 import gc
 import importlib
 from fractions import Fraction
+from math import comb, factorial, perm
 
 import pytest
 
-from wardtri.exact_arith import ExactnessError, binomial, factorial, falling_factorial
+from wardtri.exact_arith import ExactnessError
 from wardtri.partition_transform import (
     constant_one,
     partition_transform,
@@ -42,7 +43,7 @@ def enumerated_transform(n, k, rule):
         parts = (*q, 0)
         term = Fraction(1)
         for j in range(len(q)):
-            term *= binomial(parts[j], parts[j + 1]) * Fraction(*rule(j + 1)) ** parts[j]
+            term *= comb(parts[j], parts[j + 1]) * Fraction(*rule(j + 1)) ** parts[j]
         total += sign * term
     return total
 
@@ -80,7 +81,7 @@ def test_transform_custom_rule():
 def test_closed_form_for_all_ones():
     for n in range(1, 21):
         for k in range(1, n + 1):
-            expected = (-1) ** k * binomial(n - 1, k - 1)
+            expected = (-1) ** k * comb(n - 1, k - 1)
             assert transform(n, k, constant_one) == expected, (n, k)
 
 
@@ -92,7 +93,7 @@ def test_lah_reconstruction():
                 * Fraction(factorial(n), factorial(k))
                 * transform(n, k, constant_one)
             )
-            assert lhs == Fraction(factorial(n), factorial(k)) * binomial(n - 1, k - 1)
+            assert lhs == Fraction(factorial(n), factorial(k)) * comb(n - 1, k - 1)
 
 
 @pytest.mark.parametrize("rule", [constant_one, ward_first_kind, ward_second_kind])
@@ -100,7 +101,7 @@ def test_scaled_transform_is_integral(rule):
     for n in range(1, 16):
         for k in range(1, n + 1):
             num, den = partition_transform(n, k, rule)
-            assert den > 0 and (-1) ** k * falling_factorial(n + k, n) * num % den == 0, (rule.__name__, n, k)
+            assert den > 0 and (-1) ** k * perm(n + k, n) * num % den == 0, (rule.__name__, n, k)
 
 
 @pytest.mark.parametrize("rule", RULES)

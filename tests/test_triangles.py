@@ -4,13 +4,14 @@ import random
 import sys
 import threading
 import time
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wardtri import triangles
-from wardtri.exact_arith import ExactnessError, binomial, exact_div, factorial, falling_factorial
+from wardtri.exact_arith import ExactnessError, exact_div
 from wardtri.partition_transform import partition_transform, ward_second_kind
 from wardtri.triangles import (
     SUPPORTED,
@@ -139,17 +140,17 @@ RESCALED = [kind for kind in ALL_KINDS if S in SUPPORTED[kind]]
 
 def _oracle_factor(rescaling, n, k):
     if rescaling is triangles.Rescaling.VARIED:
-        return falling_factorial(2 * n, n - k) * factorial(k)
+        return perm(2 * n, n - k) * factorial(k)
     if rescaling is triangles.Rescaling.BINOMIAL:
-        return binomial(2 * n, n + k)
+        return comb(2 * n, n + k)
     return 1
 
 
 _ORACLE_EXPLICIT = {  # the README's closed forms, one entry at a time
-    Kind.WARD_LAH: lambda n, k: exact_div(factorial(n + k), factorial(k)) * binomial(n - 1, k - 1),
-    Kind.VARIED_WARD_LAH: lambda n, k: factorial(2 * n) * binomial(n - 1, k - 1),
+    Kind.WARD_LAH: lambda n, k: exact_div(factorial(n + k), factorial(k)) * comb(n - 1, k - 1),
+    Kind.VARIED_WARD_LAH: lambda n, k: factorial(2 * n) * comb(n - 1, k - 1),
     Kind.BINOMIAL_WARD_LAH: lambda n, k: exact_div(factorial(2 * n), factorial(k) * factorial(n - k))
-    * binomial(n - 1, k - 1),
+    * comb(n - 1, k - 1),
 }
 
 
@@ -160,7 +161,7 @@ def _oracle_rows(entry):
 
 def test_alternating_sum_equals_the_signed_lah_sum():
     def signed_sum(n, k):
-        return sum((-1) ** (m + k) * binomial(n + k, n + m) * lah(n + m, m) for m in range(1, k + 1))
+        return sum((-1) ** (m + k) * comb(n + k, n + m) * lah(n + m, m) for m in range(1, k + 1))
 
     assert triangle(Kind.WARD_LAH, ORACLE_ROWS, A).rows == _oracle_rows(signed_sum)
 
@@ -173,12 +174,12 @@ def test_rescaling_factors_equal_the_per_entry_factor(rescaling):
 
 def test_falling_row_equals_the_per_entry_falling_factorial():
     for n in range(ORACLE_ROWS + 1):
-        assert triangles._falling_row(n) == [falling_factorial(n + k, n) for k in range(n + 1)], n
+        assert triangles._falling_row(n) == [perm(n + k, n) for k in range(n + 1)], n
 
 
 def test_binomial_row_equals_the_per_entry_binomial():
     for n in range(ORACLE_ROWS + 1):
-        assert triangles._binomial_row(n) == [binomial(n, k) for k in range(n + 1)], n
+        assert triangles._binomial_row(n) == [comb(n, k) for k in range(n + 1)], n
 
 
 @pytest.mark.parametrize("kind", RESCALED, ids=lambda kind: kind.value)
@@ -359,7 +360,7 @@ def test_diagonals_are_double_factorials():
 def test_varied_scaling_relation(varied, base):
     for n in range(41):
         for k in range(n + 1):
-            lhs = value(varied, n, k) * falling_factorial(n + k, n)
+            lhs = value(varied, n, k) * perm(n + k, n)
             rhs = factorial(2 * n) * value(base, n, k)
             assert lhs == rhs, (n, k)
 
@@ -406,7 +407,6 @@ def test_entries_nonnegative():
 
 def test_triangle_entry_bounds():
     tri = triangle(Kind.WARD2, 5, Strategy.RECURRENCE)
-    assert tri.n_rows == 5
     assert [len(row) for row in tri.rows] == [1, 2, 3, 4, 5, 6]  # k = 0..n
     assert tri.rows[3][2] == 10
 
@@ -438,7 +438,7 @@ def test_classical_triangles_grow_in_the_shared_cache():
 def test_lah_matches_explicit_formula():
     for n in range(1, 31):
         for k in range(1, n + 1):
-            assert lah(n, k) == exact_div(factorial(n), factorial(k)) * binomial(
+            assert lah(n, k) == exact_div(factorial(n), factorial(k)) * comb(
                 n - 1, k - 1
             )
 
