@@ -30,8 +30,9 @@ def abbreviate(text: str) -> str:
 
 
 class BFile(namedtuple("BFile", "offset values comments", defaults=((),))):
-    """An immutable b-file: the first index, the values (a tuple of ints)
-    and the leading comment lines (a tuple of strs, empty by default)."""
+    """An immutable b-file: the first index, the values (a tuple of ints, or
+    of integral Decimals to render) and the leading comment lines (a tuple
+    of strs, empty by default)."""
 
     __slots__ = ()
 
@@ -44,40 +45,62 @@ def parse_lines(lines: Iterable[str], comments: list[str] | None = None) -> Iter
     line held data."""
     expected: int | None = None  # the next index, once a data line is read
     for lineno, raw in enumerate(lines, start=1):
-        raw = raw.removesuffix("\n").removesuffix("\r")
+        # The fast path: an ASCII data line parted at its first space.
+        # int() skips the same ASCII whitespace that split() and strip()
+        # do, so it accepts exactly the lines that split() parts into two
+        # integer tokens; any other line is read by the rules that follow.
         line = raw.strip()
-        if not line and raw.isascii():  # non-ASCII space alone is refused below
-            continue
-        if line.startswith("#"):
-            if expected is not None:
-                raise BFileParseError(f"line {lineno}: comment after data lines")
-            if comments is not None:
-                comments.append(raw)
-            continue
-        # split() would also part tokens at non-ASCII whitespace, strip()
-        # would drop it at either end, and int() would read "1_0" and
-        # non-ASCII digits; so the unstripped line is tested.  The test is
-        # linear, and cheap beside int() on a long token.
-        if "_" in raw or not raw.isascii():
-            raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}")
-        parts = line.split()
-        if len(parts) != 2:
-            raise BFileParseError(f"line {lineno}: expected 'index value', got {abbreviate(raw)!r}")
-        try:
-            index, val = int(parts[0]), int(parts[1])
-        except ValueError:
-            if all(_INTEGER.fullmatch(part) for part in parts):
-                raise BFileParseError(
-                    f"line {lineno}: integer in {abbreviate(raw)!r} exceeds the "
-                    f"interpreter's int/str digit limit (sys.set_int_max_str_digits)"
-                ) from None
-            raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}") from None
+        pair = None
+        if line[:1] not in ("", "#") and "_" not in raw and raw.isascii():
+            head, _, tail = line.partition(" ")
+            try:
+                pair = int(head), int(tail)
+            except ValueError:
+                pass
+        if pair is None:
+            pair = _read_line(lineno, raw, comments, expected is not None)
+            if pair is None:  # a blank or comment line
+                continue
+        index, val = pair
         if expected is not None and index != expected:
             raise BFileParseError(f"line {lineno}: index {index} not contiguous (expected {expected})")
         expected = index + 1
         yield index, val
     if expected is None:
         raise BFileParseError("no data lines")
+
+
+def _read_line(lineno: int, raw: str, comments: list[str] | None, after_data: bool) -> tuple[int, int] | None:
+    """The (index, value) pair of one line, or None for a blank or comment
+    line; raises `BFileParseError` when the line is malformed."""
+    raw = raw.removesuffix("\n").removesuffix("\r")
+    line = raw.strip()
+    if not line and raw.isascii():  # non-ASCII space alone is refused below
+        return None
+    if line.startswith("#"):
+        if after_data:
+            raise BFileParseError(f"line {lineno}: comment after data lines")
+        if comments is not None:
+            comments.append(raw)
+        return None
+    # split() would also part tokens at non-ASCII whitespace, strip()
+    # would drop it at either end, and int() would read "1_0" and
+    # non-ASCII digits; so the unstripped line is tested.  The test is
+    # linear, and cheap beside int() on a long token.
+    if "_" in raw or not raw.isascii():
+        raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}")
+    parts = line.split()
+    if len(parts) != 2:
+        raise BFileParseError(f"line {lineno}: expected 'index value', got {abbreviate(raw)!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        if all(_INTEGER.fullmatch(part) for part in parts):
+            raise BFileParseError(
+                f"line {lineno}: integer in {abbreviate(raw)!r} exceeds the "
+                f"interpreter's int/str digit limit (sys.set_int_max_str_digits)"
+            ) from None
+        raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}") from None
 
 
 def parse_bfile(text: str) -> BFile:
@@ -91,7 +114,9 @@ def parse_bfile(text: str) -> BFile:
 
 
 def render_bfile(bf: BFile) -> str:
-    lines = [*bf.comments, *(f"{i} {v}" for i, v in enumerate(bf.values, bf.offset))]
+    """The b-file's text; its values may be ints or integral Decimals,
+    whose `str` (quicker than `format` for a Decimal) is the same digits."""
+    lines = [*bf.comments, *(f"{i} {v!s}" for i, v in enumerate(bf.values, bf.offset))]
     return "\n".join(lines) + "\n"
 
 

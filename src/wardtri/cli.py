@@ -10,8 +10,9 @@ malformed files, a count of `sys.maxsize` or more), 141 a closed stdout.
 Each command imports only the modules it runs: `compare` for check,
 `identities` for identities and conjecture, `bfile` for b-file output and
 bfile-compare.  gen, check, bfile-compare and bench read each route as a
-stream of rows (`triangles.stream`) and hold one row at a time;
-bfile-compare also reads its file one line at a time.
+stream of rows and hold one row at a time; gen builds its rows as exact
+Decimals (`decimal` is loaded for gen alone), and bfile-compare reads its
+file one line at a time and compares integers.
 """
 
 from __future__ import annotations
@@ -98,10 +99,11 @@ def _routes(parser: argparse.ArgumentParser, kind: Kind, wanted: list | None, st
 
 
 def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """Write rows 0..--rows of the route's stream to stdout, each row as it
-    is made.  A b-file leaves out row 0 and each row's k = 0 entry."""
+    """Write rows 0..--rows of the route to stdout, each row as it is made,
+    built as exact Decimals so that printing them is linear.  A b-file
+    leaves out row 0 and each row's k = 0 entry."""
     _routes(parser, args.kind, [args.strategy], strict=True)
-    rows = itertools.islice(triangles.stream(args.kind, args.strategy), args.rows + 1)
+    rows = itertools.islice(triangles._exact_decimal_rows(args.kind, args.strategy), args.rows + 1)
     out = sys.stdout
     if args.format == "bfile":
         from . import bfile as bfile_mod

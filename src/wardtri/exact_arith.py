@@ -6,7 +6,10 @@ the binomial rows) by stepping along the row, each step one `exact_div`,
 and every other division of a recurrence or of the partition transform is
 one too, so a wrongly transcribed formula raises `ExactnessError` instead
 of rounding.  Single factorials and binomials come from `math`.
-Everything is a Python ``int``: no rationals, and never floating point.
+Everything is a Python ``int``, except the rows that `gen` prints, which
+are integral ``decimal.Decimal`` values built in a context that traps any
+rounding (`triangles._exact_decimal_rows`): no rationals, and never
+floating point.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ class ExactnessError(ArithmeticError):
 
 
 def exact_div(a: int, b: int) -> int:
-    """a / b when b divides a exactly; raises ExactnessError otherwise."""
+    """a / b when b divides a exactly, for ints or integral Decimals;
+    raises ExactnessError otherwise."""
     q, r = divmod(a, b)
-    if r != 0:
+    if r:
         raise ExactnessError(f"{a} is not divisible by {b}")
     return q

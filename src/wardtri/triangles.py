@@ -34,7 +34,10 @@ other row: the recurrence from its own row n-1, scaling from its base's
 recurrence row n.  One generator, `_rows`, runs a route's steps and keeps
 only that row (scaling steps its own base recurrence in lockstep);
 `stream` hands it to the caller, so a caller that reads each row once (as
-`gen`, `check` and `bfile-compare` do) holds one row at a time.  The memo
+`check` and `bfile-compare` do) holds one row at a time.  `gen` reads the
+same steps through `_exact_decimal_rows`, seeded with an exact Decimal
+one, so that every route but the transform computes in `decimal`, whose
+text takes linear time to make where an int's takes quadratic time.  The memo
 behind `value`, `triangle` and the classical lookups keeps, per table, the
 immutable rows read so far and the generator it reads on from, and drops
 both when a step raises.  A boundary entry makes no row.  No table grows
@@ -48,7 +51,7 @@ import threading
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
-from itertools import count, islice
+from itertools import count
 from math import factorial, perm
 from operator import mul, sub
 
@@ -116,15 +119,15 @@ class Rescaling(Enum):
     VARIED = "varied"
     BINOMIAL = "binomial"
 
-    def factors(self, n: int) -> list[int]:
-        """Rescaled T(n, k) over base T(n, k) for k = 0..n: 1, (2n)_(n-k) * k!
-        (stepped down from n! at k = n by (n+k)/k) or C(2n, n+k) (stepped
-        down from C(2n, 2n) = 1 by (n+k)/(n-k+1))."""
+    def factors(self, n: int, one=1) -> list[int]:
+        """Rescaled T(n, k) over base T(n, k) for k = 0..n, in `one`'s type:
+        1, (2n)_(n-k) * k! (stepped down from n! at k = n by (n+k)/k) or
+        C(2n, n+k) (stepped down from C(2n, 2n) = 1 by (n+k)/(n-k+1))."""
         if self is Rescaling.VARIED:
-            return _stepped(factorial(n), zip(range(2 * n, n, -1), range(n, 0, -1)))[::-1]
+            return _stepped(factorial(n) * one, zip(range(2 * n, n, -1), range(n, 0, -1)))[::-1]
         if self is Rescaling.BINOMIAL:
-            return _stepped(1, zip(range(2 * n, n, -1), range(1, n + 1)))[::-1]
-        return [1] * (n + 1)
+            return _stepped(one, zip(range(2 * n, n, -1), range(1, n + 1)))[::-1]
+        return [one] * (n + 1)
 
 
 SPEC: dict[Kind, tuple[Base, Rescaling]] = {
@@ -242,27 +245,27 @@ def _recurrence_row(kind: Kind | str, n: int, prev: Row) -> Row:
     return (0, *row)
 
 
-def _falling_row(n: int) -> list[int]:
+def _falling_row(n: int, one=1) -> list[int]:
     """(n+k)_n = (n+k)!/k! for k = 0..n, stepped from n! by (n+k)/k."""
-    return _stepped(factorial(n), zip(range(n + 1, 2 * n + 1), range(1, n + 1)))
+    return _stepped(factorial(n) * one, zip(range(n + 1, 2 * n + 1), range(1, n + 1)))
 
 
-def _binomial_row(n: int) -> list[int]:
+def _binomial_row(n: int, one=1) -> list[int]:
     """C(n, k) for k = 0..n, stepped from C(n, 0) = 1 by (n-k+1)/k."""
-    return _stepped(1, zip(range(n, 0, -1), range(1, n + 1)))
+    return _stepped(one, zip(range(n, 0, -1), range(1, n + 1)))
 
 
-def _explicit_row(kind: Kind, n: int) -> Row:
+def _explicit_row(kind: Kind, n: int, one=1) -> Row:
     # The closed forms of the kinds over the ward-lah base, T(n, k) =
     # X(n, k) * C(n-1, k-1), with X(n, 0..n) formed once per row.
     if kind is Kind.WARD_LAH:  # X = (n+k)!/k!
-        x = _falling_row(n)
+        x = _falling_row(n, one)
     elif kind is Kind.VARIED_WARD_LAH:  # X = (2n)!
-        x = [factorial(2 * n)] * (n + 1)
+        x = [factorial(2 * n) * one] * (n + 1)
     else:  # binomial-ward-lah: X = (2n)!/(k!(n-k)!) = (2n)!/n! * C(n, k)
-        f = perm(2 * n, n)
-        x = [f * c for c in _binomial_row(n)]
-    return (0, *map(mul, x[1:], _binomial_row(n - 1)))
+        f = perm(2 * n, n) * one
+        x = [f * c for c in _binomial_row(n, one)]
+    return (0, *map(mul, x[1:], _binomial_row(n - 1, one)))
 
 
 def _transform_row(kind: Kind, n: int) -> Row:
@@ -276,18 +279,18 @@ def _transform_row(kind: Kind, n: int) -> Row:
     return (0, *map(entry, range(1, n + 1), rescaling.factors(n)[1:], _falling_row(n)[1:]))
 
 
-def _scaling_row(kind: Kind, n: int, base_row: Row) -> Row:
-    return (0, *map(mul, SPEC[kind][1].factors(n)[1:], base_row[1:]))
+def _scaling_row(kind: Kind, n: int, base_row: Row, one=1) -> Row:
+    return (0, *map(mul, SPEC[kind][1].factors(n, one)[1:], base_row[1:]))
 
 
-def _alternating_sum_row(kind: Kind, n: int) -> Row:
+def _alternating_sum_row(kind: Kind, n: int, one=1) -> Row:
     # ward-lah(n, k) = sum_{m=1..k} (-1)^(m+k) C(n+k, n+m) L(n+m, m), with
     # L(n+m, m) = (n+m)!/m! C(n+m-1, m-1).  As C(n+k, n+m) (n+m)!/m! is
     # (n+k)!/k! C(k, m), the sum is (n+k)!/k! times the k-th forward
     # difference at 0 of c(m) = C(n+m-1, m-1): one table gives every k.
     # c(0) = 0, and c(m) steps up from c(1) = 1 by (n+m-1)/(m-1).
-    c, row = [0, *_stepped(1, zip(range(n + 1, 2 * n), range(1, n)))], []
-    for falling in _falling_row(n)[1:]:  # (n+k)!/k! for k = 1..n
+    c, row = [0, *_stepped(one, zip(range(n + 1, 2 * n), range(1, n)))], []
+    for falling in _falling_row(n, one)[1:]:  # (n+k)!/k! for k = 1..n
         c = list(map(sub, c[1:], c))
         row.append(falling * c[0])
     return (0, *row)
@@ -302,21 +305,43 @@ _STEP: dict[Strategy, Callable[..., Row]] = {
 }
 
 
-def _rows(kind: Kind | str, strategy: Strategy) -> Iterator[Row]:
+def _rows(kind: Kind | str, strategy: Strategy, one=1) -> Iterator[Row]:
     """Rows 0, 1, 2, ... of one route, each made by its step function, from
-    the row that step reads, when asked for."""
-    row = (1,)
+    the row that step reads, when asked for.  Every route but the transform
+    computes in the type of `one`, its T(0, 0)."""
+    row = (one,)
     yield row
-    step = _STEP[strategy]
-    if strategy is Strategy.SCALING:
-        base_rows = islice(_rows(SPEC[kind][0].kind, Strategy.RECURRENCE), 1, None)
+    step, base_row = _STEP[strategy], row
     for n in count(1):
         if strategy is Strategy.RECURRENCE:
             row = step(kind, n, row)
-        elif strategy is Strategy.SCALING:
-            row = step(kind, n, next(base_rows))
-        else:
+        elif strategy is Strategy.SCALING:  # its base's recurrence, stepped alongside
+            base_row = _STEP[Strategy.RECURRENCE](SPEC[kind][0].kind, n, base_row)
+            row = step(kind, n, base_row, one)
+        elif strategy is Strategy.PARTITION_TRANSFORM:
             row = step(kind, n)
+        else:
+            row = step(kind, n, one)
+        yield row
+
+
+def _exact_decimal_rows(kind: Kind, strategy: Strategy) -> Iterator[Row]:
+    """`_rows` with every entry an exact `decimal.Decimal` (the transform's
+    stay ints), for output: `str` of a Decimal is linear in its length, and
+    of an int quadratic.  Every step runs in one context of the largest
+    precision and exponent range that traps any rounding, so no caller's
+    context can round a row, and a remainder still raises `ExactnessError`."""
+    import decimal
+
+    context = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+               decimal.DivisionByZero, decimal.Overflow],
+    )
+    rows = _rows(kind, strategy, 1 if strategy is Strategy.PARTITION_TRANSFORM else decimal.Decimal(1))
+    while True:
+        with decimal.localcontext(context):
+            row = next(rows)
         yield row
 
 

@@ -1,14 +1,19 @@
+import re
 import sys
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wardtri.bfile import (
     BFile,
     BFileParseError,
+    abbreviate,
     index_to_entry,
     linearize,
     parse_bfile,
+    parse_lines,
     render_bfile,
 )
 from wardtri.triangles import Kind, Strategy, stream, triangle
@@ -117,3 +122,76 @@ def test_parse_names_the_digit_limit():
     assert "digit limit" in message and "non-integer" not in message
     assert "(5002 characters)" in message
     assert "non-integer token" in str(bad_token.value)
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _oracle_parse_lines(lines, comments=None):
+    # `parse_lines` as it was before its fast path: every line read by
+    # stripping, testing and splitting it.
+    expected = None
+    for lineno, raw in enumerate(lines, start=1):
+        raw = raw.removesuffix("\n").removesuffix("\r")
+        line = raw.strip()
+        if not line and raw.isascii():
+            continue
+        if line.startswith("#"):
+            if expected is not None:
+                raise BFileParseError(f"line {lineno}: comment after data lines")
+            if comments is not None:
+                comments.append(raw)
+            continue
+        if "_" in raw or not raw.isascii():
+            raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}")
+        parts = line.split()
+        if len(parts) != 2:
+            raise BFileParseError(f"line {lineno}: expected 'index value', got {abbreviate(raw)!r}")
+        try:
+            index, val = int(parts[0]), int(parts[1])
+        except ValueError:
+            if all(_INTEGER.fullmatch(part) for part in parts):
+                raise BFileParseError(
+                    f"line {lineno}: integer in {abbreviate(raw)!r} exceeds the "
+                    f"interpreter's int/str digit limit (sys.set_int_max_str_digits)"
+                ) from None
+            raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}") from None
+        if expected is not None and index != expected:
+            raise BFileParseError(f"line {lineno}: index {index} not contiguous (expected {expected})")
+        expected = index + 1
+        yield index, val
+    if expected is None:
+        raise BFileParseError("no data lines")
+
+
+def _outcome(parse, lines):
+    comments = []
+    try:
+        return list(parse(lines, comments)), comments
+    except BFileParseError as exc:
+        return str(exc), comments
+
+
+# Digits, signs, "_", "#", ASCII whitespace that int(), split() and strip()
+# all skip ("\x1c" among it), and non-ASCII space, letter and digit.
+_CHARS = "0123456789+-_# \t\r\x0b\x1c\xa0é٣"
+_SPACE = st.text(" \t\r\x0b\x1c\xa0", max_size=3)
+# A token int() reads, "_" and non-ASCII digits included, that the b-file
+# rules may still refuse.
+_TOKEN = st.builds("{}{}".format, st.sampled_from(["", "+", "-"]), st.text("0123456789_٣", min_size=1, max_size=3))
+_LINE = st.one_of(
+    st.text(_CHARS, max_size=12),
+    st.builds("".join, st.tuples(_SPACE, _TOKEN, _SPACE, _TOKEN, _SPACE)),
+    st.builds("{} {}".format, st.integers(0, 3), st.integers(-5, 5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\r", ""])), max_size=6))
+@example([("1_0 2", "\n")])
+@example([("1 ٣", "\n")])
+@example([("1 2\xa0", "\r\n")])
+@example([("1\x1c2", ""), ("2\t\x0b3 ", "\r")])
+def test_parse_lines_reads_every_line_as_the_split_rules_did(lines):
+    lines = [text + end for text, end in lines]
+    assert _outcome(parse_lines, lines) == _outcome(_oracle_parse_lines, lines)

@@ -636,7 +636,10 @@ def test_each_command_loads_only_what_it_runs():
     for modules in (check, gen, compare, usage, identities):
         assert not modules & {"dataclasses", "inspect"}
     for modules in (check, gen, compare, usage):
-        assert not modules & {"fractions", "decimal", "wardtri.identities"}
+        assert not modules & {"fractions", "wardtri.identities"}
+    for modules in (check, compare, usage):
+        assert "decimal" not in modules
+    assert "decimal" in gen
     assert "wardtri.compare" in check and "wardtri.bfile" not in check
     assert "wardtri.bfile" in compare
     assert "wardtri.identities" in identities

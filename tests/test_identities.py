@@ -49,7 +49,7 @@ def test_a_fault_both_closed_forms_share_fails_both_against_the_recurrence(monke
     # off by one there, they agree with each other and the recurrence
     # refutes both from the first entry.
     real = triangles._falling_row
-    monkeypatch.setattr(triangles, "_falling_row", lambda n: [x + 1 for x in real(n)])
+    monkeypatch.setattr(triangles, "_falling_row", lambda n, one=1: [x + 1 for x in real(n, one)])
     routes = [Strategy.RECURRENCE, Strategy.EXPLICIT, Strategy.ALTERNATING_SUM]
     explicit, alternating, shared = compare_routes(Kind.WARD_LAH, 8, routes)
     assert explicit.name == "equivalence-ward-lah-recurrence~explicit"

@@ -1,9 +1,11 @@
+import decimal
 import functools
 import itertools
 import random
 import sys
 import threading
 import time
+from decimal import Decimal
 from math import comb, factorial, perm
 
 import pytest
@@ -273,6 +275,55 @@ def test_negative_rows_rejected():
 def test_stream_rows_equal_the_memo_rows(kind, strategy):
     rows = 16 if strategy is P else 40
     assert tuple(itertools.islice(stream(kind, strategy), rows + 1)) == triangle(kind, rows, strategy).rows
+
+
+EXACT_ROUTES = [(kind, s) for kind in ALL_KINDS for s in sorted(SUPPORTED[kind] - {P}, key=lambda s: s.value)]
+
+
+@functools.lru_cache(maxsize=None)
+def _int_rows_as_text(kind, strategy, rows):
+    return [list(map(str, row)) for row in itertools.islice(stream(kind, strategy), rows + 1)]
+
+
+@pytest.mark.parametrize("caller_prec", [None, 5])
+@pytest.mark.parametrize("kind,strategy", EXACT_ROUTES, ids=lambda x: x.value)
+def test_decimal_rows_equal_the_int_stream_as_text(kind, strategy, caller_prec):
+    # gen prints these rows: every entry past the k = 0 column is a Decimal,
+    # equal as text to the int route, and a caller's own context (here one
+    # that rounds at 5 digits) cannot round a row.
+    with decimal.localcontext() as context:
+        if caller_prec is not None:
+            context.prec = caller_prec
+        rows = list(itertools.islice(triangles._exact_decimal_rows(kind, strategy), 151))
+    assert rows[0] == (Decimal(1),) and isinstance(rows[0][0], Decimal)
+    assert all(isinstance(v, Decimal) for row in rows[1:] for v in row[1:])
+    assert [list(map(str, row)) for row in rows] == _int_rows_as_text(kind, strategy, 150)
+
+
+@pytest.mark.parametrize("one", [1, Decimal(1)], ids=["int", "Decimal"])
+def test_stepped_row_products_take_the_type_of_their_seed(one):
+    # A Decimal row times an int factor would convert the factor to decimal
+    # at every entry, a cost quadratic in its length.
+    for n in (1, 6):
+        for products in (*(r.factors(n, one) for r in triangles.Rescaling),
+                         triangles._falling_row(n, one), triangles._binomial_row(n, one)):
+            assert {type(v) for v in products} == {type(one)}
+
+
+def test_a_remainder_raises_through_the_decimal_rows_as_through_the_stream(monkeypatch):
+    num, _ = triangles._RECURRENCE[Kind.VARIED_WARD1]
+    monkeypatch.setitem(triangles._RECURRENCE, Kind.VARIED_WARD1, (num, lambda n, k: 7))
+    with pytest.raises(ExactnessError):
+        list(itertools.islice(stream(Kind.VARIED_WARD1, R), 4))
+    with pytest.raises(ExactnessError):
+        list(itertools.islice(triangles._exact_decimal_rows(Kind.VARIED_WARD1, R), 4))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda x: x.value)
+def test_decimal_rows_of_the_transform_are_ints(kind):
+    rows = list(itertools.islice(triangles._exact_decimal_rows(kind, P), 7))
+    assert all(type(v) is int for row in rows for v in row)
+    assert rows == list(itertools.islice(stream(kind, P), 7))
 
 
 def test_stream_neither_fills_nor_reads_the_memo():
