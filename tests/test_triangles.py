@@ -295,7 +295,7 @@ def test_decimal_rows_equal_the_int_stream_as_text(kind, strategy, caller_prec):
         if caller_prec is not None:
             context.prec = caller_prec
         rows = list(itertools.islice(triangles._exact_decimal_rows(kind, strategy), 151))
-    assert rows[0] == (Decimal(1),) and isinstance(rows[0][0], Decimal)
+    assert isinstance(rows[0][0], Decimal)
     assert all(isinstance(v, Decimal) for row in rows[1:] for v in row[1:])
     assert [list(map(str, row)) for row in rows] == _int_rows_as_text(kind, strategy, 150)
 
@@ -308,6 +308,22 @@ def test_stepped_row_products_take_the_type_of_their_seed(one):
         for products in (*(r.factors(n, one) for r in triangles.Rescaling),
                          triangles._falling_row(n, one), triangles._binomial_row(n, one)):
             assert {type(v) for v in products} == {type(one)}
+
+
+def test_every_decimal_step_runs_in_the_trapping_context(monkeypatch):
+    contexts = []
+
+    def recording(*args, step=triangles._STEP[S]):
+        contexts.append(decimal.getcontext())
+        return step(*args)
+
+    monkeypatch.setitem(triangles._STEP, S, recording)
+    list(itertools.islice(triangles._exact_decimal_rows(Kind.VARIED_WARD1, S), 4))
+    traps = (decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow)
+    assert len(contexts) == 3
+    for context in contexts:
+        assert (context.prec, context.Emax, context.Emin) == (decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN)
+        assert all(context.traps[trap] for trap in traps)
 
 
 def test_a_remainder_raises_through_the_decimal_rows_as_through_the_stream(monkeypatch):
