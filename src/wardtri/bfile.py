@@ -45,23 +45,36 @@ def parse_lines(lines: Iterable[str], comments: list[str] | None = None) -> Iter
     line held data."""
     expected: int | None = None  # the next index, once a data line is read
     for lineno, raw in enumerate(lines, start=1):
-        # The fast path: an ASCII data line parted at its first space.
-        # int() skips the same ASCII whitespace that split() and strip()
-        # do, so it accepts exactly the lines that split() parts into two
-        # integer tokens; any other line is read by the rules that follow.
+        # strip(), split(), the "_" test and isascii() read a line alike with
+        # or without its ending, so the ending is cut off only where the line
+        # is kept as a comment or shown in a message.
         line = raw.strip()
-        pair = None
-        if line[:1] not in ("", "#") and "_" not in raw and raw.isascii():
-            head, _, tail = line.partition(" ")
-            try:
-                pair = int(head), int(tail)
-            except ValueError:
-                pass
-        if pair is None:
-            pair = _read_line(lineno, raw, comments, expected is not None)
-            if pair is None:  # a blank or comment line
-                continue
-        index, val = pair
+        if not line and raw.isascii():  # non-ASCII space alone is refused below
+            continue
+        if line.startswith("#"):
+            if expected is not None:
+                raise BFileParseError(f"line {lineno}: comment after data lines")
+            if comments is not None:
+                comments.append(_unended(raw))
+            continue
+        # split() would also part tokens at non-ASCII whitespace, strip()
+        # would drop it at either end, and int() would read "1_0" and
+        # non-ASCII digits; so the unstripped line is tested.  The test is
+        # linear, and cheap beside int() on a long token.
+        if "_" in raw or not raw.isascii():
+            raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(_unended(raw))!r}")
+        parts = line.split()
+        if len(parts) != 2:
+            raise BFileParseError(f"line {lineno}: expected 'index value', got {abbreviate(_unended(raw))!r}")
+        try:
+            index, val = int(parts[0]), int(parts[1])
+        except ValueError:
+            if all(_INTEGER.fullmatch(part) for part in parts):
+                raise BFileParseError(
+                    f"line {lineno}: integer in {abbreviate(_unended(raw))!r} exceeds the "
+                    f"interpreter's int/str digit limit (sys.set_int_max_str_digits)"
+                ) from None
+            raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(_unended(raw))!r}") from None
         if expected is not None and index != expected:
             raise BFileParseError(f"line {lineno}: index {index} not contiguous (expected {expected})")
         expected = index + 1
@@ -70,37 +83,9 @@ def parse_lines(lines: Iterable[str], comments: list[str] | None = None) -> Iter
         raise BFileParseError("no data lines")
 
 
-def _read_line(lineno: int, raw: str, comments: list[str] | None, after_data: bool) -> tuple[int, int] | None:
-    """The (index, value) pair of one line, or None for a blank or comment
-    line; raises `BFileParseError` when the line is malformed."""
-    raw = raw.removesuffix("\n").removesuffix("\r")
-    line = raw.strip()
-    if not line and raw.isascii():  # non-ASCII space alone is refused below
-        return None
-    if line.startswith("#"):
-        if after_data:
-            raise BFileParseError(f"line {lineno}: comment after data lines")
-        if comments is not None:
-            comments.append(raw)
-        return None
-    # split() would also part tokens at non-ASCII whitespace, strip()
-    # would drop it at either end, and int() would read "1_0" and
-    # non-ASCII digits; so the unstripped line is tested.  The test is
-    # linear, and cheap beside int() on a long token.
-    if "_" in raw or not raw.isascii():
-        raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}")
-    parts = line.split()
-    if len(parts) != 2:
-        raise BFileParseError(f"line {lineno}: expected 'index value', got {abbreviate(raw)!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        if all(_INTEGER.fullmatch(part) for part in parts):
-            raise BFileParseError(
-                f"line {lineno}: integer in {abbreviate(raw)!r} exceeds the "
-                f"interpreter's int/str digit limit (sys.set_int_max_str_digits)"
-            ) from None
-        raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}") from None
+def _unended(raw: str) -> str:
+    """A line without its line feed or CR LF ending."""
+    return raw.removesuffix("\n").removesuffix("\r")
 
 
 def parse_bfile(text: str) -> BFile:

@@ -51,7 +51,7 @@ import threading
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
-from itertools import count
+from itertools import count, islice
 from math import factorial, perm
 from operator import mul, sub
 
@@ -311,13 +311,14 @@ def _rows(kind: Kind | str, strategy: Strategy, one=1) -> Iterator[Row]:
     computes in the type of `one`, its T(0, 0)."""
     row = (one,)
     yield row
-    step, base_row = _STEP[strategy], row
+    step = _STEP[strategy]
+    if strategy is Strategy.SCALING:
+        base_rows = islice(_rows(SPEC[kind][0].kind, Strategy.RECURRENCE, one), 1, None)
     for n in count(1):
         if strategy is Strategy.RECURRENCE:
             row = step(kind, n, row)
-        elif strategy is Strategy.SCALING:  # its base's recurrence, stepped alongside
-            base_row = _STEP[Strategy.RECURRENCE](SPEC[kind][0].kind, n, base_row)
-            row = step(kind, n, base_row, one)
+        elif strategy is Strategy.SCALING:
+            row = step(kind, n, next(base_rows), one)
         elif strategy is Strategy.PARTITION_TRANSFORM:
             row = step(kind, n)
         else:

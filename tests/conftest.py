@@ -13,8 +13,8 @@ def flip_entry(monkeypatch):
     real_rows = triangles._rows
 
     def flip(kind, strategy, n0, k0):
-        def corrupted(k, s):
-            rows = real_rows(k, s)
+        def corrupted(k, s, *one):
+            rows = real_rows(k, s, *one)
             if (k, s) != (kind, strategy):
                 return rows
             return ((*row[:k0], row[k0] + 1, *row[k0 + 1:]) if n == n0 else row for n, row in enumerate(rows))

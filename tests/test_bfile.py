@@ -128,8 +128,7 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _oracle_parse_lines(lines, comments=None):
-    # `parse_lines` as it was before its fast path: every line read by
-    # stripping, testing and splitting it.
+    # `parse_lines` as it was when it cut each line's ending off first.
     expected = None
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.removesuffix("\n").removesuffix("\r")

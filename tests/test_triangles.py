@@ -313,14 +313,19 @@ def test_stepped_row_products_take_the_type_of_their_seed(one):
 def test_every_decimal_step_runs_in_the_trapping_context(monkeypatch):
     contexts = []
 
-    def recording(*args, step=triangles._STEP[S]):
-        contexts.append(decimal.getcontext())
-        return step(*args)
+    def recording(step):
+        def recorded(*args):
+            contexts.append(decimal.getcontext())
+            return step(*args)
 
-    monkeypatch.setitem(triangles._STEP, S, recording)
+        return recorded
+
+    # A scaling route steps both its own rows and its base's recurrence.
+    for strategy in (S, R):
+        monkeypatch.setitem(triangles._STEP, strategy, recording(triangles._STEP[strategy]))
     list(itertools.islice(triangles._exact_decimal_rows(Kind.VARIED_WARD1, S), 4))
     traps = (decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow)
-    assert len(contexts) == 3
+    assert len(contexts) == 6
     for context in contexts:
         assert (context.prec, context.Emax, context.Emin) == (decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN)
         assert all(context.traps[trap] for trap in traps)
