@@ -311,24 +311,27 @@ def test_stepped_row_products_take_the_type_of_their_seed(one):
 
 
 def test_every_decimal_step_runs_in_the_trapping_context(monkeypatch):
-    contexts = []
+    steps = []
 
     def recording(step):
         def recorded(*args):
-            contexts.append(decimal.getcontext())
-            return step(*args)
+            row = step(*args)
+            steps.append((decimal.getcontext(), row))
+            return row
 
         return recorded
 
-    # A scaling route steps both its own rows and its base's recurrence.
+    # A scaling route steps both its own rows and its base's recurrence,
+    # and both compute in Decimal.
     for strategy in (S, R):
         monkeypatch.setitem(triangles._STEP, strategy, recording(triangles._STEP[strategy]))
     list(itertools.islice(triangles._exact_decimal_rows(Kind.VARIED_WARD1, S), 4))
     traps = (decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow)
-    assert len(contexts) == 6
-    for context in contexts:
+    assert len(steps) == 6
+    for context, row in steps:
         assert (context.prec, context.Emax, context.Emin) == (decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN)
         assert all(context.traps[trap] for trap in traps)
+        assert {type(v) for v in row[1:]} == {decimal.Decimal}
 
 
 def test_a_remainder_raises_through_the_decimal_rows_as_through_the_stream(monkeypatch):
