@@ -63,24 +63,40 @@ def parse_lines(lines: Iterable[str], comments: list[str] | None = None) -> Iter
         # linear, and cheap beside int() on a long token.
         if "_" in raw or not raw.isascii():
             raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(_unended(raw))!r}")
-        parts = line.split()
-        if len(parts) != 2:
-            raise BFileParseError(f"line {lineno}: expected 'index value', got {abbreviate(_unended(raw))!r}")
+        # A data line is parted at its first space, several times quicker
+        # than split() on a long line.  int() skips the same ASCII
+        # whitespace that split() and strip() do, so when both int() calls
+        # succeed, split() would have parted the line into the same two
+        # integers; any other line goes to split(), which reads it or
+        # names its fault.
+        head, _, tail = line.partition(" ")
         try:
-            index, val = int(parts[0]), int(parts[1])
+            index, val = int(head), int(tail)
         except ValueError:
-            if all(_INTEGER.fullmatch(part) for part in parts):
-                raise BFileParseError(
-                    f"line {lineno}: integer in {abbreviate(_unended(raw))!r} exceeds the "
-                    f"interpreter's int/str digit limit (sys.set_int_max_str_digits)"
-                ) from None
-            raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(_unended(raw))!r}") from None
+            index, val = _split_pair(lineno, _unended(raw), line)
         if expected is not None and index != expected:
             raise BFileParseError(f"line {lineno}: index {index} not contiguous (expected {expected})")
         expected = index + 1
         yield index, val
     if expected is None:
         raise BFileParseError("no data lines")
+
+
+def _split_pair(lineno: int, raw: str, line: str) -> tuple[int, int]:
+    """The two integers that split() parts the stripped `line` into; raises
+    `BFileParseError`, showing `raw`, when it holds anything else."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise BFileParseError(f"line {lineno}: expected 'index value', got {abbreviate(raw)!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        if all(_INTEGER.fullmatch(part) for part in parts):
+            raise BFileParseError(
+                f"line {lineno}: integer in {abbreviate(raw)!r} exceeds the "
+                f"interpreter's int/str digit limit (sys.set_int_max_str_digits)"
+            ) from None
+        raise BFileParseError(f"line {lineno}: non-integer token in {abbreviate(raw)!r}") from None
 
 
 def _unended(raw: str) -> str:
