@@ -2,10 +2,11 @@
 
 Subcommands: gen, check, identities, conjecture, bfile-compare, bench.
 Exit codes: 0 success/agreement, 1 mismatch or identity failure, 2 usage
-error (argparse errors, negative row counts, an integer option that is not
-ASCII digits, `identities --max-n` below 2, unsupported strategy names, an
-empty kind or strategy list, a check that compares no pair, unreadable or
-malformed files, a count of `sys.maxsize` or more), 141 a closed stdout.
+error (argparse errors, negative row counts, `gen --format bfile --rows 0`
+and `bench --rows 0`, an integer option that is not ASCII digits,
+`identities --max-n` below 2, unsupported strategy names, an empty kind or
+strategy list, a check that compares no pair, unreadable or malformed
+files, a count of `sys.maxsize` or more), 141 a closed stdout.
 
 Each command imports only the modules it runs: `compare` for check,
 `identities` for identities and conjecture, `bfile` for b-file output and
@@ -101,7 +102,9 @@ def _routes(parser: argparse.ArgumentParser, kind: Kind, wanted: list | None, st
 def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Write rows 0..--rows of the route to stdout, each row as it is made,
     built as exact Decimals so that printing them is linear.  A b-file
-    leaves out row 0 and each row's k = 0 entry."""
+    leaves out row 0 and each row's k = 0 entry, so it needs --rows 1 or more."""
+    if args.format == "bfile" and args.rows < 1:
+        parser.error("--rows must be at least 1 for a b-file, which leaves out row 0")
     _routes(parser, args.kind, [args.strategy], strict=True)
     rows = itertools.islice(triangles._exact_decimal_rows(args.kind, args.strategy), args.rows + 1)
     out = sys.stdout

@@ -12,11 +12,12 @@ recurrence.  Tests inject a fault where the rows are made, in
 `triangles._rows`; entries are still read through this module's own
 `value` binding, so a tracer that rebinds it sees every lookup.
 
-The seven triangular recurrences the builder runs (ward-lah's integer one,
-the varied and the binomial kinds) are stated once, in
-`triangles._RECURRENCE`, and checked here on reference-route values by the
-checks `_builder_check` returns, one per kind.  The test oracles are the
-independent transcription.
+Every triangular stencil t[n][k] = num/den the suite checks is stated
+once, in the table `_STENCILS`, and swept by the one check that
+`_stencil_check` makes for it.  The seven the builder runs (ward-lah's
+integer one, the varied and the binomial kinds) are read there from
+`triangles._RECURRENCE`, as the builder reads them.  The test oracles are
+the independent transcription.
 
 A check reads each entry once, into a row table, and compares integers: a
 rational identity is multiplied through by its positive denominator, and
@@ -35,6 +36,7 @@ without this module; they are re-exported here.  The route comparison,
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import accumulate
@@ -60,60 +62,99 @@ def _table(kind: Kind, max_n: int) -> list[list[int]]:
     return [[e(n, k) for k in range(n + 1)] + [0] * (max_n + 1 - n) for n in range(max_n + 1)]
 
 
-def _recurrence(
-    t: Sequence[Sequence[int]],
-    max_n: int,
-    name: str,
-    param_range: str,
-    step: Callable[[int, int, Sequence[Sequence[int]]], tuple[int, int]],
-    first_n: int = 1,
-    first_k: int = 1,
-    skip: Callable[[int, int], bool] | None = None,
-) -> CheckReport:
-    """Sweep t[n][k] = num/den over first_k <= k <= n, first_n <= n <= max_n,
-    where (num, den) = step(n, k, t) and den > 0; tuples that `skip` holds
-    for are counted as skipped."""
-    sweep = _Sweep(name, param_range)
-    for n in range(first_n, max_n + 1):
-        for k in range(first_k, n + 1):
-            if skip is not None and skip(n, k):
-                sweep.skip()
-                continue
-            num, den = step(n, k, t)
-            sweep.compare_ratio(t[n][k], num, den, n, k)
-    return sweep.report()
+# A triangular stencil: the kind whose reference-route table it reads, its
+# range text (formatted with max_n), a step (n, k, t) -> (num, den), den > 0,
+# stating t[n][k] = num/den, the first n and k swept, and a rule for the
+# tuples skipped (and counted) in between.
+_Stencil = namedtuple("_Stencil", "kind domain step first_n first_k skip", defaults=(1, 1, None))
+# Every triangular stencil of the suite, keyed by report name.
+_STENCILS: dict[str, _Stencil] = {}
 
 
-def _builder_check(kind: Kind, name: str) -> Callable[..., CheckReport]:
-    """The check, reported as `name`, of the recurrence `triangles` builds
-    `kind` by, on reference-route values.  It reads `_RECURRENCE[kind]` each
-    time it runs; a binomial kind's holds off the diagonal only, so diagonal
-    tuples are skipped."""
-    off_diagonal = SPEC[kind][1] is Rescaling.BINOMIAL
+def _stencil_check(name: str, doc: str, stencil: _Stencil) -> Callable[[int], CheckReport]:
+    """Enter `stencil` in `_STENCILS` as `name`, and return its check, with
+    docstring `doc`: a sweep of t[n][k] * den == num on reference-route
+    values that reads the entry each time it runs."""
+    _STENCILS[name] = stencil
 
     def check(max_n: int) -> CheckReport:
-        num, den = _RECURRENCE[kind]
-        return _recurrence(
-            _table(kind, max_n), max_n, name,
-            f"1<=k<=n-1, n<={max_n}" if off_diagonal else f"1<=k<=n<={max_n}",
-            lambda n, k, t: (num(n, k, t[n - 1][k], t[n - 1][k - 1]), den(n, k) if den else 1),
-            skip=(lambda n, k: k == n) if off_diagonal else None,
-        )
+        kind, domain, step, first_n, first_k, skip = _STENCILS[name]
+        t = _table(kind, max_n)
+        sweep = _Sweep(name, domain.format(max_n))
+        for n in range(first_n, max_n + 1):
+            for k in range(first_k, n + 1):
+                if skip is not None and skip(n, k):
+                    sweep.skip()
+                    continue
+                num, den = step(n, k, t)
+                sweep.compare_ratio(t[n][k], num, den, n, k)
+        return sweep.report()
 
-    check.__doc__ = f"The triangular recurrence the builder uses for {kind.value}" + (
-        ", off the diagonal." if off_diagonal else "."
-    )
+    check.__doc__ = doc
     return check
 
 
-check_triangular_wardlah_integer = _builder_check(Kind.WARD_LAH, "triangular-ward-lah-integer")
-check_triangular_varied_ward1 = _builder_check(Kind.VARIED_WARD1, "triangular-varied-ward1")
-check_triangular_varied_ward2 = _builder_check(Kind.VARIED_WARD2, "triangular-varied-ward2")
-check_triangular_varied_wardlah = _builder_check(Kind.VARIED_WARD_LAH, "triangular-varied-ward-lah")
-check_triangular_binomial_ward1 = _builder_check(Kind.BINOMIAL_WARD1, "triangular-binomial-ward1")
-check_triangular_binomial_ward2 = _builder_check(Kind.BINOMIAL_WARD2, "triangular-binomial-ward2")
-check_triangular_binomial_wardlah = _builder_check(
-    Kind.BINOMIAL_WARD_LAH, "triangular-binomial-ward-lah"
+def _builder_check(name: str, kind: Kind) -> Callable[[int], CheckReport]:
+    """The check of the recurrence `triangles` builds `kind` by, read from
+    `_RECURRENCE[kind]` at each step; a binomial kind's holds off the
+    diagonal only."""
+
+    def step(n: int, k: int, t: Sequence[Sequence[int]]) -> tuple[int, int]:
+        num, den = _RECURRENCE[kind]
+        return num(n, k, t[n - 1][k], t[n - 1][k - 1]), den(n, k) if den else 1
+
+    doc = f"The triangular recurrence the builder uses for {kind.value}"
+    if SPEC[kind][1] is Rescaling.BINOMIAL:
+        return _stencil_check(name, doc + ", off the diagonal.",
+                              _Stencil(kind, "1<=k<=n-1, n<={}", step, skip=lambda n, k: k == n))
+    return _stencil_check(name, doc + ".", _Stencil(kind, "1<=k<=n<={}", step))
+
+
+def _order5(n: int, k: int, t: Sequence[Sequence[int]]) -> tuple[int, int]:
+    # -4(n-2)(2n-1)^2/n * (c - 2d + e) + 4(2n-1)/(n(2n-3)) * (...), over n(2n-3)
+    two_back = t[n - 2][k - 2] - 2 * t[n - 2][k - 1] + t[n - 2][k]
+    one_back = (2 * (n - 1) ** 2 - 1) * t[n - 1][k - 1] + 2 * (n - 1) ** 2 * t[n - 1][k]
+    num = -4 * (n - 2) * (2 * n - 1) ** 2 * (2 * n - 3) * two_back + 4 * (2 * n - 1) * one_back
+    return num, n * (2 * n - 3)
+
+
+check_triangular_wardlah_weighted = _stencil_check(
+    "triangular-ward-lah-weighted", "Two-term ward-lah recurrence with weight (n+k)(n-1)/n; needs k >= 2.",
+    _Stencil(
+        Kind.WARD_LAH, "2<=k<=n<={}",
+        # (n+k)(n-1)/n * (a + (n+k-1)/(k-1) * b), over n(k-1)
+        lambda n, k, t: (
+            (n + k) * (n - 1) * ((k - 1) * t[n - 1][k] + (n + k - 1) * t[n - 1][k - 1]), n * (k - 1)
+        ),
+        skip=lambda n, k: k < 2,
+    ),
+)
+check_triangular_wardlah_integer = _builder_check("triangular-ward-lah-integer", Kind.WARD_LAH)
+check_triangular_wardlah_onestep = _stencil_check(
+    "triangular-ward-lah-onestep", "One-step ward-lah recurrence with weight (n+k) and ratio (n+k-1)/k.",
+    # (n+k) * (a + (n+k-1)/k * b), over k
+    _Stencil(Kind.WARD_LAH, "1<=k<=n<={}",
+             lambda n, k, t: ((n + k) * (k * t[n - 1][k] + (n + k - 1) * t[n - 1][k - 1]), k)),
+)
+check_order3_wardlah = _stencil_check(
+    "order3-ward-lah", "Order-3 recurrence for ward-lah mixing rows n-1 and n-2.",
+    _Stencil(
+        Kind.WARD_LAH, "2<=n<={}, 1<=k<=n",
+        lambda n, k, t: (
+            2 * (2 * n - 1) * t[n - 1][k - 1] - n * (n - 2) * t[n - 2][k] + (2 * n - 1) * t[n - 1][k], 1
+        ),
+        first_n=2,
+    ),
+)
+check_triangular_varied_ward1 = _builder_check("triangular-varied-ward1", Kind.VARIED_WARD1)
+check_triangular_varied_ward2 = _builder_check("triangular-varied-ward2", Kind.VARIED_WARD2)
+check_triangular_varied_wardlah = _builder_check("triangular-varied-ward-lah", Kind.VARIED_WARD_LAH)
+check_triangular_binomial_ward1 = _builder_check("triangular-binomial-ward1", Kind.BINOMIAL_WARD1)
+check_triangular_binomial_ward2 = _builder_check("triangular-binomial-ward2", Kind.BINOMIAL_WARD2)
+check_triangular_binomial_wardlah = _builder_check("triangular-binomial-ward-lah", Kind.BINOMIAL_WARD_LAH)
+check_order5_binomial_wardlah = _stencil_check(
+    "order5-binomial-ward-lah", "Order-5 recurrence for binomial ward-lah mixing rows n-1 and n-2.",
+    _Stencil(Kind.BINOMIAL_WARD_LAH, "2<=n<={}, 2<=k<=n", _order5, first_n=2, first_k=2),
 )
 
 
@@ -121,34 +162,13 @@ def check_alternating_sum_wardlah(max_n: int) -> CheckReport:
     """Signed Lah-number sum route for ward-lah equals its explicit formula."""
     t = _table(Kind.WARD_LAH, max_n)
     sums = triangle(Kind.WARD_LAH, max(max_n, 0), Strategy.ALTERNATING_SUM).rows
-    # The swept side is the alternating-sum route; the reference entries are
-    # the right-hand side.
-    return _recurrence(
-        sums, max_n, "alternating-sum-ward-lah",
-        f"1<=k<=n<={max_n}", lambda n, k, _: (t[n][k], 1),
-    )
-
-
-def check_triangular_wardlah_weighted(max_n: int) -> CheckReport:
-    """Two-term ward-lah recurrence with weight (n+k)(n-1)/n; needs k >= 2."""
-    # (n+k)(n-1)/n * (a + (n+k-1)/(k-1) * b), over n(k-1)
-    return _recurrence(
-        _table(Kind.WARD_LAH, max_n), max_n, "triangular-ward-lah-weighted", f"2<=k<=n<={max_n}",
-        lambda n, k, t: (
-            (n + k) * (n - 1) * ((k - 1) * t[n - 1][k] + (n + k - 1) * t[n - 1][k - 1]),
-            n * (k - 1),
-        ),
-        skip=lambda n, k: k < 2,
-    )
-
-
-def check_triangular_wardlah_onestep(max_n: int) -> CheckReport:
-    """One-step ward-lah recurrence with weight (n+k) and ratio (n+k-1)/k."""
-    # (n+k) * (a + (n+k-1)/k * b), over k
-    return _recurrence(
-        _table(Kind.WARD_LAH, max_n), max_n, "triangular-ward-lah-onestep", f"1<=k<=n<={max_n}",
-        lambda n, k, t: ((n + k) * (k * t[n - 1][k] + (n + k - 1) * t[n - 1][k - 1]), k),
-    )
+    # The alternating-sum route is the left-hand side; the reference entries
+    # are the right-hand side.
+    sweep = _Sweep("alternating-sum-ward-lah", f"1<=k<=n<={max_n}")
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            sweep.compare(sums[n][k], t[n][k], n, k)
+    return sweep.report()
 
 
 def _horizontal(
@@ -206,19 +226,6 @@ def check_horizontal_wardlah(max_n: int) -> CheckReport:
     )
 
 
-def check_order3_wardlah(max_n: int) -> CheckReport:
-    """Order-3 recurrence for ward-lah mixing rows n-1 and n-2."""
-    return _recurrence(
-        _table(Kind.WARD_LAH, max_n), max_n, "order3-ward-lah", f"2<=n<={max_n}, 1<=k<=n",
-        lambda n, k, t: (
-            2 * (2 * n - 1) * t[n - 1][k - 1] - n * (n - 2) * t[n - 2][k]
-            + (2 * n - 1) * t[n - 1][k],
-            1,
-        ),
-        first_n=2,
-    )
-
-
 def check_horizontal_varied_wardlah(max_n: int) -> CheckReport:
     """m-step horizontal recurrence for varied ward-lah.
 
@@ -246,21 +253,6 @@ def check_horizontal_binomial_wardlah(max_n: int) -> CheckReport:
         lambda f, n, k: f[2 * n],
         lambda f, p, kk: f[kk] * f[p - kk] if kk else 0,
         skip_diagonal=True,
-    )
-
-
-def check_order5_binomial_wardlah(max_n: int) -> CheckReport:
-    """Order-5 recurrence for binomial ward-lah mixing rows n-1 and n-2."""
-    # -4(n-2)(2n-1)^2/n * (c - 2d + e) + 4(2n-1)/(n(2n-3)) * (...), over n(2n-3)
-    def step(n: int, k: int, t: list[list[int]]) -> tuple[int, int]:
-        two_back = t[n - 2][k - 2] - 2 * t[n - 2][k - 1] + t[n - 2][k]
-        one_back = (2 * (n - 1) ** 2 - 1) * t[n - 1][k - 1] + 2 * (n - 1) ** 2 * t[n - 1][k]
-        num = -4 * (n - 2) * (2 * n - 1) ** 2 * (2 * n - 3) * two_back + 4 * (2 * n - 1) * one_back
-        return num, n * (2 * n - 3)
-
-    return _recurrence(
-        _table(Kind.BINOMIAL_WARD_LAH, max_n), max_n, "order5-binomial-ward-lah",
-        f"2<=n<={max_n}, 2<=k<=n", step, first_n=2, first_k=2,
     )
 
 

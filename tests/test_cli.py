@@ -37,13 +37,13 @@ def test_gen_bfile_offset(capsys):
     assert out.splitlines() == ["0 1", "1 1", "2 3"]
 
 
-@pytest.mark.parametrize("rows,offset", [(0, "1"), (1, "0"), (7, "0"), (7, "1"), (7, "5"), (7, "-1"), (7, "+2")])
+@pytest.mark.parametrize("rows,offset", [(1, "0"), (7, "0"), (7, "1"), (7, "5"), (7, "-1"), (7, "+2")])
 def test_gen_bfile_streams_the_rendered_bfile(capsys, rows, offset):
     code, out = run(capsys, "gen", "--kind", "binomial-ward2", "--rows", str(rows),
                     "--format", "bfile", "--offset", offset)
     assert code == 0
     values = tuple(linearize(triangle(Kind.BINOMIAL_WARD2, rows).rows))
-    assert out == (render_bfile(BFile(offset=int(offset), values=values)) if values else "")
+    assert out == render_bfile(BFile(offset=int(offset), values=values))
 
 
 def test_gen_csv(capsys):
@@ -57,6 +57,19 @@ def test_gen_table_boundary_row(capsys):
                     "--strategy", "explicit", "--format", "table")
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_gen_bfile_refuses_zero_rows(capsys):
+    # A b-file leaves out row 0, so it would be empty, and bfile-compare
+    # refuses a b-file with no data line.
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--kind", "ward-lah", "--rows", "0", "--format", "bfile"])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert err_text.splitlines()[-1] == (
+        "wardtri gen: error: --rows must be at least 1 for a b-file, which leaves out row 0"
+    )
 
 
 def test_gen_kind_name_normalisation(capsys):

@@ -414,7 +414,8 @@ def _oracle_horizontal(term, prefactor, kk_min, kk_bounded, skip_diagonal=False)
 
 
 F = factorial
-# The checks swept by `identities._recurrence`.
+# The checks that sweep a triangle entry by entry: the eleven stencils of
+# `identities._STENCILS`, the alternating sum and the Lah identity.
 SWEEP_ORACLES = {
     "alternating-sum-ward-lah": (
         ids.check_alternating_sum_wardlah, Kind.WARD_LAH, _oracle_alternating_sum,
@@ -570,6 +571,52 @@ def test_a_builder_recurrence_is_checked_by_both_guards(monkeypatch):
         assert not ids.check_triangular_varied_wardlah(8).passed
     finally:
         triangles.clear_caches()
+
+
+# The first tuple each stencil check sweeps and does not skip, read off the
+# stated ranges, with the public check that runs the stencil.
+FIRST_SWEPT = {
+    "triangular-ward-lah-weighted": (ids.check_triangular_wardlah_weighted, 2, 2),
+    "triangular-ward-lah-integer": (ids.check_triangular_wardlah_integer, 1, 1),
+    "triangular-ward-lah-onestep": (ids.check_triangular_wardlah_onestep, 1, 1),
+    "order3-ward-lah": (ids.check_order3_wardlah, 2, 1),
+    "triangular-varied-ward1": (ids.check_triangular_varied_ward1, 1, 1),
+    "triangular-varied-ward2": (ids.check_triangular_varied_ward2, 1, 1),
+    "triangular-varied-ward-lah": (ids.check_triangular_varied_wardlah, 1, 1),
+    "triangular-binomial-ward1": (ids.check_triangular_binomial_ward1, 2, 1),
+    "triangular-binomial-ward2": (ids.check_triangular_binomial_ward2, 2, 1),
+    "triangular-binomial-ward-lah": (ids.check_triangular_binomial_wardlah, 2, 1),
+    "order5-binomial-ward-lah": (ids.check_order5_binomial_wardlah, 2, 2),
+}
+
+
+def test_the_stencil_table_holds_every_triangular_stencil_of_the_suite():
+    names = {r.name for r in ids.run_identity_suite(22) if r.name.startswith(("triangular-", "order"))}
+    assert set(ids._STENCILS) == names == set(FIRST_SWEPT)
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_SWEPT))
+def test_each_check_runs_its_stencil_table_entry(monkeypatch, name):
+    # A step off by one whole entry (num + den over den) in the table fails
+    # the public check at its first swept tuple, and nothing else changes.
+    check, n, k = FIRST_SWEPT[name]
+    clean = check(10)
+    assert clean.passed and clean.name == name
+    entry = ids._STENCILS[name]
+
+    def off_by_one(n, k, t):
+        num, den = entry.step(n, k, t)
+        return num + den, den
+
+    monkeypatch.setitem(ids._STENCILS, name, entry._replace(step=off_by_one))
+    report = check(10)
+    assert not report.passed
+    assert (report.name, report.param_range, report.cases, report.skipped) == (
+        clean.name, clean.param_range, clean.cases, clean.skipped
+    )
+    c = report.counterexample
+    assert (c.n, c.k, c.m) == (n, k, None)
+    assert c.rhs == c.lhs + 1 == triangles.value(entry.kind, n, k) + 1
 
 
 IDENTITY_CASES = Path(__file__).parents[1] / "perfbench" / "identity_cases.json"
