@@ -34,31 +34,50 @@ and the table holds the integers H = G * B.  Then H(d, p, 0) = u_d^p and
     F(q) = B(d, p, r) / (v_d^p * B(d+1, q, r-q)),
 
 where each F(q) is an integer (the child's exponents are no larger) formed
-with `exact_div`, so a bound that is too small raises `ExactnessError`.  The exponent min(p, floor(r/i)) counts the t <= p with
-t * i <= r, so B(d, p, r) / v_d^p is the product over t = 1..min(p, r) of
-the runs v_(d+1) * ... * v_(d+floor(r/t)), and the run of length m is
+with `exact_div`, so a bound that is too small raises `ExactnessError`.
+The exponent min(p, floor(r/i)) counts the t <= p with t * i <= r, so
+B(d, p, r) / v_d^p is the product over t = 1..min(p, r) of the runs
+v_(d+1) * ... * v_(d+floor(r/t)), and the run of length m is
 B(d+1, 1, m-1), the bound of the all-ones tail: the table's own entries.
+
+A node (d, p, r) has weight d*p + r: the first row n whose values read
+it, as the tail of the partitions that start with d parts equal to p.
+Its children (the leaf (d, p, 0), the tails and the runs) have a smaller
+weight, or the same weight and d one larger, so taking nodes by weight,
+and within a weight by falling d, makes every child before its parent.
 
 The pairs (H, B) are memoized in one dict per rule, kept while the rule
 object lives; a rule that cannot be weakly referenced (an instance of a
 class whose `__slots__` leave out `__weakref__`) gets a table for one call
-only.  One thread at a time grows any of them, under the module's lock,
-and a pair enters its dict only once final, so a lookup takes no lock.
-The fill is demand-driven: it reaches only the tails the requested value
-depends on.
+only.  Two fills grow a table.  Both take nodes in that order and make
+each one once, from its children, by one step (`_pair`):
+
+- `grow(rule, n)` fills it weight by weight up to n, which is exactly the
+  set of nodes that rows 1..n read.  The triangles' transform route calls
+  it once per row.
+- `partition_transform` fills on demand whatever a lone value past the
+  filled weight depends on, and only that: P(1500, 1) reads 2999 nodes,
+  where filling every weight up to 1500 would make 7.9 million.
+
+Both fills share one lock and one memo: one thread at a time grows any
+table, under the module's lock, and a pair enters its dict only once
+final, so a lookup takes no lock.  Either order skips the nodes the other
+has made.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import weakref
 from collections.abc import Callable
+from math import comb, prod
 
 from .exact_arith import exact_div
 
 # Rule mapping index j >= 1 to the j-th argument term u_j/v_j as (u_j, v_j).
 ArgumentRule = Callable[[int], tuple[int, int]]
+# One rule's memo: node (d, p, r) to its pair (H, B).
+Table = dict[tuple[int, int, int], tuple[int, int]]
 
 
 def constant_one(j: int) -> tuple[int, int]:
@@ -82,53 +101,70 @@ def _runs(p: int, r: int) -> list[int]:
     return [r // t for t in range(1, min(p, r) + 1)]
 
 
-def _fill(
-    g: dict[tuple[int, int, int], tuple[int, int]], rule: ArgumentRule, root: tuple[int, int, int]
-) -> tuple[int, int]:
+def _pair(g: Table, rule: ArgumentRule, d: int, p: int, r: int) -> tuple[int, int]:
+    """(H, B) at (d, p, r), from the pairs in `rule`'s table `g` of its
+    children: the leaf (d, p, 0), the tails (d+1, q, r-q) and the all-ones
+    runs (d+1, 1, m-1).  The leaves (u_d^p, v_d^p) are also the memo of
+    the powers."""
+    if not r:
+        u, v = rule(d)
+        if v <= 0:
+            raise ValueError(f"argument rule gave denominator {v} at j={d}; it must be positive")
+        return u**p, v**p
+    c, h = prod([g[d + 1, 1, m - 1][1] for m in _runs(p, r)]), 0  # c = B(d, p, r) / v_d^p
+    for q in range(1, min(p, r) + 1):
+        tail, b = g[d + 1, q, r - q]
+        h += comb(p, q) * tail * exact_div(c, b)
+    return g[d, p, 0][0] * h, g[d, p, 0][1] * c
+
+
+def _fill(g: Table, rule: ArgumentRule, root: tuple[int, int, int]) -> tuple[int, int]:
     """(H, B) at `root`, filling in every pair of `rule`'s table `g` it
-    depends on; call with `_lock` held.  The leaves (u_d^p, v_d^p) are also
-    the memo of the powers.  An explicit stack replaces recursion, whose
-    depth would grow with n."""
-    stack = [root]
+    depends on; call with `_lock` held.  An explicit stack (recursion would
+    go n deep) gathers the missing nodes, which are then made once each in
+    weight order."""
+    stack, reached = [root], set()
     while stack:
-        node = stack.pop()
-        if node in g:
-            continue
-        d, p, r = node
-        if not r:
-            u, v = rule(d)
-            if v <= 0:
-                raise ValueError(f"argument rule gave denominator {v} at j={d}; it must be positive")
-            g[node] = (u**p, v**p)
-            continue
-        tails = [(d + 1, q, r - q) for q in range(1, min(p, r) + 1)]
-        runs = [(d + 1, 1, m - 1) for m in _runs(p, r)]
-        missing = [tail for tail in (*tails, *runs, (d, p, 0)) if tail not in g]
-        if missing:
-            stack += (node, *missing)  # node again once its children are in
-            continue
-        u_pow, v_pow = g[d, p, 0]
-        c = math.prod(g[run][1] for run in runs)  # B(d, p, r) / v_d^p
-        h = u_pow * sum(
-            math.comb(p, q) * g[tail][0] * exact_div(c, g[tail][1]) for q, tail in enumerate(tails, 1)
-        )
-        g[node] = (h, v_pow * c)
+        d, p, r = node = stack.pop()
+        if r and node not in reached and node not in g:  # its leaf, tails and all-ones runs
+            stack += ((d, p, 0), *((d + 1, q, r - q) for q in range(1, min(p, r) + 1)))
+            stack += ((d + 1, 1, m - 1) for m in _runs(p, r))
+        reached.add(node)
+    for node in sorted(reached.difference(g), key=lambda node: (node[0] * node[1] + node[2], -node[0])):
+        g[node] = _pair(g, rule, *node)
     return g[root]
 
 
 # Held weakly by rule, so a table goes with the last reference to its rule
 # (a lambda made for one call leaves nothing behind); the named rules are
-# module functions and keep theirs.
-_tables: weakref.WeakKeyDictionary[ArgumentRule, dict[tuple[int, int, int], tuple[int, int]]] = (
-    weakref.WeakKeyDictionary()
-)
+# module functions and keep theirs.  _filled holds the weight that `grow`
+# has filled each table to.
+_tables: weakref.WeakKeyDictionary[ArgumentRule, Table] = weakref.WeakKeyDictionary()
+_filled: weakref.WeakKeyDictionary[ArgumentRule, int] = weakref.WeakKeyDictionary()
 _lock = threading.Lock()
 
 
 def clear_tables() -> None:
-    """Drop the memoized tail tables of every rule."""
+    """Drop the memoized tail tables of every rule, and the weights they
+    were filled to."""
     with _lock:
         _tables.clear()
+        _filled.clear()
+
+
+def grow(rule: ArgumentRule, n: int) -> None:
+    """Fill `rule`'s table with the pair of every node of weight at most n:
+    the pairs that rows 1..n of the transform read.  The weights past the
+    filled one are taken in turn, and within a weight d falls from w to 1,
+    so each node is made once, after its children.  Raises `TypeError` for
+    a rule that cannot be weakly referenced, which keeps no table."""
+    with _lock:
+        g = _tables.setdefault(rule, {})
+        for w in range(_filled.get(rule, 0) + 1, n + 1):
+            for node in ((d, p, w - d * p) for d in range(w, 0, -1) for p in range(1, w // d + 1)):
+                if node not in g:
+                    g[node] = _pair(g, rule, *node)
+            _filled[rule] = w
 
 
 def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
@@ -139,14 +175,13 @@ def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
     Returns 1 for n = k = 0 (boundary convention) and 0 whenever no
     partition of n has largest part k.  Values are memoized per rule (one
     table serves every (n, k)) until `clear_tables` or until the rule is
-    no longer referenced.
+    no longer referenced.  A value that `grow` has not filled in is filled
+    on demand.
     """
     if n < 0 or k < 0:
         raise ValueError(f"partition bounds must be nonnegative, got ({n}, {k})")
-    if n == 0 and k == 0:
-        return 1, 1
     if k == 0 or k > n:
-        return 0, 1
+        return (1 if n == k else 0), 1  # 1 only at n = k = 0
     root = (1, k, n - k)
     try:
         pair = _tables.get(rule, {}).get(root)
@@ -155,5 +190,4 @@ def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
     if pair is None:
         with _lock:
             pair = _fill(_tables.setdefault(rule, {}), rule, root)
-    h, b = pair
-    return (-h if k % 2 else h), b
+    return (-pair[0] if k % 2 else pair[0]), pair[1]

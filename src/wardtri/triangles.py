@@ -60,6 +60,7 @@ from .partition_transform import (
     ArgumentRule,
     clear_tables,
     constant_one,
+    grow,
     partition_transform,
     ward_first_kind,
     ward_second_kind,
@@ -270,6 +271,7 @@ def _explicit_row(kind: Kind, n: int, one=1) -> Row:
 
 def _transform_row(kind: Kind, n: int) -> Row:
     base, rescaling = SPEC[kind]
+    grow(base.rule, n)  # every pair that row n reads, made by weight; each entry is then a lookup
 
     def entry(k: int, factor: int, falling: int) -> int:
         # (-1)^k (n+k)_n P(n, k) is the base triangle; the factor rescales it.

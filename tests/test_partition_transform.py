@@ -8,11 +8,12 @@ import pytest
 from wardtri.exact_arith import ExactnessError
 from wardtri.partition_transform import (
     constant_one,
+    grow,
     partition_transform,
     ward_first_kind,
     ward_second_kind,
 )
-from wardtri.triangles import Kind, Strategy, clear_caches, value
+from wardtri.triangles import Kind, Strategy, clear_caches, triangle, value
 
 
 def all_partitions(n):
@@ -129,6 +130,7 @@ def test_a_rule_no_longer_referenced_leaves_no_table():
     before = len(tables)
     for _ in range(10):
         partition_transform(30, 5, lambda j: (1, j + 1))
+        grow(lambda j: (1, j + 1), 12)
     gc.collect()
     assert len(tables) == before
     partition_transform(30, 5, ward_second_kind)  # a named rule keeps its table
@@ -144,6 +146,8 @@ def test_a_rule_no_longer_referenced_leaves_no_table():
     kept = len(tables)
     assert partition_transform(30, 5, Slotted()) == partition_transform(30, 5, ward_second_kind)
     assert len(tables) == kept
+    with pytest.raises(TypeError):  # grow fills a kept table, which this rule cannot have
+        grow(Slotted(), 5)
 
 
 def test_clear_caches_drops_transform_tables():
@@ -161,6 +165,92 @@ def test_clear_caches_drops_transform_tables():
     partition_transform(12, 3, rule)
     assert len(calls) == 2 * first
 
+
+def table_of(rule):
+    """The memoized tail table of `rule`: node (d, p, r) to its pair (H, B)."""
+    # the package's `partition_transform` attribute is the function
+    return importlib.import_module("wardtri.partition_transform")._tables[rule]
+
+
+def copy_of(rule):
+    """A distinct rule object with the same terms, so it gets a table of its own."""
+    return lambda j: rule(j)
+
+
+def demand_filled(rule, rows):
+    """A fresh table of `rule`'s terms filled on demand by every value of
+    rows 0..rows, and the rule object that keeps it."""
+    fresh = copy_of(rule)
+    values = {(n, k): partition_transform(n, k, fresh) for n in range(rows + 1) for k in range(n + 2)}
+    return fresh, values
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_grow_gives_the_pairs_of_a_demand_fill(rule):
+    grown = copy_of(rule)
+    grow(grown, 40)
+    assert all((1, k, n - k) in table_of(grown) for n in range(1, 41) for k in range(1, n + 1))
+    _, expected = demand_filled(rule, 40)
+    assert {cell: partition_transform(*cell, grown) for cell in expected} == expected
+
+
+@pytest.mark.parametrize("rows, nodes", [(24, 904), (60, 7021)])
+def test_grow_holds_the_nodes_that_the_rows_reach_on_demand(rows, nodes):
+    # exactly the nodes (d, p, r) of weight d*p + r <= rows
+    grown = copy_of(ward_second_kind)
+    grow(grown, rows)
+    fresh, _ = demand_filled(ward_second_kind, rows)
+    assert table_of(grown).keys() == table_of(fresh).keys()
+    assert table_of(grown) == table_of(fresh)
+    assert len(table_of(grown)) == nodes
+    assert set(table_of(grown)) == {
+        (d, p, w - d * p) for w in range(1, rows + 1) for d in range(1, w + 1) for p in range(1, w // d + 1)
+    }
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_mixed_fill_orders_give_the_same_pairs(rule):
+    mixed = copy_of(rule)
+    lone = [(30, 4), (17, 2), (25, 1), (9, 9)]
+    values = {cell: partition_transform(*cell, mixed) for cell in lone}  # on demand, past any fill
+    made = dict(table_of(mixed))
+    grow(mixed, 20)
+    assert all(table_of(mixed)[node] is pair for node, pair in made.items())  # kept, not made again
+    values[36, 3] = partition_transform(36, 3, mixed)  # on demand again, past the filled weight
+    grow(mixed, 26)
+    grow(mixed, 12)  # below the filled weight: makes nothing
+    _, expected = demand_filled(rule, 40)
+    assert values == {cell: expected[cell] for cell in values}
+    assert {cell: partition_transform(*cell, mixed) for cell in expected} == expected
+    reference = copy_of(rule)
+    grow(reference, 40)
+    assert all(table_of(reference)[node] == pair for node, pair in table_of(mixed).items())
+
+
+def test_the_transform_route_fills_by_weight():
+    clear_caches()
+    try:
+        triangle(Kind.WARD1, 10, Strategy.PARTITION_TRANSFORM)
+        assert importlib.import_module("wardtri.partition_transform")._filled[ward_first_kind] == 10
+    finally:
+        clear_caches()
+
+
+def test_clear_caches_resets_the_filled_weight():
+    calls = []
+
+    def rule(j):
+        calls.append(j)
+        return j, j + 2
+
+    grow(rule, 12)
+    first = len(calls)
+    grow(rule, 12)
+    grow(rule, 7)
+    assert len(calls) == first  # filled already
+    clear_caches()
+    grow(rule, 12)
+    assert len(calls) == 2 * first
 
 
 def _bound(rule, d, p, r):
@@ -188,6 +278,18 @@ def test_a_bound_too_small_raises(monkeypatch):
         monkeypatch.setattr(module, "_runs", lambda p, r: [r])
         with pytest.raises(ExactnessError):
             partition_transform(6, 2, ward_second_kind)
+    finally:
+        clear_caches()
+
+
+def test_a_bound_too_small_raises_on_the_transform_route(monkeypatch):
+    # the same bound as above, reached through the weight fill of the rows
+    clear_caches()
+    try:
+        module = importlib.import_module("wardtri.partition_transform")
+        monkeypatch.setattr(module, "_runs", lambda p, r: [r])
+        with pytest.raises(ExactnessError):
+            triangle(Kind.WARD2, 6, Strategy.PARTITION_TRANSFORM)
     finally:
         clear_caches()
 

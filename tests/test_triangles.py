@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from wardtri import triangles
 from wardtri.exact_arith import ExactnessError, exact_div
-from wardtri.partition_transform import partition_transform, ward_second_kind
+from wardtri.partition_transform import grow, partition_transform, ward_second_kind
 from wardtri.triangles import (
     SUPPORTED,
     Kind,
@@ -612,7 +612,10 @@ def test_concurrent_transform_table_growth_matches_a_serial_build():
     expected = {cell: partition_transform(*cell, lambda j: (j * j + 1, 3)) for cell in cells}
 
     def evaluate(seed):
-        order = random.Random(seed).sample(cells, len(cells))
+        rng = random.Random(seed)
+        order = rng.sample(cells, len(cells))
+        if seed % 2:  # half the threads first fill by weight, to a row of their own
+            grow(rule, rng.randrange(19))
         return {cell: partition_transform(*cell, rule) for cell in order}
 
     results = _run_in_threads([functools.partial(evaluate, seed) for seed in range(8)])
