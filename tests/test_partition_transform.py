@@ -200,8 +200,7 @@ def test_grow_holds_the_nodes_that_the_rows_reach_on_demand(rows, nodes):
     grown = copy_of(ward_second_kind)
     grow(grown, rows)
     fresh, _ = demand_filled(ward_second_kind, rows)
-    assert table_of(grown).keys() == table_of(fresh).keys()
-    assert table_of(grown) == table_of(fresh)
+    assert table_of(grown) == table_of(fresh)  # the same keys, and the same pair at each
     assert len(table_of(grown)) == nodes
     assert set(table_of(grown)) == {
         (d, p, w - d * p) for w in range(1, rows + 1) for d in range(1, w + 1) for p in range(1, w // d + 1)
