@@ -8,12 +8,14 @@ and `bench --rows 0`, an integer option that is not ASCII digits,
 strategy list, a check that compares no pair, unreadable or malformed
 files, a count of `sys.maxsize` or more), 141 a closed stdout.
 
-Each command imports only the modules it runs: `compare` for check,
-`identities` for identities and conjecture, `bfile` for b-file output and
-bfile-compare.  gen, check, bfile-compare and bench read each route as a
-stream of rows and hold one row at a time; gen builds its rows as exact
-Decimals (`decimal` is loaded for gen alone), and bfile-compare reads its
-file one line at a time and compares integers.
+Each command imports only the modules it runs: `triangles` for gen,
+check, bfile-compare and bench, `compare` for check, `identities` for
+identities and conjecture, `bfile` for b-file output and bfile-compare.
+`--help` and an argument that does not parse load none of them, as the
+package defines `Kind` and `Strategy` itself.  gen, check, bfile-compare
+and bench read each route as a stream of rows and hold one row at a time;
+gen builds its rows as exact Decimals (`decimal` is loaded for gen alone),
+and bfile-compare reads its file one line at a time and compares integers.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ import time
 from collections.abc import Callable
 from enum import Enum
 
-from . import triangles
-from .triangles import Kind, Strategy
+from . import Kind, Strategy
 
 
 def _normalise(text: str) -> str:
@@ -90,6 +91,8 @@ def _list_parser(parse: Callable[[str], Enum]) -> Callable[[str], list | None]:
 def _routes(parser: argparse.ArgumentParser, kind: Kind, wanted: list | None, strict: bool) -> list:
     """The strategies to run for `kind`: all it supports for None, else those
     `wanted` that it supports.  When `strict`, one it lacks is a usage error."""
+    from . import triangles
+
     supported = triangles.SUPPORTED[kind]
     if wanted is None:
         return sorted(supported, key=lambda s: s.value)
@@ -106,6 +109,8 @@ def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.format == "bfile" and args.rows < 1:
         parser.error("--rows must be at least 1 for a b-file, which leaves out row 0")
     _routes(parser, args.kind, [args.strategy], strict=True)
+    from . import triangles
+
     rows = itertools.islice(triangles._exact_decimal_rows(args.kind, args.strategy), args.rows + 1)
     out = sys.stdout
     if args.format == "bfile":
@@ -198,7 +203,7 @@ def _cmd_bfile_compare(parser: argparse.ArgumentParser, args: argparse.Namespace
     The whole file is read and validated even after a mismatch, so an
     unreadable or malformed file is a usage error wherever the fault is."""
     _routes(parser, args.kind, [args.strategy], strict=True)  # before the file is read
-    from . import bfile as bfile_mod
+    from . import bfile as bfile_mod, triangles
 
     first = entries = 0
     expected = mismatch = None
@@ -250,6 +255,8 @@ def _cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.rows < 1:
         parser.error("--rows must be at least 1")
     strategies = _routes(parser, args.kind, args.strategies, strict=True)
+    from . import triangles
+
     print("kind strategy rows entries max_bits seconds")
     entries = (args.rows + 1) * (args.rows + 2) // 2
     for strategy in strategies:

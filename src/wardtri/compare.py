@@ -83,14 +83,17 @@ class _Sweep:
         if self.counterexample is None and lhs != rhs:
             self.counterexample = Counterexample(n=n, k=k, lhs=lhs, rhs=rhs, m=m)
 
-    def compare_ratio(self, lhs: int, num: int, den: int, n: int, k: int, m: int | None = None) -> None:
-        """lhs == num/den for den > 0, tested as lhs * den == num."""
+    def compare_ratio(
+        self, lhs: int, num: int, den: int, n: int, k: int, m: int | None = None, lhs_den: int = 1
+    ) -> None:
+        """lhs/lhs_den == num/den for positive denominators, tested as
+        lhs * den == num * lhs_den."""
         self.cases += 1
-        if self.counterexample is None and lhs * den != num:
+        if self.counterexample is None and lhs * den != num * lhs_den:
             from fractions import Fraction
 
             self.counterexample = Counterexample(
-                n=n, k=k, lhs=Fraction(lhs), rhs=Fraction(num, den), m=m
+                n=n, k=k, lhs=Fraction(lhs, lhs_den), rhs=Fraction(num, den), m=m
             )
 
     def report(self) -> CheckReport:

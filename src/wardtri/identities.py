@@ -24,7 +24,8 @@ rational identity is multiplied through by its positive denominator, and
 fractions are formed only to report a counterexample.  The two
 generating-function checks share one evaluator of x^shift (1-x)^-k / scale:
 it expands (1-x)^-k by integer prefix sums and compares each coefficient
-with the entry over its factorial, a `Fraction`.
+c / scale with the entry over its factorial as c * (weight*n)! ==
+entry * scale.
 
 Conjectured relations are flagged as such: their reports are evidence, and
 a disagreement is surfaced rather than treated as a library bug.
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, perm
 from operator import mul
@@ -270,14 +270,14 @@ def _column_gf(
 ) -> CheckReport:
     """Sweep the coefficients of x^shift (1-x)^-k / scale through x^order:
     each one below x^shift is 0, and for k <= n <= order the coefficient
-    of x^n is T(n+k-shift, k) / (weight*n)!, a `Fraction`."""
+    of x^n is T(n+k-shift, k) / (weight*n)!."""
     e = default_entry(kind)
     sweep = _Sweep(f"{name}-k{k}", f"k={k}, n<={order}")
-    series = [0] * shift + [Fraction(c, scale) for c in _geometric(k, order - shift)]
+    series = [0] * shift + _geometric(k, order - shift)
     for n in range(shift):
-        sweep.compare(series[n], Fraction(0), n, k)
+        sweep.compare(series[n], 0, n, k)
     for n in range(k, order + 1):
-        sweep.compare(series[n], Fraction(e(n + k - shift, k), factorial(weight * n)), n, k)
+        sweep.compare_ratio(series[n], e(n + k - shift, k), factorial(weight * n), n, k, lhs_den=scale)
     return sweep.report()
 
 

@@ -43,6 +43,9 @@ immutable rows read so far and the generator it reads on from, and drops
 both when a step raises.  A boundary entry makes no row.  No table grows
 another, and one thread at a time reads on, under the module's lock; a row
 is appended only once complete, so a reader of complete rows takes no lock.
+
+`Kind` and `Strategy` are defined in the package, where the command line
+reads them without loading this module, and re-exported here.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from itertools import count, islice
 from math import factorial, perm
 from operator import mul, sub
 
+from . import Kind, Strategy
 from .exact_arith import exact_div
 from .partition_transform import (
     ArgumentRule,
@@ -65,26 +69,6 @@ from .partition_transform import (
     ward_first_kind,
     ward_second_kind,
 )
-
-
-class Kind(Enum):
-    WARD1 = "ward1"
-    WARD2 = "ward2"
-    WARD_LAH = "ward-lah"
-    VARIED_WARD1 = "varied-ward1"
-    VARIED_WARD2 = "varied-ward2"
-    VARIED_WARD_LAH = "varied-ward-lah"
-    BINOMIAL_WARD1 = "binomial-ward1"
-    BINOMIAL_WARD2 = "binomial-ward2"
-    BINOMIAL_WARD_LAH = "binomial-ward-lah"
-
-
-class Strategy(Enum):
-    RECURRENCE = "recurrence"
-    EXPLICIT = "explicit"
-    PARTITION_TRANSFORM = "partition-transform"
-    SCALING = "scaling"
-    ALTERNATING_SUM = "alternating-sum"
 
 
 class UnsupportedStrategyError(ValueError):

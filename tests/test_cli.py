@@ -623,20 +623,28 @@ from wardtri import cli
 sys.stdout = io.StringIO()
 try:
     code = cli.main(sys.argv[1:])
-except SystemExit as exc:  # --help
+except SystemExit as exc:  # --help and usage errors
     code = exc.code
 sys.__stdout__.write(f"{code} {' '.join(sorted(sys.modules))}")
 """
 
 
-def loaded_modules(*argv):
+def run_bare(script, *argv):
+    """The stdout of `script` run with `argv` in a fresh interpreter without `site`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-S", "-c", _FOOTPRINT, *argv],
-                         capture_output=True, text=True, env=env, check=True, timeout=60).stdout
-    code, *modules = out.split()
-    assert code == "0"
+    return subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                          capture_output=True, text=True, env=env, check=True, timeout=60).stdout
+
+
+def loaded_modules(*argv, status=0):
+    code, *modules = run_bare(_FOOTPRINT, *argv).split()
+    assert code == str(status)
     return set(modules)
+
+
+ENGINE = {"wardtri.triangles", "wardtri.partition_transform", "wardtri.exact_arith",
+          "wardtri.compare", "wardtri.bfile", "wardtri.identities"}
 
 
 def test_each_command_loads_only_what_it_runs():
@@ -645,17 +653,59 @@ def test_each_command_loads_only_what_it_runs():
     gen = loaded_modules("gen", "--kind", "ward2", "--rows", "3")
     compare = loaded_modules("bfile-compare", "--kind", "ward2", "--file", str(FIXTURES / "b269939.txt"))
     usage = loaded_modules("--help")
+    bad_kind = loaded_modules("check", "--kind", "nope", status=2)
+    package = set(run_bare("import sys, wardtri; print(*sys.modules)").split())
     identities = loaded_modules("identities", "--max-n", "3")
     for modules in (check, gen, compare, usage, identities):
         assert not modules & {"dataclasses", "inspect"}
     for modules in (check, gen, compare, usage):
         assert not modules & {"fractions", "wardtri.identities"}
-    for modules in (check, compare, usage):
+    for modules in (check, compare, usage, identities):
         assert "decimal" not in modules
+    for modules in (usage, bad_kind, package):
+        assert "wardtri" in modules and not modules & ENGINE
     assert "decimal" in gen
     assert "wardtri.compare" in check and "wardtri.bfile" not in check
     assert "wardtri.bfile" in compare
-    assert "wardtri.identities" in identities
+    assert "wardtri.identities" in identities and "fractions" not in identities
+
+
+# Where each public name of the package is defined.
+_PUBLIC = {
+    "wardtri": ["Kind", "Strategy"],
+    "wardtri.exact_arith": ["ExactnessError", "exact_div"],
+    "wardtri.partition_transform": ["constant_one", "partition_transform", "ward_first_kind",
+                                    "ward_second_kind"],
+    "wardtri.triangles": ["Kind", "Strategy", "Triangle", "UnsupportedStrategyError", "central", "lah",
+                          "stirling1_unsigned", "stirling2", "stream", "triangle", "value"],
+}
+
+# Imports the package by `sys.argv[1]` and then checks, for each public
+# name, that the package holds the object its defining module exports.
+_NAMESPACE = """
+import importlib, sys
+exec(sys.argv[1])
+import wardtri
+public = %r
+for module, names in public.items():
+    for name in names:
+        assert getattr(wardtri, name) is getattr(importlib.import_module(module), name), (module, name)
+assert sorted({n for names in public.values() for n in names}) == sorted(wardtri.__all__)
+assert set(wardtri.__all__) <= set(dir(wardtri))
+star = {}
+exec("from wardtri import *", star)
+assert all(star[name] is getattr(wardtri, name) for name in wardtri.__all__)
+print("ok")
+""" % (_PUBLIC,)
+
+
+@pytest.mark.parametrize("first", [
+    "import wardtri",
+    "import wardtri.triangles",
+    "importlib.import_module('wardtri.partition_transform')",
+])
+def test_each_public_name_is_its_defining_object_in_any_import_order(first):
+    assert run_bare(_NAMESPACE, first) == "ok\n"
 
 
 def test_a_closed_stdout_ends_quietly_with_status_141():
