@@ -415,7 +415,7 @@ def _oracle_horizontal(term, prefactor, kk_min, kk_bounded, skip_diagonal=False)
 
 F = factorial
 # The checks that sweep a triangle entry by entry: the eleven stencils of
-# `identities._STENCILS`, the alternating sum and the Lah identity.
+# `identities._CHECKS`, the alternating sum and the Lah identity.
 SWEEP_ORACLES = {
     "alternating-sum-ward-lah": (
         ids.check_alternating_sum_wardlah, Kind.WARD_LAH, _oracle_alternating_sum,
@@ -590,9 +590,36 @@ FIRST_SWEPT = {
 }
 
 
-def test_the_stencil_table_holds_every_triangular_stencil_of_the_suite():
-    names = {r.name for r in ids.run_identity_suite(22) if r.name.startswith(("triangular-", "order"))}
-    assert set(ids._STENCILS) == names == set(FIRST_SWEPT)
+def test_the_suite_reports_the_table_in_order():
+    # Every non-conjecture entry once, in table order, and then the columns
+    # of the generating-function entries, k by k.
+    entries = {name: s for name, s in ids._CHECKS.items() if not getattr(s, "conjecture", False)}
+    columns = [name for name, s in entries.items() if isinstance(s, ids._ColumnGF)]
+    expected = [name for name in entries if name not in columns]
+    expected += [f"{name}-k{k}" for k in range(1, ids.GF_MAX_K + 1) for name in columns]
+    assert [r.name for r in ids.run_identity_suite(22)] == expected
+    assert {name for name, s in ids._CHECKS.items() if isinstance(s, ids._Stencil)} == set(FIRST_SWEPT)
+    conjectures = [ids.check_conjecture_rowsums_stirling(kind, 3).name
+                   for kind in (Kind.BINOMIAL_WARD1, Kind.BINOMIAL_WARD2)]
+    assert [name for name in ids._CHECKS if name not in entries] == conjectures
+
+
+def _falsified(entry):
+    """`entry` with one side of its statement off by one: a stencil's step
+    gives num + den over den, one whole entry too many."""
+    if isinstance(entry, ids._Stencil):
+        def step(n, k, t):
+            num, den = entry.step(n, k, t)
+            return num + den, den
+
+        return entry._replace(step=step)
+    if isinstance(entry, ids._Horizontal):
+        return entry._replace(rhs_weight=lambda f, n, k: entry.rhs_weight(f, n, k) + 1)
+    if isinstance(entry, ids._ColumnGF):
+        return entry._replace(scale=lambda k: entry.scale(k) + 1)
+    return entry._replace(
+        pairs=lambda kind, max_n: ((n, k, lhs, rhs + 1) for n, k, lhs, rhs in entry.pairs(kind, max_n))
+    )
 
 
 @pytest.mark.parametrize("name", sorted(FIRST_SWEPT))
@@ -602,13 +629,8 @@ def test_each_check_runs_its_stencil_table_entry(monkeypatch, name):
     check, n, k = FIRST_SWEPT[name]
     clean = check(10)
     assert clean.passed and clean.name == name
-    entry = ids._STENCILS[name]
-
-    def off_by_one(n, k, t):
-        num, den = entry.step(n, k, t)
-        return num + den, den
-
-    monkeypatch.setitem(ids._STENCILS, name, entry._replace(step=off_by_one))
+    entry = ids._CHECKS[name]
+    monkeypatch.setitem(ids._CHECKS, name, _falsified(entry))
     report = check(10)
     assert not report.passed
     assert (report.name, report.param_range, report.cases, report.skipped) == (
@@ -617,6 +639,54 @@ def test_each_check_runs_its_stencil_table_entry(monkeypatch, name):
     c = report.counterexample
     assert (c.n, c.k, c.m) == (n, k, None)
     assert c.rhs == c.lhs + 1 == triangles.value(entry.kind, n, k) + 1
+
+
+def _suite_outcomes():
+    return {r.name: (r.param_range, r.cases, r.skipped, r.passed) for r in ids.run_identity_suite(10)}
+
+
+@pytest.mark.parametrize("name", list(ids._CHECKS))
+def test_a_false_table_entry_fails_its_own_reports_and_no_other(monkeypatch, name):
+    # A generating-function entry reports once per column; a conjecture
+    # entry is run by its public check, not by the suite.
+    clean, entry = _suite_outcomes(), ids._CHECKS[name]
+    assert all(passed for *_, passed in clean.values())
+    own = {f"{name}-k{k}" for k in range(1, ids.GF_MAX_K + 1)} if isinstance(entry, ids._ColumnGF) else {name}
+    monkeypatch.setitem(ids._CHECKS, name, _falsified(entry))
+    changed = _suite_outcomes()
+    assert list(changed) == list(clean)
+    for report, outcome in clean.items():
+        if report in own:
+            assert changed[report] == (*outcome[:3], False), report
+        else:
+            assert changed[report] == outcome, report
+    if getattr(entry, "conjecture", False):
+        assert name not in clean
+        assert not ids.check_conjecture_rowsums_stirling(entry.kind, 10).passed
+    else:
+        assert own <= set(clean)
+
+
+def test_the_suite_runs_each_check_through_its_module_attribute(monkeypatch):
+    # A tracer rebinds the public checks and counts the reports they return,
+    # so the suite must call the checks as the module binds them.
+    returned = []
+    for attr, check in list(vars(ids).items()):
+        if attr.startswith("check_"):
+            def counted(*args, check=check):
+                returned.append(check(*args))
+                return returned[-1]
+
+            monkeypatch.setattr(ids, attr, counted)
+    assert ids.run_identity_suite(4) == returned
+
+
+def test_every_public_check_carries_its_own_name_and_a_docstring():
+    checks = {attr: f for attr, f in vars(ids).items() if attr.startswith("check_")}
+    assert len(checks) == 20
+    for attr, check in checks.items():
+        assert (check.__name__, check.__qualname__) == (attr, attr)
+        assert check.__doc__ and check.__doc__.strip(), attr
 
 
 IDENTITY_CASES = Path(__file__).parents[1] / "perfbench" / "identity_cases.json"
