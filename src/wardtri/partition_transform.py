@@ -46,7 +46,11 @@ Its children (the leaf (d, p, 0), the tails and the runs) have a smaller
 weight, or the same weight and d one larger, so taking nodes by weight,
 and within a weight by falling d, makes every child before its parent.
 
-The pairs (H, B) are memoized in one dict per rule, kept while the rule
+The pairs (H, B) are memoized per rule, in layers: table[d] is layer d,
+a dict from p to column p, and table[d][p] is a dict from r to the pair
+of node (d, p, r).  A layer or column is made with the first node in it.
+A step reads its children from layer d+1 by integer keys, so no node key
+is built or hashed on the way.  A table is kept while its rule
 object lives; a rule that cannot be weakly referenced (an instance of a
 class whose `__slots__` leave out `__weakref__`) gets a table for one call
 only.  Two fills grow a table.  Both take nodes in that order and make
@@ -60,24 +64,23 @@ each one once, from its children, by one step (`_pair`):
   where filling every weight up to 1500 would make 7.9 million.
 
 Both fills share one lock and one memo: one thread at a time grows any
-table, under the module's lock, and a pair enters its dict only once
-final, so a lookup takes no lock.  Either order skips the nodes the other
-has made.
+table, under the module's lock, and either order skips the nodes the
+other has made.  A pair enters its column only once final, and a layer or
+column only ever gains entries, so a lookup takes no lock: one that finds
+no table, layer, column or pair yet falls through to the locked fill.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from collections.abc import Callable
-from math import comb, prod
+from collections.abc import Callable, Iterator
+from math import comb
 
 from .exact_arith import exact_div
 
 # Rule mapping index j >= 1 to the j-th argument term u_j/v_j as (u_j, v_j).
 ArgumentRule = Callable[[int], tuple[int, int]]
-# One rule's memo: node (d, p, r) to its pair (H, B).
-Table = dict[tuple[int, int, int], tuple[int, int]]
 
 
 def constant_one(j: int) -> tuple[int, int]:
@@ -95,14 +98,14 @@ def ward_second_kind(j: int) -> tuple[int, int]:
     return 1, j + 1
 
 
-def _runs(p: int, r: int) -> list[int]:
+def _runs(p: int, r: int) -> Iterator[int]:
     """The run lengths floor(r/t), t = 1..min(p, r), whose run products
     make B(d, p, r) / v_d^p."""
-    return [r // t for t in range(1, min(p, r) + 1)]
+    return map(r.__floordiv__, range(1, (p if p < r else r) + 1))  # builtin min is slow on two ints
 
 
-def _pair(g: Table, rule: ArgumentRule, d: int, p: int, r: int) -> tuple[int, int]:
-    """(H, B) at (d, p, r), from the pairs in `rule`'s table `g` of its
+def _pair(table: dict, rule: ArgumentRule, d: int, p: int, r: int) -> tuple[int, int]:
+    """(H, B) at (d, p, r), from the pairs in `rule`'s table of its
     children: the leaf (d, p, 0), the tails (d+1, q, r-q) and the all-ones
     runs (d+1, 1, m-1).  The leaves (u_d^p, v_d^p) are also the memo of
     the powers."""
@@ -111,35 +114,37 @@ def _pair(g: Table, rule: ArgumentRule, d: int, p: int, r: int) -> tuple[int, in
         if v <= 0:
             raise ValueError(f"argument rule gave denominator {v} at j={d}; it must be positive")
         return u**p, v**p
-    c, h = prod([g[d + 1, 1, m - 1][1] for m in _runs(p, r)]), 0  # c = B(d, p, r) / v_d^p
-    for q in range(1, min(p, r) + 1):
-        tail, b = g[d + 1, q, r - q]
-        h += comb(p, q) * tail * exact_div(c, b)
-    return g[d, p, 0][0] * h, g[d, p, 0][1] * c
+    (u, v), below, c, h = table[d][p][0], table[d + 1], 1, 0
+    for m in _runs(p, r):
+        c *= below[1][m - 1][1]  # c = B(d, p, r) / v_d^p
+    for q in range(1, (p if p < r else r) + 1):
+        f, e = divmod(c, (tail := below[q][r - q])[1])
+        h += comb(p, q) * tail[0] * (exact_div(c, tail[1]) if e else f)  # exact_div raises on a remainder
+    return u * h, v * c
 
 
-def _fill(g: Table, rule: ArgumentRule, root: tuple[int, int, int]) -> tuple[int, int]:
-    """(H, B) at `root`, filling in every pair of `rule`'s table `g` it
-    depends on; call with `_lock` held.  An explicit stack (recursion would
-    go n deep) gathers the missing nodes, which are then made once each in
-    weight order."""
-    stack, reached = [root], set()
-    while stack:
-        d, p, r = node = stack.pop()
-        if r and node not in reached and node not in g:  # its leaf, tails and all-ones runs
-            stack += ((d, p, 0), *((d + 1, q, r - q) for q in range(1, min(p, r) + 1)))
-            stack += ((d + 1, 1, m - 1) for m in _runs(p, r))
-        reached.add(node)
-    for node in sorted(reached.difference(g), key=lambda node: (node[0] * node[1] + node[2], -node[0])):
-        g[node] = _pair(g, rule, *node)
-    return g[root]
+def _fill(table: dict, rule: ArgumentRule, root: tuple[int, int, int]) -> tuple[int, int]:
+    """(H, B) at `root`, filling in every pair of `rule`'s table it depends
+    on; call with `_lock` held.  A list read while it grows (recursion
+    would go n deep) gathers the missing nodes, which are then made once
+    each in weight order."""
+    reached, missing = [root], set()
+    for d, p, r in reached:  # read as it grows: a missing node adds its leaf, tails and all-ones runs
+        if (d, p, r) not in missing and r not in table.setdefault(d, {}).setdefault(p, {}):
+            missing.add((d, p, r))
+            reached += (d, p, 0), *((d + 1, q, r - q) for q in range(1, min(p, r) + 1))
+            reached += ((d + 1, 1, m - 1) for m in (_runs(p, r) if r else ()))  # a leaf has no runs
+    for d, p, r in sorted(missing, key=lambda node: (node[0] * node[1] + node[2], -node[0])):
+        table[d][p][r] = _pair(table, rule, d, p, r)
+    return table[root[0]][root[1]][root[2]]
 
 
-# Held weakly by rule, so a table goes with the last reference to its rule
-# (a lambda made for one call leaves nothing behind); the named rules are
-# module functions and keep theirs.  _filled holds the weight that `grow`
-# has filled each table to.
-_tables: weakref.WeakKeyDictionary[ArgumentRule, Table] = weakref.WeakKeyDictionary()
+# table[d][p][r] is the pair (H, B) of node (d, p, r).  Held weakly by rule,
+# so a table goes with the last reference to its rule (a lambda made for
+# one call leaves nothing behind); the named rules are module functions and
+# keep theirs.  _filled holds the weight that `grow` has filled each table
+# to.
+_tables: weakref.WeakKeyDictionary[ArgumentRule, dict] = weakref.WeakKeyDictionary()
 _filled: weakref.WeakKeyDictionary[ArgumentRule, int] = weakref.WeakKeyDictionary()
 _lock = threading.Lock()
 
@@ -159,11 +164,12 @@ def grow(rule: ArgumentRule, n: int) -> None:
     so each node is made once, after its children.  Raises `TypeError` for
     a rule that cannot be weakly referenced, which keeps no table."""
     with _lock:
-        g = _tables.setdefault(rule, {})
+        table = _tables.setdefault(rule, {})
         for w in range(_filled.get(rule, 0) + 1, n + 1):
-            for node in ((d, p, w - d * p) for d in range(w, 0, -1) for p in range(1, w // d + 1)):
-                if node not in g:
-                    g[node] = _pair(g, rule, *node)
+            for d in range(w, 0, -1):
+                for p in range(1, w // d + 1):  # column p of layer d starts at weight d*p, with its leaf
+                    if (r := w - d * p) not in (table[d][p] if r else table.setdefault(d, {}).setdefault(p, {})):
+                        table[d][p][r] = _pair(table, rule, d, p, r)
             _filled[rule] = w
 
 
@@ -172,22 +178,22 @@ def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
     as an exact pair (numerator, denominator) with a positive denominator,
     not reduced to lowest terms.
 
-    Returns 1 for n = k = 0 (boundary convention) and 0 whenever no
-    partition of n has largest part k.  Values are memoized per rule (one
-    table serves every (n, k)) until `clear_tables` or until the rule is
-    no longer referenced.  A value that `grow` has not filled in is filled
-    on demand.
+    Returns (1, 1) for n = k = 0 (boundary convention) and (0, 1) whenever
+    no partition of n has largest part k.  Values are memoized per rule
+    (one table serves every (n, k)) until `clear_tables` or until the rule
+    is no longer referenced.  A value that `grow` has not filled in is
+    filled on demand, under the lock; a value already made is read without
+    it.
     """
     if n < 0 or k < 0:
         raise ValueError(f"partition bounds must be nonnegative, got ({n}, {k})")
     if k == 0 or k > n:
         return (1 if n == k else 0), 1  # 1 only at n = k = 0
-    root = (1, k, n - k)
     try:
-        pair = _tables.get(rule, {}).get(root)
-    except TypeError:  # a rule that cannot be weakly referenced gets a table for this call only
-        pair = _fill({}, rule, root)
-    if pair is None:
+        pair = _tables[rule][1][k][n - k]
+    except LookupError:  # no table, layer, column or pair yet
         with _lock:
-            pair = _fill(_tables.setdefault(rule, {}), rule, root)
+            pair = _fill(_tables.setdefault(rule, {}), rule, (1, k, n - k))
+    except TypeError:  # a rule that cannot be weakly referenced gets a table for this call only
+        pair = _fill({}, rule, (1, k, n - k))
     return (-pair[0] if k % 2 else pair[0]), pair[1]

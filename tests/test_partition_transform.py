@@ -120,8 +120,23 @@ def test_transform_rejects_negative():
 
 
 def test_long_single_partition_needs_no_deep_recursion():
-    # the only partition with largest part 1 is 1^n, and a_1...a_n = 1/(n+1)
-    assert transform(1500, 1, ward_first_kind) == Fraction(-1, 1501)
+    # The only partition with largest part 1 is 1^n, and a_1...a_n = 1/(n+1).
+    # The demand fill makes only the nodes this value reads, the tails
+    # (d, 1, 1500-d) and their leaves, 1500 layers deep, and a later grow
+    # extends the same table.
+    clear_caches()
+    try:
+        assert transform(1500, 1, ward_first_kind) == Fraction(-1, 1501)
+        made = table_of(ward_first_kind)
+        assert set(made) == {(d, 1, 1500 - d) for d in range(1, 1501)} | {(d, 1, 0) for d in range(1, 1500)}
+        assert len(made) == 2999
+        grow(ward_first_kind, 30)
+        grown = table_of(ward_first_kind)
+        assert all(grown[node] is pair for node, pair in made.items())
+        _, expected = demand_filled(ward_first_kind, 30)
+        assert {cell: partition_transform(*cell, ward_first_kind) for cell in expected} == expected
+    finally:
+        clear_caches()
 
 
 def test_a_rule_no_longer_referenced_leaves_no_table():
@@ -166,10 +181,19 @@ def test_clear_caches_drops_transform_tables():
     assert len(calls) == 2 * first
 
 
+def _nodes(rule):
+    """A read-only view of `rule`'s memo, node by node: ((d, p, r), (H, B))
+    for each pair made, from the layers table[d][p][r] that hold them."""
+    # the package's `partition_transform` attribute is the function
+    table = importlib.import_module("wardtri.partition_transform")._tables[rule]
+    for d, layer in table.items():
+        for p, column in layer.items():
+            yield from (((d, p, r), pair) for r, pair in column.items())
+
+
 def table_of(rule):
     """The memoized tail table of `rule`: node (d, p, r) to its pair (H, B)."""
-    # the package's `partition_transform` attribute is the function
-    return importlib.import_module("wardtri.partition_transform")._tables[rule]
+    return dict(_nodes(rule))
 
 
 def copy_of(rule):
@@ -189,7 +213,7 @@ def demand_filled(rule, rows):
 def test_grow_gives_the_pairs_of_a_demand_fill(rule):
     grown = copy_of(rule)
     grow(grown, 40)
-    assert all((1, k, n - k) in table_of(grown) for n in range(1, 41) for k in range(1, n + 1))
+    assert {(1, k, n - k) for n in range(1, 41) for k in range(1, n + 1)} <= set(table_of(grown))
     _, expected = demand_filled(rule, 40)
     assert {cell: partition_transform(*cell, grown) for cell in expected} == expected
 
@@ -212,9 +236,10 @@ def test_mixed_fill_orders_give_the_same_pairs(rule):
     mixed = copy_of(rule)
     lone = [(30, 4), (17, 2), (25, 1), (9, 9)]
     values = {cell: partition_transform(*cell, mixed) for cell in lone}  # on demand, past any fill
-    made = dict(table_of(mixed))
+    made = table_of(mixed)
     grow(mixed, 20)
-    assert all(table_of(mixed)[node] is pair for node, pair in made.items())  # kept, not made again
+    kept = table_of(mixed)
+    assert all(kept[node] is pair for node, pair in made.items())  # kept, not made again
     values[36, 3] = partition_transform(36, 3, mixed)  # on demand again, past the filled weight
     grow(mixed, 26)
     grow(mixed, 12)  # below the filled weight: makes nothing
@@ -223,7 +248,8 @@ def test_mixed_fill_orders_give_the_same_pairs(rule):
     assert {cell: partition_transform(*cell, mixed) for cell in expected} == expected
     reference = copy_of(rule)
     grow(reference, 40)
-    assert all(table_of(reference)[node] == pair for node, pair in table_of(mixed).items())
+    whole = table_of(reference)
+    assert all(whole[node] == pair for node, pair in table_of(mixed).items())
 
 
 def test_the_transform_route_fills_by_weight():
