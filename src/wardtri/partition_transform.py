@@ -48,12 +48,12 @@ and within a weight by falling d, makes every child before its parent.
 
 The pairs (H, B) are memoized per rule, in layers: table[d] is layer d,
 a dict from p to column p, and table[d][p] is a dict from r to the pair
-of node (d, p, r).  A layer or column is made with the first node in it.
-A step reads its children from layer d+1 by integer keys, so no node key
-is built or hashed on the way.  A table is kept while its rule
-object lives; a rule that cannot be weakly referenced (an instance of a
-class whose `__slots__` leave out `__weakref__`) gets a table for one call
-only.  Two fills grow a table.  Both take nodes in that order and make
+of node (d, p, r).  A layer or column is made, empty, by the first fill
+that needs it.  A step reads its children from layer d+1 by integer keys,
+so no node key is built or hashed on the way.  A table is kept while its
+rule object lives; a rule that cannot be weakly referenced (an instance of
+a class whose `__slots__` leave out `__weakref__`) gets a table for one
+call only.  Two fills grow a table.  Both take nodes in that order and make
 each one once, from its children, by one step (`_pair`):
 
 - `grow(rule, n)` fills it weight by weight up to n, which is exactly the
