@@ -188,7 +188,8 @@ def _nodes(rule):
     table = importlib.import_module("wardtri.partition_transform")._tables[rule]
     for d, layer in table.items():
         for p, column in layer.items():
-            yield from (((d, p, r), pair) for r, pair in column.items())
+            for r, pair in column.items():
+                yield (d, p, r), pair
 
 
 def table_of(rule):
