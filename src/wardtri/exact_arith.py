@@ -1,11 +1,11 @@
 """The one exact primitive of the triangle formulas: a division that must
 leave no remainder.
 
-The routes form every row-long product (the rescaling factors, (n+k)!/k!,
-the binomial rows) by stepping along the row, each step one `exact_div`,
-and every other division of a recurrence or of the partition transform is
-one too, so a wrongly transcribed formula raises `ExactnessError` instead
-of rounding.  Single factorials and binomials come from `math`.
+The routes make a row of every closed form (a `triangles._CLOSED` entry)
+by stepping from an entry made of `math.factorial`s, each step one
+`exact_div`, and every other division of a recurrence or of the partition
+transform is one too, so a wrongly transcribed formula raises
+`ExactnessError` instead of rounding.
 Everything is a Python ``int``, except the rows that `gen` prints, which
 are integral ``decimal.Decimal`` values built in a context that traps any
 rounding (`triangles._exact_decimal_rows`): no rationals, and never

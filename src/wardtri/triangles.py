@@ -7,19 +7,16 @@ every kind.  The routes of a kind follow from it: `recurrence` and
 `partition-transform` always, `explicit` when the base is ward-lah (the only
 base with a closed form), `scaling` (the rescaling factor times the base
 triangle) when the kind is rescaled, and `alternating-sum` (a signed sum of
-Lah numbers, grouped as (n+k)!/k! times the k-th forward difference at 0 of
-c(m) = C(n+m-1, m-1), so one difference table per row gives every k) for
-ward-lah itself.
+Lah numbers, one difference table per row) for ward-lah itself.
 
-The recurrences and explicit formulas are written out per kind, as the paper
-states them, and never derived from the rescaling factor: they are the
-independent routes that check it.  The rescaling factor and the parts of
-each closed form that are constant along a row, or that `_stepped` steps
-along it by an exact ratio, are formed once per row.  Each recurrence is
-stated once, in `_RECURRENCE`, as an integer numerator and denominator: the
-builder runs it and `identities` checks the same statement on
-reference-route values.  Every builder divides with `exact_div`, so a result
-that is not an integer raises `ExactnessError` rather than being rounded.
+Each recurrence is stated once, in `_RECURRENCE`, as an integer numerator
+and denominator, which the builder runs and `identities` checks on
+reference-route values.  Each closed form is stated once, in `_CLOSED`, as
+a product of factorials of linear forms in n and k (the explicit ones as
+the paper states them, never derived from the rescaling factor, so they
+check it), and one stepper, `_closed_row`, makes a row of any entry by the
+exact ratio of neighbours.  Every builder divides with `exact_div`, so a
+result that is not an integer raises `ExactnessError` and is never rounded.
 
 All triangles share the same boundary: T(0,0) = 1, T(n,0) = T(0,k) = 0 for
 n, k >= 1, and T(n,k) = 0 for k > n.
@@ -54,8 +51,9 @@ import threading
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
-from itertools import count, islice
-from math import factorial, perm
+from functools import partial, reduce
+from itertools import count, islice, repeat
+from math import factorial, prod
 from operator import mul, sub
 
 from . import Kind, Strategy
@@ -90,13 +88,31 @@ class Base(Enum):
         self.classical = classical
 
 
-def _stepped(first: int, ratios: Iterable[tuple[int, int]]) -> list[int]:
-    """`first`, then each previous value times num/den for each (num, den)
+def _stepped(value: int, ratios: Iterable[tuple[int, int]]) -> list[int]:
+    """`value`, then each previous value times num/den for each (num, den)
     in `ratios`: a product stepped along a row, every quotient exact."""
-    out = [first]
-    for num, den in ratios:
-        out.append(exact_div(out[-1] * num, den))
-    return out
+    return [value, *[value := exact_div(value * num, den) for num, den in ratios]]
+
+
+def _closed_row(terms: tuple, n: int, one=1, first: int = 0, last: int | None = None) -> list[int]:
+    """Entries k = first, ..., last (n by default, down if last < first) of
+    the product of (a*n + b*k + c)!^e over `terms`, in `one`'s type: entry
+    `first` from factorials, then by the ratio of neighbours, a term whose
+    argument steps by s giving its larger value, over the line if e*s = 1."""
+    last = n if last is None else last
+    d = 1 if last >= first else -1
+    over, under, num, den = [], [], [], []
+    for e, a, b, c in terms:
+        m = a * n + c
+        (over if e > 0 else under).append(m + b * first)
+        if b:
+            s = b * d
+            (num if e * s > 0 else den).append(range(m + b * first + (s > 0), m + b * last + (s > 0), s))
+    for x in set(over) & set(under):  # a factorial over the line cancels an equal one under it
+        over.remove(x)
+        under.remove(x)
+    num, den = (reduce(partial(map, mul), r) if r else repeat(1, abs(last - first)) for r in (num, den))
+    return _stepped(exact_div(prod(map(factorial, over)), prod(map(factorial, under))) * one, zip(num, den))
 
 
 class Rescaling(Enum):
@@ -106,13 +122,8 @@ class Rescaling(Enum):
 
     def factors(self, n: int, one=1) -> list[int]:
         """Rescaled T(n, k) over base T(n, k) for k = 0..n, in `one`'s type:
-        1, (2n)_(n-k) * k! (stepped down from n! at k = n by (n+k)/k) or
-        C(2n, n+k) (stepped down from C(2n, 2n) = 1 by (n+k)/(n-k+1))."""
-        if self is Rescaling.VARIED:
-            return _stepped(factorial(n) * one, zip(range(2 * n, n, -1), range(n, 0, -1)))[::-1]
-        if self is Rescaling.BINOMIAL:
-            return _stepped(one, zip(range(2 * n, n, -1), range(1, n + 1)))[::-1]
-        return [one] * (n + 1)
+        its `_CLOSED` entry, stepped down from its least value, at k = n."""
+        return _closed_row(_CLOSED[self], n, one, n, 0)[::-1]
 
 
 SPEC: dict[Kind, tuple[Base, Rescaling]] = {
@@ -209,13 +220,28 @@ _RECURRENCE: dict[Kind | str, tuple[Callable[..., int], Callable[[int, int], int
 }
 
 
-# Step functions: row n >= 1 of one route.  The recurrence reads row n-1 of
-# its own route, scaling reads row n of its base's recurrence, and the
-# closed forms and the transform read no row.
+# Terms (e, a, b, c), each (a*n + b*k + c)!^e: (n+k)!/k!, c(m) = C(n+m-1, m-1),
+# the rescalings' factors, and the ward-lah kinds as the paper states them,
+# X * C(n-1, k-1) for X = (n+k)!/k!, (2n)! and (2n)!/(k!(n-k)!).
+_CLOSED: dict[str | Rescaling | Kind, tuple[tuple[int, int, int, int], ...]] = {
+    "falling": ((1, 1, 1, 0), (-1, 0, 1, 0)),
+    "c": ((1, 1, 1, -1), (-1, 0, 1, -1), (-1, 1, 0, 0)),
+    Rescaling.NONE: (),
+    Rescaling.VARIED: ((1, 2, 0, 0), (-1, 1, 1, 0), (1, 0, 1, 0)),
+    Rescaling.BINOMIAL: ((1, 2, 0, 0), (-1, 1, 1, 0), (-1, 1, -1, 0)),
+    Kind.WARD_LAH: ((1, 1, 1, 0), (-1, 0, 1, 0), (1, 1, 0, -1), (-1, 0, 1, -1), (-1, 1, -1, 0)),
+    Kind.VARIED_WARD_LAH: ((1, 2, 0, 0), (1, 1, 0, -1), (-1, 0, 1, -1), (-1, 1, -1, 0)),
+    Kind.BINOMIAL_WARD_LAH: ((1, 2, 0, 0), (-1, 0, 1, 0), (-1, 1, -1, 0),
+                             (1, 1, 0, -1), (-1, 0, 1, -1), (-1, 1, -1, 0)),
+}
 
-def _recurrence_row(kind: Kind | str, n: int, prev: Row) -> Row:
+
+# Step functions: row n >= 1 in `one`'s type (ints for the transform), from
+# `source`: row n-1 (recurrence), the base's row n (scaling), or nothing.
+
+def _recurrence_row(kind: Kind | str, n: int, source: Row, one) -> Row:
     num, den = _RECURRENCE[kind]
-    prev = (*prev, 0)
+    prev = (*source, 0)
     base, rescaling = SPEC.get(kind, (None, Rescaling.NONE))  # a classical triangle is unrescaled
     # The binomial recurrences stop short of the diagonal, which is the
     # base triangle's (C(2n, 2n) = 1), so the base's own step gives it from
@@ -230,53 +256,32 @@ def _recurrence_row(kind: Kind | str, n: int, prev: Row) -> Row:
     return (0, *row)
 
 
-def _falling_row(n: int, one=1) -> list[int]:
-    """(n+k)_n = (n+k)!/k! for k = 0..n, stepped from n! by (n+k)/k."""
-    return _stepped(factorial(n) * one, zip(range(n + 1, 2 * n + 1), range(1, n + 1)))
+def _explicit_row(kind: Kind, n: int, source, one) -> Row:
+    return (0, *_closed_row(_CLOSED[kind], n, one, first=1))
 
 
-def _binomial_row(n: int, one=1) -> list[int]:
-    """C(n, k) for k = 0..n, stepped from C(n, 0) = 1 by (n-k+1)/k."""
-    return _stepped(one, zip(range(n, 0, -1), range(1, n + 1)))
-
-
-def _explicit_row(kind: Kind, n: int, one=1) -> Row:
-    # The closed forms of the kinds over the ward-lah base, T(n, k) =
-    # X(n, k) * C(n-1, k-1), with X(n, 0..n) formed once per row.
-    if kind is Kind.WARD_LAH:  # X = (n+k)!/k!
-        x = _falling_row(n, one)
-    elif kind is Kind.VARIED_WARD_LAH:  # X = (2n)!
-        x = [factorial(2 * n) * one] * (n + 1)
-    else:  # binomial-ward-lah: X = (2n)!/(k!(n-k)!) = (2n)!/n! * C(n, k)
-        f = perm(2 * n, n) * one
-        x = [f * c for c in _binomial_row(n, one)]
-    return (0, *map(mul, x[1:], _binomial_row(n - 1, one)))
-
-
-def _transform_row(kind: Kind, n: int) -> Row:
+def _transform_row(kind: Kind, n: int, source, one) -> Row:
     base, rescaling = SPEC[kind]
     grow(base.rule, n)  # every pair that row n reads, made by weight; each entry is then a lookup
 
-    def entry(k: int, factor: int, falling: int) -> int:
-        # (-1)^k (n+k)_n P(n, k) is the base triangle; the factor rescales it.
+    def entry(k: int, multiplier: int) -> int:  # (-1)^k (n+k)!/k! P(n, k), rescaled
         num, den = partition_transform(n, k, base.rule)
-        return exact_div((-1) ** k * factor * falling * num, den)
+        return exact_div(-multiplier * num if k & 1 else multiplier * num, den)
 
-    return (0, *map(entry, range(1, n + 1), rescaling.factors(n)[1:], _falling_row(n)[1:]))
-
-
-def _scaling_row(kind: Kind, n: int, base_row: Row, one=1) -> Row:
-    return (0, *map(mul, SPEC[kind][1].factors(n, one)[1:], base_row[1:]))
+    return (0, *map(entry, range(1, n + 1), _closed_row(_CLOSED["falling"] + _CLOSED[rescaling], n, first=1)))
 
 
-def _alternating_sum_row(kind: Kind, n: int, one=1) -> Row:
+def _scaling_row(kind: Kind, n: int, source: Row, one) -> Row:
+    return (0, *map(mul, SPEC[kind][1].factors(n, one)[1:], source[1:]))
+
+
+def _alternating_sum_row(kind: Kind, n: int, source, one) -> Row:
     # ward-lah(n, k) = sum_{m=1..k} (-1)^(m+k) C(n+k, n+m) L(n+m, m), with
-    # L(n+m, m) = (n+m)!/m! C(n+m-1, m-1).  As C(n+k, n+m) (n+m)!/m! is
+    # L(n+m, m) = (n+m)!/m! c(m).  As C(n+k, n+m) (n+m)!/m! is
     # (n+k)!/k! C(k, m), the sum is (n+k)!/k! times the k-th forward
-    # difference at 0 of c(m) = C(n+m-1, m-1): one table gives every k.
-    # c(0) = 0, and c(m) steps up from c(1) = 1 by (n+m-1)/(m-1).
-    c, row = [0, *_stepped(one, zip(range(n + 1, 2 * n), range(1, n)))], []
-    for falling in _falling_row(n, one)[1:]:  # (n+k)!/k! for k = 1..n
+    # difference at 0 of c, where c(0) = 0: one table gives every k.
+    c, row = [0, *_closed_row(_CLOSED["c"], n, one, first=1)], []
+    for falling in _closed_row(_CLOSED["falling"], n, one, first=1):
         c = list(map(sub, c[1:], c))
         row.append(falling * c[0])
     return (0, *row)
@@ -298,17 +303,10 @@ def _rows(kind: Kind | str, strategy: Strategy, one=1) -> Iterator[Row]:
     row = (one,)
     yield row
     step = _STEP[strategy]
-    if strategy is Strategy.SCALING:
-        base_rows = islice(_rows(SPEC[kind][0].kind, Strategy.RECURRENCE, one), 1, None)
+    base_rows = (islice(_rows(SPEC[kind][0].kind, Strategy.RECURRENCE, one), 1, None)
+                 if strategy is Strategy.SCALING else None)
     for n in count(1):
-        if strategy is Strategy.RECURRENCE:
-            row = step(kind, n, row)
-        elif strategy is Strategy.SCALING:
-            row = step(kind, n, next(base_rows), one)
-        elif strategy is Strategy.PARTITION_TRANSFORM:
-            row = step(kind, n)
-        else:
-            row = step(kind, n, one)
+        row = step(kind, n, row if base_rows is None else next(base_rows), one)
         yield row
 
 

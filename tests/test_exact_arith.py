@@ -1,18 +1,19 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wardtri import triangles
 from wardtri.exact_arith import ExactnessError, exact_div
-from wardtri.triangles import Kind, Rescaling, Strategy, value
+from wardtri.triangles import _CLOSED, Kind, Rescaling, Strategy, _closed_row, value
 
-# The routes form their factorials and binomials as products stepped along
-# a row, one `exact_div` a step.  These tests pin those products by hand
-# values and by factorial quotients and plain products, not by `math.comb`
-# or `math.perm`.
+# The routes form their factorials and binomials as `_CLOSED` entries
+# stepped along a row, one `exact_div` a step.  These tests pin those
+# products by hand values and by factorial quotients and plain products,
+# not by `math.comb` or `math.perm`.
 
 
 def test_factorial_values():
@@ -32,51 +33,59 @@ def test_factorial_rejects_negative():
     with pytest.raises(ValueError):
         Rescaling.VARIED.factors(-1)
     with pytest.raises(ValueError):
-        triangles._falling_row(-1)
+        _closed_row(_CLOSED["falling"], -1)
     assert value(Kind.VARIED_WARD_LAH, -1, 0, Strategy.EXPLICIT) == 0
 
 
-def test_falling_factorial_values():
-    assert triangles._falling_row(0) == [1]
-    assert triangles._falling_row(3) == [6, 24, 60, 120]  # 3!, 4!/1!, 5!/2!, 6!/3!
-    assert triangles._falling_row(4)[2] == 360  # 6*5*4*3
-
-
-def test_rising_factorial_values():
-    # (n+k)!/k! read from k+1 upwards: (k+1)(k+2)...(k+n)
-    assert triangles._falling_row(3)[1] == 2 * 3 * 4
-    assert triangles._falling_row(4)[0] == 1 * 2 * 3 * 4
-    assert triangles._falling_row(1) == [1, 2]
-
-
 def test_binomial_values():
-    assert triangles._binomial_row(4) == [1, 4, 6, 4, 1]
-    assert triangles._binomial_row(0) == [1]
     assert Rescaling.BINOMIAL.factors(2) == [6, 4, 1]  # C(4, 2), C(4, 3), C(4, 4)
     assert Rescaling.NONE.factors(3) == [1, 1, 1, 1]
 
 
-def test_binomial_factorial_identity():
-    for n in range(31):
-        row = triangles._binomial_row(n)
-        for k in range(n + 1):
-            assert row[k] == exact_div(
-                math.factorial(n), math.factorial(k) * math.factorial(n - k)
-            )
+F = math.factorial
 
 
-def test_falling_factorial_vs_factorials():
-    for n in range(31):
-        for k, falling in enumerate(triangles._falling_row(n)):
-            assert falling * math.factorial(k) == math.factorial(n + k)
+def _below(n, k):  # C(n-1, k-1)
+    return F(n - 1) // (F(k - 1) * F(n - k))
 
 
-@given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
-def test_rising_equals_shifted_falling(n, k):
-    # (n+k)!/k!, the falling factorial of n+k, is the rising factorial of
-    # k+1; at k = n it is the Lah identity's (n+1)^(n)
-    k = min(k, n)
-    assert triangles._falling_row(n)[k] == math.prod(range(k + 1, n + k + 1))
+# Each `_CLOSED` entry, one value at a time: its first k, T(n, k) as a
+# factorial quotient, and rows by hand, from k = first.
+_ORACLE = {
+    "falling": (0, lambda n, k: F(n + k) // F(k), {
+        0: [1],
+        1: [1, 2],
+        3: [6, 2 * 3 * 4, 60, 120],  # 3!, 4!/1!, 5!/2!, 6!/3!
+        4: [1 * 2 * 3 * 4, 120, 6 * 5 * 4 * 3, 840, 1680],
+    }),
+    "c": (1, lambda n, m: F(n + m - 1) // (F(m - 1) * F(n)), {3: [1, 4, 10]}),  # C(3, 0), C(4, 1), C(5, 2)
+    Rescaling.NONE: (0, lambda n, k: 1, {3: [1, 1, 1, 1]}),
+    Rescaling.VARIED: (0, lambda n, k: F(2 * n) // F(n + k) * F(k), {3: [120, 30, 12, 6]}),
+    Rescaling.BINOMIAL: (0, lambda n, k: F(2 * n) // (F(n + k) * F(n - k)), {2: [6, 4, 1]}),
+    Kind.WARD_LAH: (1, lambda n, k: F(n + k) // F(k) * _below(n, k), {3: [24, 60 * 2, 120]}),
+    Kind.VARIED_WARD_LAH: (1, lambda n, k: F(2 * n) * _below(n, k), {
+        1: [2],
+        5: [F(10) * c for c in (1, 4, 6, 4, 1)],  # (2n)! C(4, k-1)
+    }),
+    Kind.BINOMIAL_WARD_LAH: (1, lambda n, k: F(2 * n) // (F(k) * F(n - k)) * _below(n, k),
+                             {3: [360, 360 * 2, 120]}),
+}
+
+
+@pytest.mark.parametrize("one", [1, Decimal(1)], ids=["int", "Decimal"])
+@pytest.mark.parametrize("key", list(_CLOSED), ids=lambda key: getattr(key, "value", key))
+def test_closed_entry_equals_its_factorial_oracle(key, one):
+    # Decimal rows are exact only in a context that holds their digits, as
+    # gen's is.
+    first, entry, by_hand = _ORACLE[key]
+    with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)):
+        for n, row in by_hand.items():
+            assert _closed_row(_CLOSED[key], n, one, first) == row, n
+        for n in range(first, 121):
+            row = _closed_row(_CLOSED[key], n, one, first)
+            assert row == [entry(n, k) for k in range(first, n + 1)], n
+            assert {type(v) for v in row} == {type(one)}
+            assert _closed_row(_CLOSED[key], n, one, n, first) == row[::-1], n  # stepped down from k = n
 
 
 def test_exact_div():

@@ -44,20 +44,23 @@ def test_compare_routes_flip_fails_only_the_pairs_of_its_route(flip_entry):
     assert clean.cases == 10 * 11 // 2
 
 
-def test_a_fault_both_closed_forms_share_fails_both_against_the_recurrence(monkeypatch):
-    # explicit and alternating-sum both read (n+k)!/k! from _falling_row:
-    # off by one there, they agree with each other and the recurrence
-    # refutes both from the first entry.
-    real = triangles._falling_row
-    monkeypatch.setattr(triangles, "_falling_row", lambda n, one=1: [x + 1 for x in real(n, one)])
+def test_a_fault_in_the_falling_entry_fails_only_the_alternating_sum(monkeypatch):
+    # alternating-sum reads (n+k)!/k! from _CLOSED["falling"] and explicit
+    # states its own closed form: with k! made (k+1)! there, the recurrence
+    # and explicit refute alternating-sum from the first entry and still
+    # agree with each other.
+    monkeypatch.setitem(triangles._CLOSED, "falling", ((1, 1, 1, 0), (-1, 0, 1, 1)))
     routes = [Strategy.RECURRENCE, Strategy.EXPLICIT, Strategy.ALTERNATING_SUM]
-    explicit, alternating, shared = compare_routes(Kind.WARD_LAH, 8, routes)
-    assert explicit.name == "equivalence-ward-lah-recurrence~explicit"
-    assert alternating.name == "equivalence-ward-lah-recurrence~alternating-sum"
-    for report in (explicit, alternating):
+    independent, *faulty = compare_routes(Kind.WARD_LAH, 8, routes)
+    assert independent.name == "equivalence-ward-lah-recurrence~explicit"
+    assert independent.passed
+    assert [r.name for r in faulty] == [
+        "equivalence-ward-lah-recurrence~alternating-sum",
+        "equivalence-ward-lah-explicit~alternating-sum",
+    ]
+    for report in faulty:
         assert not report.passed
         assert (report.counterexample.n, report.counterexample.k) == (1, 1)
-    assert shared.passed
 
 
 def test_horizontal_wardlah_pass_and_onestep():

@@ -174,16 +174,6 @@ def test_rescaling_factors_equal_the_per_entry_factor(rescaling):
         assert rescaling.factors(n) == [_oracle_factor(rescaling, n, k) for k in range(n + 1)], n
 
 
-def test_falling_row_equals_the_per_entry_falling_factorial():
-    for n in range(ORACLE_ROWS + 1):
-        assert triangles._falling_row(n) == [perm(n + k, n) for k in range(n + 1)], n
-
-
-def test_binomial_row_equals_the_per_entry_binomial():
-    for n in range(ORACLE_ROWS + 1):
-        assert triangles._binomial_row(n) == [comb(n, k) for k in range(n + 1)], n
-
-
 @pytest.mark.parametrize("kind", RESCALED, ids=lambda kind: kind.value)
 def test_scaling_route_equals_the_per_entry_factor_times_the_base(kind):
     base, rescaling = triangles.SPEC[kind]
@@ -197,6 +187,22 @@ def test_explicit_route_equals_the_readme_closed_form(kind):
     assert triangle(kind, ORACLE_ROWS, E).rows == _oracle_rows(_ORACLE_EXPLICIT[kind])
 
 
+def test_the_closed_forms_and_the_transform_read_no_recurrence(monkeypatch):
+    # With `_RECURRENCE` empty the recurrence route cannot build, and every
+    # route that reads no recurrence row still gives its rows.
+    routes = [(kind, P) for kind in ALL_KINDS] + [(kind, E) for kind in LAH_FAMILY] + [(Kind.WARD_LAH, A)]
+    expected = {route: tuple(itertools.islice(stream(*route), 13)) for route in routes}
+    for key in list(triangles._RECURRENCE):
+        monkeypatch.delitem(triangles._RECURRENCE, key)
+    clear_caches()
+    try:
+        with pytest.raises(KeyError):
+            value(Kind.WARD_LAH, 3, 2, R)
+        assert {(kind, s): triangle(kind, 12, s).rows for kind, s in routes} == expected
+    finally:
+        clear_caches()
+
+
 def test_stepped_refuses_an_inexact_ratio():
     assert triangles._stepped(3, [(4, 2), (5, 3)]) == [3, 6, 10]
     with pytest.raises(ExactnessError):
@@ -204,9 +210,10 @@ def test_stepped_refuses_an_inexact_ratio():
 
 
 def test_a_perturbed_running_product_step_is_not_rounded(monkeypatch):
-    # Off by one after the (n+k)/k step at k = 2 of the explicit ward-lah
-    # row: the k = 3 step then divides (n+2)!/2 + 1 times n+3 by 3, which is
-    # inexact for n = 4, so the build raises rather than rounding.
+    # Off by one after each division by 2, as in the k = 1 step of the
+    # explicit ward-lah row, by (n+2)(n-1)/(2*1): at n = 4 the k = 2 step
+    # then divides T(4, 2) + 1 = 1081 times 7*2 by 3*2, which is inexact, so
+    # the build raises rather than rounding.
     real = triangles.exact_div
     monkeypatch.setattr(triangles, "exact_div", lambda a, b: real(a, b) + (b == 2))
     clear_caches()
@@ -219,10 +226,10 @@ def test_a_perturbed_running_product_step_is_not_rounded(monkeypatch):
 
 def test_rational_recurrence_rejects_a_perturbed_row():
     rows = list(triangle(Kind.BINOMIAL_WARD1, 3).rows)
-    assert triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, rows[2]) == rows[3]
+    assert triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, rows[2], 1) == rows[3]
     perturbed = (0, rows[2][1] + 1, rows[2][2])  # T(2,1) + 1
     with pytest.raises(ExactnessError):
-        triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, perturbed)
+        triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, perturbed, 1)
 
 
 def test_transform_route_refuses_a_non_integral_value(monkeypatch):
@@ -306,7 +313,7 @@ def test_stepped_row_products_take_the_type_of_their_seed(one):
     # at every entry, a cost quadratic in its length.
     for n in (1, 6):
         for products in (*(r.factors(n, one) for r in triangles.Rescaling),
-                         triangles._falling_row(n, one), triangles._binomial_row(n, one)):
+                         *(triangles._closed_row(terms, n, one, 1) for terms in triangles._CLOSED.values())):
             assert {type(v) for v in products} == {type(one)}
 
 
@@ -372,11 +379,11 @@ def test_a_step_that_raises_once_leaves_the_memo_usable(monkeypatch, kind, strat
     expected = triangle(kind, 8, strategy).rows
     step, failed = triangles._STEP[R], []
 
-    def fails_once(kind, n, prev):
+    def fails_once(kind, n, source, one):
         if n == 5 and not failed:
             failed.append(n)
             raise RuntimeError("step failed")
-        return step(kind, n, prev)
+        return step(kind, n, source, one)
 
     monkeypatch.setitem(triangles._STEP, R, fails_once)
     clear_caches()
