@@ -11,71 +11,80 @@ with the trailing part q_{len(q)} taken as 0.  A rule states a_j = u_j/v_j
 as the integer pair (u_j, v_j), with v_j > 0.  The three argument families
 used by the Ward triangles are provided as named rules.
 
-The sum is evaluated without listing partitions.  Partitions that agree
-from their d-th part on share that tail's factor, so the sum factors over
-tails: with p the d-th part and r the sum of the parts after it,
+The sum is evaluated without listing partitions, by regrouping it over the
+conjugate partitions.  Read column by column, q has k columns; their
+heights t_1 >= ... >= t_k sum to n, and q_j counts the columns of height
+greater than j.  So prod_j a_{j+1}^(q_j) is prod_i A_(t_i), with the prefix
+products A_t = a_1 * ... * a_t, and the binomials telescope to
+k! / prod_t m_t!, where m_t counts the columns of height t: the number of
+orderings of those heights.  Summing over every ordering gives the
+exponential formula behind the partial Bell polynomials (L. Comtet,
+*Advanced Combinatorics*, 1974, ch. 3):
 
-    G(d, p, 0) = a_d^p
-    G(d, p, r) = a_d^p * sum_{q=1..min(p, r)} C(p, q) * G(d+1, q, r-q)
+    P(n, k) = (-1)^k * G_k(n),   G_k(n) = [x^n] f(x)^k,   f(x) = sum_{t>=1} A_t x^t,
 
-and P(n, k) = (-1)^k * G(1, k, n-k).  This is the defining sum regrouped,
-not a recurrence of the triangles, so the route stays independent of the
-others.  A triangle of N rows needs O(N^2 log N) values of G and O(N^3)
-products in all, where listing partitions grows faster than any polynomial.
+so column k is one convolution of column k-1 with the A_t:
 
-No fraction is formed.  The i-th part after the d-th is at most p and at
-most r/i, so every term of G(d, p, r) has a denominator dividing the bound
+    G_1(n) = A_n,   G_k(n) = sum_{t=1..n-k+1} A_t * G_(k-1)(n-t).
 
-    B(d, p, r) = v_d^p * prod_{i=1..r} v_{d+i}^min(p, floor(r/i)),
+This is the defining sum regrouped, not a recurrence of the triangles, so
+the route stays independent of the others.  A triangle of N rows holds
+N(N+1)/2 values and costs about N^3/6 terms in all, where listing
+partitions grows faster than any polynomial.
 
-and the table holds the integers H = G * B.  Then H(d, p, 0) = u_d^p and
+No fraction is formed.  Each value is kept as the pair (H, B) with
+G_k(n) = H / B, where B is the bound the partition sum has always used:
+the i-th part after the first is at most k and at most r/i, with
+r = n - k, so every term has a denominator dividing
 
-    H(d, p, r) = u_d^p * sum_q C(p, q) * H(d+1, q, r-q) * F(q),
-    F(q) = B(d, p, r) / (v_d^p * B(d+1, q, r-q)),
+    B_k(n) = v_1^k * prod_{i=1..r} v_(1+i)^min(k, floor(r/i)).
 
-where each F(q) is an integer (the child's exponents are no larger) formed
-with `exact_div`, so a bound that is too small raises `ExactnessError`.
-The exponent min(p, floor(r/i)) counts the t <= p with t * i <= r, so
-B(d, p, r) / v_d^p is the product over t = 1..min(p, r) of the runs
-v_(d+1) * ... * v_(d+floor(r/t)), and the run of length m is
-B(d+1, 1, m-1), the bound of the all-ones tail: the table's own entries.
+With V_m = v_1 * ... * v_m, column 1 is (U_n, V_n), U_n = u_1 * ... * u_n,
+and the bound steps down the columns as
 
-A node (d, p, r) has weight d*p + r: the first row n whose values read
-it, as the tail of the partitions that start with d parts equal to p.
-Its children (the leaf (d, p, 0), the tails and the runs) have a smaller
-weight, or the same weight and d one larger, so taking nodes by weight,
-and within a weight by falling d, makes every child before its parent.
+    B_k(n) = B_(k-1)(n-1) * V_floor(n/k),
 
-The pairs (H, B) are memoized per rule, in layers: table[d] is layer d,
-a dict from p to column p, and table[d][p] is a dict from r to the pair
-of node (d, p, r).  A layer or column is made, empty, by the first fill
-that needs it.  A step reads its children from layer d+1 by integer keys,
-so no node key is built or hashed on the way.  A table is kept while its
-rule object lives; a rule that cannot be weakly referenced (an instance of
-a class whose `__slots__` leave out `__weakref__`) gets a table for one
-call only.  Two fills grow a table.  Both take nodes in that order and make
-each one once, from its children, by one step (`_pair`):
+since raising p = k-1 to k adds one to the exponent of v_(1+i) exactly
+when i <= r/k.  Each value also keeps its column ratio
+beta_k(n) = B_k(n) / B_k(n-1), an integer (no exponent falls as r grows),
+which steps the same way: beta_1(n) = v_n, and beta_k(n) is
+beta_(k-1)(n-1), times v_(n/k) when k divides n (on the diagonal, where
+B_k(k-1) has no meaning, the ratio so made is never read).  The term t of H_k(n) is
+H_(k-1)(n-t) * g_t with g_t = A_t * B_k(n) / B_(k-1)(n-t), an integer
+(B_k(n) has every exponent of V_t * B_(k-1)(n-t)), and
 
-- `grow(rule, n)` fills it weight by weight up to n, which is exactly the
-  set of nodes that rows 1..n read.  The triangles' transform route calls
-  it once per row.
-- `partition_transform` fills on demand whatever a lone value past the
-  filled weight depends on, and only that: P(1500, 1) reads 2999 nodes,
-  where filling every weight up to 1500 would make 7.9 million.
+    g_1 = V_floor(n/k) * u_1 / v_1,   g_t = g_(t-1) * beta_(k-1)(n-t+1) * u_t / v_t,
 
-Both fills share one lock and one memo: one thread at a time grows any
-table, under the module's lock, and either order skips the nodes the
-other has made.  A pair enters its column only once final, and a layer or
-column only ever gains entries, so a lookup takes no lock: one that finds
-no table, layer, column or pair yet falls through to the locked fill.
+so g grows by a stored column ratio and one term of the rule; no term
+divides one bound by another.  Each step is a division by v_t that must
+be exact: a bound that is too small raises `ExactnessError`.
+
+The values are memoized per rule, in columns: cols[k] maps n to the
+triple (H, B, beta), whole from degree k up to tops[k].  The value (n, k)
+reads columns c < k up to degree n-k+c (column 1 with the rule's terms),
+so one fill makes them in one order: columns from left to right, each by
+rising degree, every value once.  `grow(rule, n)` fills every
+column k <= n up to degree n, exactly the values of rows 1..n; the
+triangles' transform route calls it once per row.  A lone value that is
+not made yet fills only what it reads, and then itself: P(1500, 1) makes
+column 1 alone, and P(1500, 2) column 1 up to degree 1499 and its one value
+in column 2.  A table is kept while its rule object lives, and holds no
+reference to the rule; a rule that cannot be weakly referenced (an
+instance of a class whose `__slots__` leave out `__weakref__`) gets a table
+for one call only.
+
+One thread at a time fills any table, under the module's lock, and
+skips the values already made.  A value enters its column only once
+final, and a column only ever gains values, so a lookup takes no lock:
+one that finds no table, column or value yet falls through to the locked
+fill.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from collections.abc import Callable, Iterator
-from math import comb
+from collections.abc import Callable
 
 from .exact_arith import exact_div
 
@@ -98,79 +107,69 @@ def ward_second_kind(j: int) -> tuple[int, int]:
     return 1, j + 1
 
 
-def _runs(p: int, r: int) -> Iterator[int]:
-    """The run lengths floor(r/t), t = 1..min(p, r), whose run products
-    make B(d, p, r) / v_d^p."""
-    return map(r.__floordiv__, range(1, (p if p < r else r) + 1))  # builtin min is slow on two ints
+class _Table:
+    """One rule's memo: the columns cols[k] (cols[0] unused), the degree
+    tops[k] up to which column k is whole, and the rule's terms
+    terms[t-1] = (u_t, v_t)."""
+
+    __slots__ = ("cols", "tops", "terms")
+
+    def __init__(self) -> None:
+        self.cols, self.tops, self.terms = [None, {}], [0, 0], []
 
 
-def _pair(table: dict, rule: ArgumentRule, d: int, p: int, r: int) -> tuple[int, int]:
-    """(H, B) at (d, p, r), from the pairs in `rule`'s table of its
-    children: the leaf (d, p, 0), the tails (d+1, q, r-q) and the all-ones
-    runs (d+1, 1, m-1).  The leaves (u_d^p, v_d^p) are also the memo of
-    the powers."""
-    if not r:
-        u, v = rule(d)
+def _fill(table: _Table, rule: ArgumentRule, n: int, k: int, lone: bool) -> None:
+    """Make the value of P(n, k) and what it reads when `lone`, else every
+    column up to k whole to degree n; call with `_lock` held, or on a table
+    no other call can see."""
+    cols, tops, terms, first = table.cols, table.tops, table.terms, table.cols[1]  # first[t] = (U_t, V_t, v_t)
+    for t in range(len(first) + 1, n - k + 2 if lone else n + 1):
+        u, v = rule(t)
         if v <= 0:
-            raise ValueError(f"argument rule gave denominator {v} at j={d}; it must be positive")
-        return u**p, v**p
-    (u, v), below, c, h = table[d][p][0], table[d + 1], 1, 0
-    for m in _runs(p, r):
-        c *= below[1][m - 1][1]  # c = B(d, p, r) / v_d^p
-    for q in range(1, (p if p < r else r) + 1):
-        f, e = divmod(c, (tail := below[q][r - q])[1])
-        h += comb(p, q) * tail[0] * (exact_div(c, tail[1]) if e else f)  # exact_div raises on a remainder
-    return u * h, v * c
+            raise ValueError(f"argument rule gave denominator {v} at j={t}; it must be positive")
+        U, V, _ = first.get(t - 1, (1, 1, 1))
+        first[t] = U * u, V * v, v
+        terms.append((u, v))
+    cols += ({} for _ in range(len(cols), k + 1))
+    tops += range(len(tops) - 1, k)  # column c starts whole to degree c-1
+    for c in range(2, k + 1):
+        prev, col = cols[c - 1], cols[c]
+        for m in (n,) if lone and c == k else range(tops[c] + 1, (n - k + c if lone else n) + 1):
+            if m not in col:
+                (_, g, v), (_, B, beta) = first[m // c], prev[m - 1]
+                h, B, s = 0, B * g, 1  # g * s = A_(t-1) * B_c(m) / B_(c-1)(m-t) before the step to t
+                for t in range(1, m - c + 2):
+                    u, w = terms[t - 1]
+                    H, _, step = prev[m - t]
+                    g, e = divmod(g * (s * u), w)
+                    if e:
+                        exact_div(g * w + e, w)  # raises: the bound is too small
+                    h += H * g
+                    s = step
+                col[m] = h, B, (beta * v if m % c == 0 else beta)
+            if m == tops[c] + 1:
+                tops[c] = m
 
 
-def _fill(table: dict, rule: ArgumentRule, root: tuple[int, int, int]) -> tuple[int, int]:
-    """(H, B) at `root`, filling in every pair of `rule`'s table it depends
-    on; call with `_lock` held.  A list read while it grows (recursion
-    would go n deep) gathers the missing nodes, which are then made once
-    each in weight order."""
-    reached, missing = [root], set()
-    for d, p, r in reached:  # read as it grows: a missing node adds its leaf, tails and all-ones runs
-        if (d, p, r) not in missing and r not in table.setdefault(d, {}).setdefault(p, {}):
-            missing.add((d, p, r))
-            reached += (d, p, 0), *((d + 1, q, r - q) for q in range(1, min(p, r) + 1))
-            reached += ((d + 1, 1, m - 1) for m in (_runs(p, r) if r else ()))  # a leaf has no runs
-    for d, p, r in sorted(missing, key=lambda node: (node[0] * node[1] + node[2], -node[0])):
-        table[d][p][r] = _pair(table, rule, d, p, r)
-    return table[root[0]][root[1]][root[2]]
-
-
-# table[d][p][r] is the pair (H, B) of node (d, p, r).  Held weakly by rule,
-# so a table goes with the last reference to its rule (a lambda made for
-# one call leaves nothing behind); the named rules are module functions and
-# keep theirs.  _filled holds the weight that `grow` has filled each table
-# to.
-_tables: weakref.WeakKeyDictionary[ArgumentRule, dict] = weakref.WeakKeyDictionary()
-_filled: weakref.WeakKeyDictionary[ArgumentRule, int] = weakref.WeakKeyDictionary()
+# Held weakly by rule, so a table goes with the last reference to its rule
+# (a lambda made for one call leaves nothing behind); the named rules are
+# module functions and keep theirs.
+_tables: weakref.WeakKeyDictionary[ArgumentRule, _Table] = weakref.WeakKeyDictionary()
 _lock = threading.Lock()
 
 
 def clear_tables() -> None:
-    """Drop the memoized tail tables of every rule, and the weights they
-    were filled to."""
+    """Drop the memoized columns of every rule."""
     with _lock:
         _tables.clear()
-        _filled.clear()
 
 
 def grow(rule: ArgumentRule, n: int) -> None:
-    """Fill `rule`'s table with the pair of every node of weight at most n:
-    the pairs that rows 1..n of the transform read.  The weights past the
-    filled one are taken in turn, and within a weight d falls from w to 1,
-    so each node is made once, after its children.  Raises `TypeError` for
-    a rule that cannot be weakly referenced, which keeps no table."""
+    """Fill `rule`'s table with every value of rows 1..n: each column k <= n
+    made whole to degree n.  Raises `TypeError` for a rule that cannot be
+    weakly referenced, which keeps no table."""
     with _lock:
-        table = _tables.setdefault(rule, {})
-        for w in range(_filled.get(rule, 0) + 1, n + 1):
-            for d in range(w, 0, -1):
-                for p in range(1, w // d + 1):  # column p of layer d starts at weight d*p, with its leaf
-                    if (r := w - d * p) not in (table[d][p] if r else table.setdefault(d, {}).setdefault(p, {})):
-                        table[d][p][r] = _pair(table, rule, d, p, r)
-            _filled[rule] = w
+        _fill(_tables.get(rule) or _tables.setdefault(rule, _Table()), rule, n, n, False)
 
 
 def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
@@ -181,19 +180,21 @@ def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
     Returns (1, 1) for n = k = 0 (boundary convention) and (0, 1) whenever
     no partition of n has largest part k.  Values are memoized per rule
     (one table serves every (n, k)) until `clear_tables` or until the rule
-    is no longer referenced.  A value that `grow` has not filled in is
-    filled on demand, under the lock; a value already made is read without
+    is no longer referenced.  A value that is not made yet is made, with
+    what it reads, under the lock; a value already made is read without
     it.
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"partition bounds must be nonnegative, got ({n}, {k})")
-    if k == 0 or k > n:
+    if not 0 < k <= n:
+        if n < 0 or k < 0:
+            raise ValueError(f"partition bounds must be nonnegative, got ({n}, {k})")
         return (1 if n == k else 0), 1  # 1 only at n = k = 0
     try:
-        pair = _tables[rule][1][k][n - k]
-    except LookupError:  # no table, layer, column or pair yet
+        H, B, _ = _tables[rule].cols[k][n]
+    except LookupError:  # no table, column or value yet
         with _lock:
-            pair = _fill(_tables.setdefault(rule, {}), rule, (1, k, n - k))
+            _fill(table := _tables.setdefault(rule, _Table()), rule, n, k, True)
+            H, B, _ = table.cols[k][n]
     except TypeError:  # a rule that cannot be weakly referenced gets a table for this call only
-        pair = _fill({}, rule, (1, k, n - k))
-    return (-pair[0] if k % 2 else pair[0]), pair[1]
+        _fill(table := _Table(), rule, n, k, True)
+        H, B, _ = table.cols[k][n]
+    return (-H if k & 1 else H), B

@@ -262,7 +262,7 @@ def _explicit_row(kind: Kind, n: int, source, one) -> Row:
 
 def _transform_row(kind: Kind, n: int, source, one) -> Row:
     base, rescaling = SPEC[kind]
-    grow(base.rule, n)  # every pair that row n reads, made by weight; each entry is then a lookup
+    grow(base.rule, n)  # every value of rows 1..n, made column by column; each entry is then a lookup
 
     def entry(k: int, multiplier: int) -> int:  # (-1)^k (n+k)!/k! P(n, k), rescaled
         num, den = partition_transform(n, k, base.rule)

@@ -1,9 +1,12 @@
 import gc
 import importlib
+from functools import cache
 from fractions import Fraction
 from math import comb, factorial, perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardtri.exact_arith import ExactnessError
 from wardtri.partition_transform import (
@@ -16,9 +19,10 @@ from wardtri.partition_transform import (
 from wardtri.triangles import Kind, Strategy, clear_caches, triangle, value
 
 
+@cache
 def all_partitions(n):
     """All partitions of n, weakly decreasing: a brute-force generator
-    (ascending construction) for the oracle below."""
+    (ascending construction) for the oracle below, listed once per n."""
 
     def gen(remaining, minimum):
         if remaining == 0:
@@ -112,6 +116,26 @@ def test_transform_matches_enumerated_sum(rule):
             assert transform(n, k, rule) == enumerated_transform(n, k, rule), (n, k)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-5, max_value=9), min_size=12, max_size=12),
+    st.lists(st.integers(min_value=1, max_value=12), min_size=12, max_size=12),
+    st.randoms(use_true_random=False),
+)
+def test_random_rules_match_the_enumerated_sum(numerators, denominators, random):
+    # Zero and negative numerators, which no rule of RULES has; the values
+    # are read in a random order, some of them one by one before a grow.
+    def rule(j):
+        return numerators[j - 1], denominators[j - 1]
+
+    cells = [(n, k) for n in range(13) for k in range(n + 2)]
+    random.shuffle(cells)
+    got = {cell: transform(*cell, rule) for cell in cells[: len(cells) // 2]}
+    grow(rule, random.randint(0, 12))
+    got.update((cell, transform(*cell, rule)) for cell in cells[len(cells) // 2 :])
+    assert got == {(n, k): enumerated_transform(n, k, rule) for n, k in cells}
+
+
 def test_transform_rejects_negative():
     with pytest.raises(ValueError):
         partition_transform(-1, 0, constant_one)
@@ -119,22 +143,27 @@ def test_transform_rejects_negative():
         partition_transform(3, -1, constant_one)
 
 
-def test_long_single_partition_needs_no_deep_recursion():
-    # The only partition with largest part 1 is 1^n, and a_1...a_n = 1/(n+1).
-    # The demand fill makes only the nodes this value reads, the tails
-    # (d, 1, 1500-d) and their leaves, 1500 layers deep, and a later grow
-    # extends the same table.
+def test_a_lone_value_makes_only_what_it_reads():
+    # The only partition with largest part 1 is 1^n, and a_1...a_n = 1/(n+1):
+    # P(1500, 1) makes column 1 alone, with no recursion 1500 deep.  P(n, 2)
+    # of a_j = j/(j+1) is the sum of 1/((t+1)(n-t+1)) over t = 1..n-1, that
+    # is 2(H_n - 1)/(n+2) with H_n the n-th harmonic number; it reads column
+    # 1 up to degree n-1 and makes its one value of column 2.  A later grow
+    # keeps every value made.
     clear_caches()
     try:
         assert transform(1500, 1, ward_first_kind) == Fraction(-1, 1501)
-        made = table_of(ward_first_kind)
-        assert set(made) == {(d, 1, 1500 - d) for d in range(1, 1501)} | {(d, 1, 0) for d in range(1, 1500)}
-        assert len(made) == 2999
-        grow(ward_first_kind, 30)
-        grown = table_of(ward_first_kind)
-        assert all(grown[node] is pair for node, pair in made.items())
+        assert set(values_of(ward_first_kind)) == {(n, 1) for n in range(1, 1501)}
+        rule = copy_of(ward_first_kind)
+        harmonic = sum(Fraction(1, j) for j in range(1, 1501))
+        assert transform(1500, 2, rule) == 2 * (harmonic - 1) / 1502
+        made = values_of(rule)
+        assert set(made) == {(n, 1) for n in range(1, 1500)} | {(1500, 2)}
+        grow(rule, 30)
+        grown = values_of(rule)
+        assert all(grown[cell] is entry for cell, entry in made.items())
         _, expected = demand_filled(ward_first_kind, 30)
-        assert {cell: partition_transform(*cell, ward_first_kind) for cell in expected} == expected
+        assert {cell: partition_transform(*cell, rule) for cell in expected} == expected
     finally:
         clear_caches()
 
@@ -181,20 +210,17 @@ def test_clear_caches_drops_transform_tables():
     assert len(calls) == 2 * first
 
 
-def _nodes(rule):
-    """A read-only view of `rule`'s memo, node by node: ((d, p, r), (H, B))
-    for each pair made, from the layers table[d][p][r] that hold them."""
+def values_of(rule):
+    """A read-only view of `rule`'s memo: (n, k) to the entry (H, B, beta)
+    of each value made, from the columns that hold them."""
     # the package's `partition_transform` attribute is the function
-    table = importlib.import_module("wardtri.partition_transform")._tables[rule]
-    for d, layer in table.items():
-        for p, column in layer.items():
-            for r, pair in column.items():
-                yield (d, p, r), pair
+    columns = importlib.import_module("wardtri.partition_transform")._tables[rule].cols
+    return {(n, k): entry for k, column in enumerate(columns[1:], 1) for n, entry in column.items()}
 
 
-def table_of(rule):
-    """The memoized tail table of `rule`: node (d, p, r) to its pair (H, B)."""
-    return dict(_nodes(rule))
+def rows_of(rows):
+    """The cells (n, k) of rows 1..rows."""
+    return {(n, k) for n in range(1, rows + 1) for k in range(1, n + 1)}
 
 
 def copy_of(rule):
@@ -203,8 +229,8 @@ def copy_of(rule):
 
 
 def demand_filled(rule, rows):
-    """A fresh table of `rule`'s terms filled on demand by every value of
-    rows 0..rows, and the rule object that keeps it."""
+    """A fresh table of `rule`'s terms filled value by value with rows
+    0..rows, and the values read."""
     fresh = copy_of(rule)
     values = {(n, k): partition_transform(n, k, fresh) for n in range(rows + 1) for k in range(n + 2)}
     return fresh, values
@@ -214,55 +240,51 @@ def demand_filled(rule, rows):
 def test_grow_gives_the_pairs_of_a_demand_fill(rule):
     grown = copy_of(rule)
     grow(grown, 40)
-    assert {(1, k, n - k) for n in range(1, 41) for k in range(1, n + 1)} <= set(table_of(grown))
     _, expected = demand_filled(rule, 40)
     assert {cell: partition_transform(*cell, grown) for cell in expected} == expected
 
 
-@pytest.mark.parametrize("rows, nodes", [(24, 904), (60, 7021)])
-def test_grow_holds_the_nodes_that_the_rows_reach_on_demand(rows, nodes):
-    # exactly the nodes (d, p, r) of weight d*p + r <= rows
+@pytest.mark.parametrize("rows", [24, 60])
+def test_grow_makes_exactly_the_values_of_its_rows(rows):
     grown = copy_of(ward_second_kind)
     grow(grown, rows)
+    assert set(values_of(grown)) == rows_of(rows)
+    assert len(values_of(grown)) == rows * (rows + 1) // 2
     fresh, _ = demand_filled(ward_second_kind, rows)
-    assert table_of(grown) == table_of(fresh)  # the same keys, and the same pair at each
-    assert len(table_of(grown)) == nodes
-    assert set(table_of(grown)) == {
-        (d, p, w - d * p) for w in range(1, rows + 1) for d in range(1, w + 1) for p in range(1, w // d + 1)
-    }
+    assert values_of(grown) == values_of(fresh)  # the same cells, and the same entry at each
 
 
 @pytest.mark.parametrize("rule", RULES)
 def test_mixed_fill_orders_give_the_same_pairs(rule):
     mixed = copy_of(rule)
     lone = [(30, 4), (17, 2), (25, 1), (9, 9)]
-    values = {cell: partition_transform(*cell, mixed) for cell in lone}  # on demand, past any fill
-    made = table_of(mixed)
+    values = {cell: partition_transform(*cell, mixed) for cell in lone}  # value by value, past any grow
+    made = values_of(mixed)
     grow(mixed, 20)
-    kept = table_of(mixed)
-    assert all(kept[node] is pair for node, pair in made.items())  # kept, not made again
-    values[36, 3] = partition_transform(36, 3, mixed)  # on demand again, past the filled weight
+    kept = values_of(mixed)
+    assert all(kept[cell] is entry for cell, entry in made.items())  # kept, not made again
+    values[36, 3] = partition_transform(36, 3, mixed)  # value by value again, past the grown rows
     grow(mixed, 26)
-    grow(mixed, 12)  # below the filled weight: makes nothing
+    grow(mixed, 12)  # below the grown rows: makes nothing
     _, expected = demand_filled(rule, 40)
     assert values == {cell: expected[cell] for cell in values}
     assert {cell: partition_transform(*cell, mixed) for cell in expected} == expected
     reference = copy_of(rule)
     grow(reference, 40)
-    whole = table_of(reference)
-    assert all(whole[node] == pair for node, pair in table_of(mixed).items())
+    whole = values_of(reference)
+    assert all(whole[cell] == entry for cell, entry in values_of(mixed).items())
 
 
-def test_the_transform_route_fills_by_weight():
+def test_the_transform_route_grows_whole_rows():
     clear_caches()
     try:
         triangle(Kind.WARD1, 10, Strategy.PARTITION_TRANSFORM)
-        assert importlib.import_module("wardtri.partition_transform")._filled[ward_first_kind] == 10
+        assert set(values_of(ward_first_kind)) == rows_of(10)
     finally:
         clear_caches()
 
 
-def test_clear_caches_resets_the_filled_weight():
+def test_clear_caches_drops_the_grown_columns():
     calls = []
 
     def rule(j):
@@ -273,7 +295,7 @@ def test_clear_caches_resets_the_filled_weight():
     first = len(calls)
     grow(rule, 12)
     grow(rule, 7)
-    assert len(calls) == first  # filled already
+    assert len(calls) == first  # grown already
     clear_caches()
     grow(rule, 12)
     assert len(calls) == 2 * first
@@ -294,26 +316,32 @@ def test_denominator_is_the_stated_bound(rule):
             assert partition_transform(n, k, rule)[1] == _bound(rule, 1, k, n - k), (n, k)
 
 
-def test_a_bound_too_small_raises(monkeypatch):
-    # With every exponent 1 the bound misses the v_(d+1)^2 of a tail whose
-    # first part after the d-th is 2, and the child's factor is not integral.
+def patch_a_bound_too_small():
+    """Make rows 1..3 of a_j = 1/(j+1), then cut the stored bound of P(3, 1)
+    to a quarter.  The bound of P(6, 2) steps from it, so the step to its
+    third term divides 6 * 5 by v_3 = 4."""
+    grow(ward_second_kind, 3)
+    # the package's `partition_transform` attribute is the function
+    column = importlib.import_module("wardtri.partition_transform")._tables[ward_second_kind].cols[1]
+    H, B, beta = column[3]
+    column[3] = H, B // 4, beta
+
+
+def test_a_bound_too_small_raises():
     clear_caches()
     try:
-        # the package's `partition_transform` attribute is the function
-        module = importlib.import_module("wardtri.partition_transform")
-        monkeypatch.setattr(module, "_runs", lambda p, r: [r])
+        patch_a_bound_too_small()
         with pytest.raises(ExactnessError):
             partition_transform(6, 2, ward_second_kind)
     finally:
         clear_caches()
 
 
-def test_a_bound_too_small_raises_on_the_transform_route(monkeypatch):
-    # the same bound as above, reached through the weight fill of the rows
+def test_a_bound_too_small_raises_on_the_transform_route():
+    # the same bound as above, reached through the rows that grow the table
     clear_caches()
     try:
-        module = importlib.import_module("wardtri.partition_transform")
-        monkeypatch.setattr(module, "_runs", lambda p, r: [r])
+        patch_a_bound_too_small()
         with pytest.raises(ExactnessError):
             triangle(Kind.WARD2, 6, Strategy.PARTITION_TRANSFORM)
     finally:
