@@ -229,8 +229,8 @@ def copy_of(rule):
 
 
 def demand_filled(rule, rows):
-    """A fresh table of `rule`'s terms filled value by value with rows
-    0..rows, and the values read."""
+    """A fresh copy of `rule`, whose table is filled value by value with
+    rows 0..rows, and the values read."""
     fresh = copy_of(rule)
     values = {(n, k): partition_transform(n, k, fresh) for n in range(rows + 1) for k in range(n + 2)}
     return fresh, values
