@@ -3,9 +3,11 @@ leave no remainder.
 
 The routes make a row of every closed form (a `triangles._CLOSED` entry)
 by stepping from an entry made of `math.factorial`s, each step one
-`exact_div`, and every other division of a recurrence or of the partition
-transform is one too, so a wrongly transcribed formula raises
-`ExactnessError` instead of rounding.
+`exact_div`, and every other division of a recurrence is one too.  So is
+each step of the partition transform's coefficients, and the transform
+route's division of each value by its normaliser (1 for the named rules).
+A wrongly transcribed formula raises `ExactnessError` instead of
+rounding.
 Everything is a Python ``int``, except the rows that `gen` prints, which
 are integral ``decimal.Decimal`` values built in a context that traps any
 rounding (`triangles._exact_decimal_rows`): no rationals, and never

@@ -1,5 +1,5 @@
 """Luschny's Partition transformation over the integer partitions with a
-fixed largest part, in integer arithmetic.
+fixed largest part, evaluated as integer partial Bell polynomials.
 
 The transformation maps an argument sequence a_1, a_2, ... to a triangular
 array:
@@ -19,65 +19,79 @@ products A_t = a_1 * ... * a_t, and the binomials telescope to
 k! / prod_t m_t!, where m_t counts the columns of height t: the number of
 orderings of those heights.  Summing over every ordering gives the
 exponential formula behind the partial Bell polynomials (L. Comtet,
-*Advanced Combinatorics*, 1974, ch. 3):
+*Advanced Combinatorics*, 1974, ch. 3).  With m = n + k, e_1 = 0 and
+e_s = s! * A_(s-1) for s >= 2:
 
-    P(n, k) = (-1)^k * G_k(n),   G_k(n) = [x^n] f(x)^k,   f(x) = sum_{t>=1} A_t x^t,
+    (-1)^k * (n+k)!/k! * P(n, k) = m!/k! * [x^m] g(x)^k = B_(m,k)(e),
+    g(x) = sum_{s>=2} e_s x^s / s! = x * sum_{t>=1} A_t x^t,
 
-so column k is one convolution of column k-1 with the A_t:
+the partial Bell polynomial, with Comtet's recurrence
 
-    G_1(n) = A_n,   G_k(n) = sum_{t=1..n-k+1} A_t * G_(k-1)(n-t).
+    B_(m,k) = sum_{s>=2} C(m-1, s-1) * e_s * B_(m-s,k-1),   B_(0,0) = 1.
 
 This is the defining sum regrouped, not a recurrence of the triangles, so
-the route stays independent of the others.  A triangle of N rows holds
-N(N+1)/2 values and costs about N^3/6 terms in all, where listing
-partitions grows faster than any polynomial.
+the route stays independent of the others.  For the three named rules
+B_(m,k) is the Ward entry T(n, k) itself, and every e_s is an integer:
+(s-1)! for a_j = j/(j+1), 1 for a_j = 1/(j+1) and s! for a_j = 1.
 
-No fraction is formed.  Each value is kept as the pair (H, B) with
-G_k(n) = H / B, where B is the bound the partition sum has always used:
-the i-th part after the first is at most k and at most r/i, with
-r = n - k, so every term has a denominator dividing
+Any rule is made integral by one normaliser per degree.  Let d_s be the
+denominator of e_s in lowest terms, and
 
-    B_k(n) = v_1^k * prod_{i=1..r} v_(1+i)^min(k, floor(r/i)).
+    Lambda_m = prod_{s=2..m} d_s^floor(m/s).
 
-With V_m = v_1 * ... * v_m, column 1 is (U_n, V_n), U_n = u_1 * ... * u_n,
-and the bound steps down the columns as
+A monomial of B_(m,k) has parts s >= 2 that sum to m, so each part s
+occurs at most floor(m/s) times, and Lambda_m clears its denominator.
+Also floor(m/s) - floor((m-s)/s) = 1, so d_s divides
+Lambda_m / Lambda_(m-s).  Hence every coefficient
+c(m, s) = C(m-1, s-1) * e_s * Lambda_m / Lambda_(m-s) and every
+H(m, k) = Lambda_m * B_(m,k) is an integer, and
 
-    B_k(n) = B_(k-1)(n-1) * V_floor(n/k),
+    H(m, 1) = Lambda_m * e_m,   H(m, k) = sum_{s=2..m-2k+2} c(m, s) * H(m-s, k-1).
 
-since raising p = k-1 to k adds one to the exponent of v_(1+i) exactly
-when i <= r/k.  Each value also keeps its column ratio
-beta_k(n) = B_k(n) / B_k(n-1), an integer (no exponent falls as r grows),
-which steps the same way: beta_1(n) = v_n, and beta_k(n) is
-beta_(k-1)(n-1), times v_(n/k) when k divides n (on the diagonal, where
-B_k(k-1) has no meaning, the ratio so made is never read).  The term t of H_k(n) is
-H_(k-1)(n-t) * g_t with g_t = A_t * B_k(n) / B_(k-1)(n-t), an integer
-(B_k(n) has every exponent of V_t * B_(k-1)(n-t)), and
+Lambda is 1 for the named rules, so there H is the entry.  Lambda_m is
+Lambda_(m-1) times the d_s > 1 whose s divides m, so a rule whose e_s are
+integers spends nothing on it.  e_s is stepped from e_(s-1) by the ratio
+s * u_(s-1) / v_(s-1), put in lowest terms first, so the named rules
+step by one product and never divide a large e_s.  The coefficients of
+degree m do not depend on k, and step along s from
+c(m, 1) = Lambda_m / Lambda_(m-1) (as if e_1 were 1) by
 
-    g_1 = V_floor(n/k) * u_1 / v_1,   g_t = g_(t-1) * beta_(k-1)(n-t+1) * u_t / v_t,
+    c(m, s) = c(m, s-1) * (m-s+1) * (e_s / e_(s-1)) * Lambda_(m-s+1) / ((s-1) * Lambda_(m-s)),
 
-so g grows by a stored column ratio and one term of the rule; no term
-divides one bound by another.  Each step is a division by v_t that must
-be exact: a bound that is too small raises `ExactnessError`.
+from C(m-1, s-1) / C(m-1, s-2) = (m-s+1)/(s-1).  Each step is an
+`exact_div`: a coefficient or a normaliser that is too small raises
+`ExactnessError` (for most rules Lambda has factors to spare, so it
+raises only once it is too small for the integers it must make).
+`partition_transform` returns P(n, k) as the pair
+(+-k! * H, (n+k)! * Lambda_(n+k)), not reduced, and `grow` returns a row
+as the pairs (H, Lambda_(n+k)).  A value P(n, k) reads the rule's terms
+a_1 ... a_(n+k-1), since Lambda_(n+k) reads e_(n+k).
 
-The values are memoized per rule, in columns: cols[k] maps n to the
-triple (H, B, beta), whole from degree k up to tops[k].  The value (n, k)
-reads columns c < k up to degree n-k+c (column 1 with the rule's terms),
-so one fill makes them in one order: columns from left to right, each by
-rising degree, every value once.  `grow(rule, n)` fills every
-column k <= n up to degree n, exactly the values of rows 1..n; the
-triangles' transform route calls it once per row.  A lone value that is
+The values are memoized per rule.  Column 1 is made for every degree
+that the normalisers reach; columns k >= 2 are dicts cols[k] from n to
+H(n+k, k), whole from n = k up to tops[k].  The value (n, k) reads column
+k-1 for n' = k-1 .. n-1, so one fill makes the columns in one order: from
+left to right, each by rising n, every value once, extending the
+coefficients of each degree as a prefix.  One value costs one
+`sum(map(mul, ...))` over its coefficients and column k-1.
+`grow(rule, n)` fills every column 2 <= k <= n up to n, exactly the
+values of rows 1..n besides column 1, which it makes up to n' = 2n-1:
+the normalisers reach degree 2n, reading the rule to a_(2n-1).  The
+triangles' transform route calls it once per row, and reads the row it
+returns.  A lone value that is
 not made yet fills only what it reads, and then itself: P(1500, 1) makes
-column 1 alone, and P(1500, 2) column 1 up to degree 1499 and its one value
-in column 2.  A table is kept while its rule object lives, and holds no
-reference to the rule; a rule that cannot be weakly referenced (an
-instance of a class whose `__slots__` leave out `__weakref__`) gets a table
-for one call only.
+column 1 alone, and P(1500, 2) column 1 and its one value in column 2.
+N rows keep about N^2 coefficients, which for ward1 and ward-lah are as
+large as the entries.  A table is kept while its rule object lives, and
+holds no reference to the rule; a rule that cannot be weakly referenced
+(an instance of a class whose `__slots__` leave out `__weakref__`) gets a
+table for one call only.
 
 One thread at a time fills any table, under the module's lock, and
 skips the values already made.  A value enters its column only once
-final, and a column only ever gains values, so a lookup takes no lock:
-one that finds no table, column or value yet falls through to the locked
-fill.
+final, after the normaliser it is read with, and a column only ever gains
+values, so a lookup takes no lock: one that finds no table, column or
+value yet falls through to the locked fill.
 """
 
 from __future__ import annotations
@@ -85,6 +99,8 @@ from __future__ import annotations
 import threading
 import weakref
 from collections.abc import Callable
+from math import factorial, gcd, prod
+from operator import mul
 
 from .exact_arith import exact_div
 
@@ -108,47 +124,52 @@ def ward_second_kind(j: int) -> tuple[int, int]:
 
 
 class _Table:
-    """One rule's memo: the columns cols[k] (cols[0] unused), the degree
-    tops[k] up to which column k is whole, and the rule's terms
-    terms[t-1] = (u_t, v_t)."""
+    """One rule's memo: norm[j] = Lambda_j up to the degree M reached;
+    steps[s-2], the ratio e_s / e_(s-1) for s <= M as a pair in lowest
+    terms; `dens`, the pairs (s, d_s) for the s whose e_s had to be put in
+    lowest terms, which hold every d_s > 1; e_M in lowest terms; coefs[m],
+    the list c(m, 1), c(m, 2), ... as far as made; the columns cols[k], n
+    to H(n+k, k); and tops[k], the n to which column k >= 2 is whole."""
 
-    __slots__ = ("cols", "tops", "terms")
+    __slots__ = ("norm", "steps", "dens", "e", "coefs", "cols", "tops")
 
     def __init__(self) -> None:
-        self.cols, self.tops, self.terms = [None, {}], [0, 0], []
+        self.norm, self.steps, self.dens, self.e = [1, 1], [], [], (1, 1)
+        self.coefs, self.cols, self.tops = {}, {1: {}}, {}
 
 
 def _fill(table: _Table, rule: ArgumentRule, n: int, k: int, lone: bool) -> None:
-    """Make the value of P(n, k) and what it reads when `lone`, else every
-    column up to k whole to degree n; call with `_lock` held, or on a table
-    no other call can see."""
-    cols, tops, terms, first = table.cols, table.tops, table.terms, table.cols[1]  # first[t] = (U_t, V_t, v_t)
-    for t in range(len(first) + 1, n - k + 2 if lone else n + 1):
-        u, v = rule(t)
+    """Make the value H(n+k, k) and what it reads when `lone`, else every
+    column up to k whole to n; call with `_lock` held, or on a table no
+    other call can see."""
+    norm, steps, dens, cols, (p, q) = table.norm, table.steps, table.dens, table.cols, table.e
+    for s in range(len(norm), (n + k if lone else 2 * n) + 1):  # to the highest degree read
+        u, v = rule(s - 1)
         if v <= 0:
-            raise ValueError(f"argument rule gave denominator {v} at j={t}; it must be positive")
-        U, V, _ = first.get(t - 1, (1, 1, 1))
-        first[t] = U * u, V * v, v
-        terms.append((u, v))
-    cols += ({} for _ in range(len(cols), k + 1))
-    tops += range(len(tops) - 1, k)  # column c starts whole to degree c-1
+            raise ValueError(f"argument rule gave denominator {v} at j={s - 1}; it must be positive")
+        g = gcd(s * u, v)
+        a, b = s * u // g, v // g  # e_s / e_(s-1) in lowest terms
+        steps.append((a, b))
+        p, q = p * a, q * b
+        if q > 1:  # put e_s in lowest terms; an integer needs no division
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            dens.append((s, q))
+        norm.append(norm[-1] * prod([d for r, d in dens if s % r == 0]))
+        cols[1][s - 1] = p * (norm[s] // q)  # exact: Lambda_s / Lambda_(s-1) has the factor d_s = q
+        table.e = p, q
     for c in range(2, k + 1):
-        prev, col = cols[c - 1], cols[c]
-        for m in (n,) if lone and c == k else range(tops[c] + 1, (n - k + c if lone else n) + 1):
-            if m not in col:
-                (_, g, v), (_, B, beta) = first[m // c], prev[m - 1]
-                h, B, s = 0, B * g, 1  # g * s = A_(t-1) * B_c(m) / B_(c-1)(m-t) before the step to t
-                for t in range(1, m - c + 2):
-                    u, w = terms[t - 1]
-                    H, _, step = prev[m - t]
-                    g, e = divmod(g * (s * u), w)
-                    if e:
-                        exact_div(g * w + e, w)  # raises: the bound is too small
-                    h += H * g
-                    s = step
-                col[m] = h, B, (beta * v if m % c == 0 else beta)
-            if m == tops[c] + 1:
-                tops[c] = m
+        prev, col, whole = cols[c - 1], cols.setdefault(c, {}), table.tops.get(c, c - 1)
+        for i in (n,) if lone and c == k else range(whole + 1, (n - k + c if lone else n) + 1):
+            if i not in col:
+                m = i + c
+                coef = table.coefs.setdefault(m, [exact_div(norm[m], norm[m - 1])])  # c(m, 1) starts the steps
+                for s in range(len(coef) + 1, i - c + 3):
+                    a, b = steps[s - 2]
+                    coef.append(exact_div(coef[-1] * ((m - s + 1) * a * norm[m - s + 1]), (s - 1) * b * norm[m - s]))
+                col[i] = sum(map(mul, coef[1:], map(prev.__getitem__, range(i - 1, c - 2, -1))))  # e_1 = 0
+            if i == whole + 1:
+                whole = table.tops[c] = i
 
 
 # Held weakly by rule, so a table goes with the last reference to its rule
@@ -164,12 +185,15 @@ def clear_tables() -> None:
         _tables.clear()
 
 
-def grow(rule: ArgumentRule, n: int) -> None:
-    """Fill `rule`'s table with every value of rows 1..n: each column k <= n
-    made whole to degree n.  Raises `TypeError` for a rule that cannot be
-    weakly referenced, which keeps no table."""
+def grow(rule: ArgumentRule, n: int) -> list[tuple[int, int]]:
+    """Fill `rule`'s table with every value of rows 1..n, each column
+    k <= n made whole to n, and return row n: B_(n+k,k)(e) for k = 1..n as
+    the pairs (H(n+k, k), Lambda_(n+k)) whose quotients are its values.
+    Raises `TypeError` for a rule that cannot be weakly referenced, which
+    keeps no table."""
     with _lock:
-        _fill(_tables.get(rule) or _tables.setdefault(rule, _Table()), rule, n, n, False)
+        _fill(table := _tables.get(rule) or _tables.setdefault(rule, _Table()), rule, n, n, False)
+    return [(table.cols[k][n], table.norm[n + k]) for k in range(1, n + 1)]
 
 
 def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
@@ -189,12 +213,11 @@ def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
             raise ValueError(f"partition bounds must be nonnegative, got ({n}, {k})")
         return (1 if n == k else 0), 1  # 1 only at n = k = 0
     try:
-        H, B, _ = _tables[rule].cols[k][n]
+        (table := _tables[rule]).cols[k][n]
     except LookupError:  # no table, column or value yet
         with _lock:
             _fill(table := _tables.setdefault(rule, _Table()), rule, n, k, True)
-            H, B, _ = table.cols[k][n]
     except TypeError:  # a rule that cannot be weakly referenced gets a table for this call only
         _fill(table := _Table(), rule, n, k, True)
-        H, B, _ = table.cols[k][n]
-    return (-H if k & 1 else H), B
+    H = factorial(k) * table.cols[k][n]
+    return (-H if k & 1 else H), factorial(n + k) * table.norm[n + k]

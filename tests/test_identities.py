@@ -45,18 +45,25 @@ def test_compare_routes_flip_fails_only_the_pairs_of_its_route(flip_entry):
 
 
 def test_a_fault_in_the_falling_entry_fails_only_the_alternating_sum(monkeypatch):
-    # alternating-sum reads (n+k)!/k! from _CLOSED["falling"] and explicit
-    # states its own closed form: with k! made (k+1)! there, the recurrence
-    # and explicit refute alternating-sum from the first entry and still
-    # agree with each other.
+    # alternating-sum reads (n+k)!/k! from _CLOSED["falling"], explicit
+    # states its own closed form and the partition transform reads only its
+    # rule: with k! made (k+1)! there, the recurrence, explicit and the
+    # transform refute alternating-sum from the first entry and still agree
+    # with each other.
     monkeypatch.setitem(triangles._CLOSED, "falling", ((1, 1, 1, 0), (-1, 0, 1, 1)))
-    routes = [Strategy.RECURRENCE, Strategy.EXPLICIT, Strategy.ALTERNATING_SUM]
-    independent, *faulty = compare_routes(Kind.WARD_LAH, 8, routes)
-    assert independent.name == "equivalence-ward-lah-recurrence~explicit"
-    assert independent.passed
+    routes = [Strategy.RECURRENCE, Strategy.EXPLICIT, Strategy.PARTITION_TRANSFORM, Strategy.ALTERNATING_SUM]
+    reports = compare_routes(Kind.WARD_LAH, 8, routes)
+    independent, faulty = reports[:2] + reports[3:4], reports[2:3] + reports[4:]
+    assert [r.name for r in independent] == [
+        "equivalence-ward-lah-recurrence~explicit",
+        "equivalence-ward-lah-recurrence~partition-transform",
+        "equivalence-ward-lah-explicit~partition-transform",
+    ]
+    assert all(r.passed for r in independent)
     assert [r.name for r in faulty] == [
         "equivalence-ward-lah-recurrence~alternating-sum",
         "equivalence-ward-lah-explicit~alternating-sum",
+        "equivalence-ward-lah-partition-transform~alternating-sum",
     ]
     for report in faulty:
         assert not report.passed

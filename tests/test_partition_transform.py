@@ -68,10 +68,10 @@ RULES = [constant_one, ward_first_kind, ward_second_kind, squares_over_three]
 
 
 def test_transform_examples():
-    assert partition_transform(2, 1, constant_one) == (-1, 1)
-    assert partition_transform(0, 0, constant_one) == (1, 1)
-    assert partition_transform(0, 0, ward_first_kind) == (1, 1)
-    assert partition_transform(5, 0, ward_first_kind) == partition_transform(2, 3, ward_first_kind) == (0, 1)
+    assert transform(2, 1, constant_one) == -1
+    assert transform(0, 0, constant_one) == 1
+    assert transform(0, 0, ward_first_kind) == 1
+    assert transform(5, 0, ward_first_kind) == transform(2, 3, ward_first_kind) == 0
     # single partition (2,1): C(2,1)*(1/2)^2 * C(1,0)*(1/3)^1 = 1/6
     assert transform(3, 2, ward_second_kind) == Fraction(1, 6)
     # cross-check against the recurrence-built triangle entry
@@ -126,7 +126,7 @@ def test_random_rules_match_the_enumerated_sum(numerators, denominators, random)
     # Zero and negative numerators, which no rule of RULES has; the values
     # are read in a random order, some of them one by one before a grow.
     def rule(j):
-        return numerators[j - 1], denominators[j - 1]
+        return numerators[(j - 1) % 12], denominators[(j - 1) % 12]
 
     cells = [(n, k) for n in range(13) for k in range(n + 2)]
     random.shuffle(cells)
@@ -145,11 +145,12 @@ def test_transform_rejects_negative():
 
 def test_a_lone_value_makes_only_what_it_reads():
     # The only partition with largest part 1 is 1^n, and a_1...a_n = 1/(n+1):
-    # P(1500, 1) makes column 1 alone, with no recursion 1500 deep.  P(n, 2)
-    # of a_j = j/(j+1) is the sum of 1/((t+1)(n-t+1)) over t = 1..n-1, that
-    # is 2(H_n - 1)/(n+2) with H_n the n-th harmonic number; it reads column
-    # 1 up to degree n-1 and makes its one value of column 2.  A later grow
-    # keeps every value made.
+    # P(1500, 1) makes column 1 alone, to n = 1500, with no recursion 1500
+    # deep.  P(n, 2) of a_j = j/(j+1) is the sum of 1/((t+1)(n-t+1)) over
+    # t = 1..n-1, that is 2(H_n - 1)/(n+2) with H_n the n-th harmonic
+    # number; it makes column 1 to n + 1, the degree n + 2 of its
+    # normaliser, and its one value of column 2.  A later grow keeps every
+    # value made.
     clear_caches()
     try:
         assert transform(1500, 1, ward_first_kind) == Fraction(-1, 1501)
@@ -158,7 +159,7 @@ def test_a_lone_value_makes_only_what_it_reads():
         harmonic = sum(Fraction(1, j) for j in range(1, 1501))
         assert transform(1500, 2, rule) == 2 * (harmonic - 1) / 1502
         made = values_of(rule)
-        assert set(made) == {(n, 1) for n in range(1, 1500)} | {(1500, 2)}
+        assert set(made) == {(n, 1) for n in range(1, 1502)} | {(1500, 2)}
         grow(rule, 30)
         grown = values_of(rule)
         assert all(grown[cell] is entry for cell, entry in made.items())
@@ -210,17 +211,22 @@ def test_clear_caches_drops_transform_tables():
     assert len(calls) == 2 * first
 
 
-def values_of(rule):
-    """A read-only view of `rule`'s memo: (n, k) to the entry (H, B, beta)
-    of each value made, from the columns that hold them."""
+def table_of(rule):
+    """`rule`'s memo."""
     # the package's `partition_transform` attribute is the function
-    columns = importlib.import_module("wardtri.partition_transform")._tables[rule].cols
-    return {(n, k): entry for k, column in enumerate(columns[1:], 1) for n, entry in column.items()}
+    return importlib.import_module("wardtri.partition_transform")._tables[rule]
+
+
+def values_of(rule):
+    """A read-only view of `rule`'s memo: (n, k) to the integer H(n+k, k)
+    of each value made, from the columns that hold them."""
+    return {(n, k): entry for k, column in table_of(rule).cols.items() for n, entry in column.items()}
 
 
 def rows_of(rows):
-    """The cells (n, k) of rows 1..rows."""
-    return {(n, k) for n in range(1, rows + 1) for k in range(1, n + 1)}
+    """The cells (n, k) of rows 1..rows, and column 1 on to n = 2*rows - 1,
+    the degree 2*rows that the normalisers of those rows reach."""
+    return {(n, k) for n in range(1, rows + 1) for k in range(1, n + 1)} | {(n, 1) for n in range(rows, 2 * rows)}
 
 
 def copy_of(rule):
@@ -249,7 +255,7 @@ def test_grow_makes_exactly_the_values_of_its_rows(rows):
     grown = copy_of(ward_second_kind)
     grow(grown, rows)
     assert set(values_of(grown)) == rows_of(rows)
-    assert len(values_of(grown)) == rows * (rows + 1) // 2
+    assert len(values_of(grown)) == rows * (rows + 1) // 2 + rows - 1
     fresh, _ = demand_filled(ward_second_kind, rows)
     assert values_of(grown) == values_of(fresh)  # the same cells, and the same entry at each
 
@@ -301,49 +307,85 @@ def test_clear_caches_drops_the_grown_columns():
     assert len(calls) == 2 * first
 
 
-def _bound(rule, d, p, r):
-    """B(d, p, r) = v_d^p * prod_{i=1..r} v_(d+i)^min(p, r // i), term by term."""
-    out = rule(d)[1] ** p
-    for i in range(1, r + 1):
-        out *= rule(d + i)[1] ** min(p, r // i)
+def normaliser(rule, m):
+    """Lambda_m = prod_{s=2..m} d_s^floor(m/s), d_s the denominator of
+    e_s = s! * a_1 * ... * a_(s-1) in lowest terms, term by term."""
+    out, prefix = 1, Fraction(1)
+    for s in range(2, m + 1):
+        prefix *= Fraction(*rule(s - 1))
+        out *= (factorial(s) * prefix).denominator ** (m // s)
     return out
 
 
 @pytest.mark.parametrize("rule", RULES)
-def test_denominator_is_the_stated_bound(rule):
+def test_denominator_is_the_stated_normaliser(rule):
     for n in range(1, 25):
         for k in range(1, n + 1):
-            assert partition_transform(n, k, rule)[1] == _bound(rule, 1, k, n - k), (n, k)
+            assert partition_transform(n, k, rule)[1] == factorial(n + k) * normaliser(rule, n + k), (n, k)
+    if rule is squares_over_three:
+        assert normaliser(rule, 40) > 1
+    else:  # every e_s of a named rule is an integer
+        assert all(partition_transform(m - 1, 1, rule)[1] == factorial(m) for m in range(2, 401))
 
 
-def patch_a_bound_too_small():
-    """Make rows 1..3 of a_j = 1/(j+1), then cut the stored bound of P(3, 1)
-    to a quarter.  The bound of P(6, 2) steps from it, so the step to its
-    third term divides 6 * 5 by v_3 = 4."""
-    grow(ward_second_kind, 3)
-    # the package's `partition_transform` attribute is the function
-    column = importlib.import_module("wardtri.partition_transform")._tables[ward_second_kind].cols[1]
-    H, B, beta = column[3]
-    column[3] = H, B // 4, beta
+def test_the_rule_is_read_to_a_n_plus_k_minus_1():
+    # P(n, k) reads a_1 ... a_(n+k-1), each once, since Lambda_(n+k) reads
+    # e_(n+k); grow(rule, n) reads on to a_(2n-1).
+    reads = []
+
+    def rule(j):
+        reads.append(j)
+        return j, j + 2
+
+    partition_transform(7, 3, rule)
+    assert reads == list(range(1, 10))
+    partition_transform(7, 3, rule)
+    grow(rule, 4)
+    assert reads == list(range(1, 10))
+    grow(rule, 8)
+    assert reads == list(range(1, 16))
 
 
-def test_a_bound_too_small_raises():
+def patch_a_coefficient_too_small():
+    """Make rows 1..4 of a_j = 1/(j+1), then cut its stored coefficient
+    c(7, 3) = C(6, 2) from 15 to 5.  The values of row 5 step c(7, 4) from
+    it, which divides 5 * 4 by 3."""
+    grow(ward_second_kind, 4)
+    coefficients = table_of(ward_second_kind).coefs[7]
+    assert coefficients == [1, 6, 15]  # c(7, 1), c(7, 2), c(7, 3)
+    coefficients[2] = 5
+
+
+def test_a_coefficient_or_normaliser_too_small_raises():
     clear_caches()
     try:
-        patch_a_bound_too_small()
+        patch_a_coefficient_too_small()
         with pytest.raises(ExactnessError):
-            partition_transform(6, 2, ward_second_kind)
+            partition_transform(5, 2, ward_second_kind)
+        # a_1 = 1/3 and a_j = 1 after it: e_2 = 2/3 is the only e_s that is
+        # not an integer, so Lambda_m = 3^floor(m/2) has no factor to spare.
+        # With Lambda_4 cut from 9 to 3, the coefficients of degree 5 that
+        # read Lambda_4 / Lambda_3 come out fractional.
+        def one_third_first(j):
+            return (1, 3) if j == 1 else (1, 1)
+
+        partition_transform(2, 2, one_third_first)
+        norm = table_of(one_third_first).norm
+        assert norm == [1, 1, 3, 3, 9]
+        norm[4] = 3
+        with pytest.raises(ExactnessError):
+            partition_transform(3, 2, one_third_first)
     finally:
         clear_caches()
 
 
-def test_a_bound_too_small_raises_on_the_transform_route():
-    # the same bound as above, reached through the rows that grow the table
+def test_a_coefficient_too_small_raises_on_the_transform_route():
+    # the same coefficient as above, reached through the rows that grow the table
     clear_caches()
     try:
-        patch_a_bound_too_small()
+        patch_a_coefficient_too_small()
         with pytest.raises(ExactnessError):
-            triangle(Kind.WARD2, 6, Strategy.PARTITION_TRANSFORM)
+            triangle(Kind.WARD2, 5, Strategy.PARTITION_TRANSFORM)
     finally:
         clear_caches()
 

@@ -232,16 +232,16 @@ def test_rational_recurrence_rejects_a_perturbed_row():
 
 
 def test_transform_route_refuses_a_non_integral_value(monkeypatch):
-    # Row 1's only entry is -(1+1)_1 P(1, 1) = -2 P(1, 1): an integral
-    # product collapses to an int, and a non-integral one raises rather
-    # than being rounded.
+    # Row 1's only entry is H / Lambda_2 from the row's one pair (H, Lambda_2):
+    # an integral quotient collapses to an int, and a non-integral one
+    # raises rather than being rounded.
     clear_caches()
     try:
-        monkeypatch.setattr(triangles, "partition_transform", lambda n, k, rule: (3, 2))
+        monkeypatch.setattr(triangles, "grow", lambda rule, n: [(6, 2)])
         _, entry = triangle(Kind.WARD2, 1, P).rows[1]
-        assert entry == -3 and type(entry) is int
+        assert entry == 3 and type(entry) is int
         clear_caches()
-        monkeypatch.setattr(triangles, "partition_transform", lambda n, k, rule: (1, 4))
+        monkeypatch.setattr(triangles, "grow", lambda rule, n: [(1, 2)])
         with pytest.raises(ExactnessError):
             triangle(Kind.WARD2, 1, P)
     finally:
@@ -620,7 +620,7 @@ def test_concurrent_transform_table_growth_matches_a_serial_build():
     def evaluate(seed):
         rng = random.Random(seed)
         order = rng.sample(cells, len(cells))
-        if seed % 2:  # half the threads first fill by weight, to a row of their own
+        if seed % 2:  # half the threads first grow the table, to a row of their own
             grow(rule, rng.randrange(19))
         return {cell: partition_transform(*cell, rule) for cell in order}
 
