@@ -2,11 +2,12 @@
 
 Subcommands: gen, check, identities, conjecture, bfile-compare, bench.
 Exit codes: 0 success/agreement, 1 mismatch or identity failure, 2 usage
-error (argparse errors, negative row counts, `gen --format bfile --rows 0`
-and `bench --rows 0`, an integer option that is not ASCII digits,
-`identities --max-n` below 2, unsupported strategy names, an empty kind or
-strategy list, a check that compares no pair, unreadable or malformed
-files, a count of `sys.maxsize` or more), 141 a closed stdout.
+error (argparse errors, negative row counts, `gen --format bfile --rows 0`,
+`gen --offset` with `--format table` or `csv`, `bench --rows 0`, an
+integer option that is not ASCII digits, `identities --max-n` below 2,
+unsupported strategy names, an empty kind or strategy list, a check that
+compares no pair, unreadable or malformed files, a count of `sys.maxsize`
+or more), 141 a closed stdout.
 
 Each command imports only the modules it runs: `triangles` for gen,
 check, bfile-compare and bench, `compare` for check, `identities` for
@@ -108,6 +109,8 @@ def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     leaves out row 0 and each row's k = 0 entry, so it needs --rows 1 or more."""
     if args.format == "bfile" and args.rows < 1:
         parser.error("--rows must be at least 1 for a b-file, which leaves out row 0")
+    if args.format != "bfile" and args.offset is not None:
+        parser.error(f"--offset applies only to --format bfile, not {args.format}")
     _routes(parser, args.kind, [args.strategy], strict=True)
     from . import triangles
 
@@ -116,7 +119,7 @@ def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.format == "bfile":
         from . import bfile as bfile_mod
 
-        offset = args.offset
+        offset = 1 if args.offset is None else args.offset
         for row in itertools.islice(rows, 1, None):
             out.write(bfile_mod.render_bfile(bfile_mod.BFile(offset=offset, values=row[1:])))
             offset += len(row) - 1
@@ -291,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--rows", type=_count, required=True)
     p_gen.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
     p_gen.add_argument("--format", choices=["table", "csv", "bfile"], default="table")
-    p_gen.add_argument("--offset", type=_index, default=1, help="first b-file index")
+    p_gen.add_argument("--offset", type=_index, default=None, help="first b-file index (default 1)")
 
     p_check = command("check", _cmd_check, "pairwise strategy cross-validation")
     p_check.add_argument("--kind", dest="kinds", type=_list_parser(parse_kind), default=None,

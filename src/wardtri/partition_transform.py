@@ -87,11 +87,8 @@ holds no reference to the rule; a rule that cannot be weakly referenced
 (an instance of a class whose `__slots__` leave out `__weakref__`) gets a
 table for one call only.
 
-One thread at a time fills any table, under the module's lock, and
-skips the values already made.  A value enters its column only once
-final, after the normaliser it is read with, and a column only ever gains
-values, so a lookup takes no lock: one that finds no table, column or
-value yet falls through to the locked fill.
+Every call fills and reads its table under the module's lock, one thread
+at a time, and skips the values already made.
 """
 
 from __future__ import annotations
@@ -140,8 +137,7 @@ class _Table:
 
 def _fill(table: _Table, rule: ArgumentRule, n: int, k: int, lone: bool) -> None:
     """Make the value H(n+k, k) and what it reads when `lone`, else every
-    column up to k whole to n; call with `_lock` held, or on a table no
-    other call can see."""
+    column up to k whole to n; call with `_lock` held."""
     norm, steps, dens, cols, (p, q) = table.norm, table.steps, table.dens, table.cols, table.e
     for s in range(len(norm), (n + k if lone else 2 * n) + 1):  # to the highest degree read
         u, v = rule(s - 1)
@@ -185,15 +181,25 @@ def clear_tables() -> None:
         _tables.clear()
 
 
+def _table(rule: ArgumentRule) -> _Table:
+    """`rule`'s kept table (a new empty one if it has none yet), or for a
+    rule that cannot be weakly referenced a table for this call only; call
+    with `_lock` held."""
+    try:
+        return _tables.get(rule) or _tables.setdefault(rule, _Table())
+    except TypeError:
+        return _Table()
+
+
 def grow(rule: ArgumentRule, n: int) -> list[tuple[int, int]]:
     """Fill `rule`'s table with every value of rows 1..n, each column
     k <= n made whole to n, and return row n: B_(n+k,k)(e) for k = 1..n as
     the pairs (H(n+k, k), Lambda_(n+k)) whose quotients are its values.
-    Raises `TypeError` for a rule that cannot be weakly referenced, which
-    keeps no table."""
+    A rule that cannot be weakly referenced gets a table for this call
+    only, so it fills rows 1..n again at every call."""
     with _lock:
-        _fill(table := _tables.get(rule) or _tables.setdefault(rule, _Table()), rule, n, n, False)
-    return [(table.cols[k][n], table.norm[n + k]) for k in range(1, n + 1)]
+        _fill(table := _table(rule), rule, n, n, False)
+        return [(table.cols[k][n], table.norm[n + k]) for k in range(1, n + 1)]
 
 
 def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
@@ -204,20 +210,14 @@ def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
     Returns (1, 1) for n = k = 0 (boundary convention) and (0, 1) whenever
     no partition of n has largest part k.  Values are memoized per rule
     (one table serves every (n, k)) until `clear_tables` or until the rule
-    is no longer referenced.  A value that is not made yet is made, with
-    what it reads, under the lock; a value already made is read without
-    it.
+    is no longer referenced.  A value is made, with what it reads, if it is
+    not made yet, and read, under the lock.
     """
     if not 0 < k <= n:
         if n < 0 or k < 0:
             raise ValueError(f"partition bounds must be nonnegative, got ({n}, {k})")
         return (1 if n == k else 0), 1  # 1 only at n = k = 0
-    try:
-        (table := _tables[rule]).cols[k][n]
-    except LookupError:  # no table, column or value yet
-        with _lock:
-            _fill(table := _tables.setdefault(rule, _Table()), rule, n, k, True)
-    except TypeError:  # a rule that cannot be weakly referenced gets a table for this call only
-        _fill(table := _Table(), rule, n, k, True)
-    H = factorial(k) * table.cols[k][n]
-    return (-H if k & 1 else H), factorial(n + k) * table.norm[n + k]
+    with _lock:
+        _fill(table := _table(rule), rule, n, k, True)
+        H = factorial(k) * table.cols[k][n]
+        return (-H if k & 1 else H), factorial(n + k) * table.norm[n + k]

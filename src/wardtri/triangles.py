@@ -94,24 +94,21 @@ def _stepped(value: int, ratios: Iterable[tuple[int, int]]) -> list[int]:
     return [value, *[value := exact_div(value * num, den) for num, den in ratios]]
 
 
-def _closed_row(terms: tuple, n: int, one=1, first: int = 0, last: int | None = None) -> list[int]:
-    """Entries k = first, ..., last (n by default, down if last < first) of
-    the product of (a*n + b*k + c)!^e over `terms`, in `one`'s type: entry
-    `first` from factorials, then by the ratio of neighbours, a term whose
-    argument steps by s giving its larger value, over the line if e*s = 1."""
-    last = n if last is None else last
-    d = 1 if last >= first else -1
+def _closed_row(terms: tuple, n: int, one=1, first: int = 0) -> list[int]:
+    """Entries k = first, ..., n of the product of (a*n + b*k + c)!^e over
+    `terms`, in `one`'s type: entry `first` from factorials, then up the
+    row by the ratio of neighbours, a term whose argument steps by b giving
+    its larger value, over the line if e*b = 1."""
     over, under, num, den = [], [], [], []
     for e, a, b, c in terms:
-        m = a * n + c
-        (over if e > 0 else under).append(m + b * first)
+        m = a * n + b * first + c
+        (over if e > 0 else under).append(m)
         if b:
-            s = b * d
-            (num if e * s > 0 else den).append(range(m + b * first + (s > 0), m + b * last + (s > 0), s))
+            (num if e * b > 0 else den).append(range(m + (b > 0), m + b * (n - first) + (b > 0), b))
     for x in set(over) & set(under):  # a factorial over the line cancels an equal one under it
         over.remove(x)
         under.remove(x)
-    num, den = (reduce(partial(map, mul), r) if r else repeat(1, abs(last - first)) for r in (num, den))
+    num, den = (reduce(partial(map, mul), r) if r else repeat(1, n - first) for r in (num, den))
     return _stepped(exact_div(prod(map(factorial, over)), prod(map(factorial, under))) * one, zip(num, den))
 
 
@@ -122,8 +119,9 @@ class Rescaling(Enum):
 
     def factors(self, n: int, one=1) -> list[int]:
         """Rescaled T(n, k) over base T(n, k) for k = 0..n, in `one`'s type:
-        its `_CLOSED` entry, stepped down from its least value, at k = n."""
-        return _closed_row(_CLOSED[self], n, one, n, 0)[::-1]
+        its `_CLOSED` entry written in j = n - k, stepped up from j = 0
+        (k = n, where it is least) and reversed."""
+        return _closed_row([(e, a + b, -b, c) for e, a, b, c in _CLOSED[self]], n, one)[::-1]
 
 
 SPEC: dict[Kind, tuple[Base, Rescaling]] = {
@@ -187,6 +185,8 @@ def reference_route(kind: Kind) -> Strategy:
 
 
 def _check_supported(kind: Kind, strategy: Strategy) -> None:
+    if not (isinstance(kind, Kind) and isinstance(strategy, Strategy)):
+        raise UnsupportedStrategyError(f"expected a Kind and a Strategy, got {kind!r} and {strategy!r}")
     if strategy not in SUPPORTED[kind]:
         raise UnsupportedStrategyError(
             f"{kind.value} has no {strategy.value} route; "

@@ -37,6 +37,17 @@ def test_gen_bfile_offset(capsys):
     assert out.splitlines() == ["0 1", "1 1", "2 3"]
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_gen_offset_outside_a_bfile_is_usage_error(capsys, fmt):
+    # only a b-file has indexes, so an --offset elsewhere is refused, not ignored
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--kind", "ward1", "--rows", "2", "--format", fmt, "--offset", "-5"])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.splitlines()[-1] == f"wardtri gen: error: --offset applies only to --format bfile, not {fmt}"
+
+
 @pytest.mark.parametrize("rows,offset", [(1, "0"), (7, "0"), (7, "1"), (7, "5"), (7, "-1"), (7, "+2")])
 def test_gen_bfile_streams_the_rendered_bfile(capsys, rows, offset):
     code, out = run(capsys, "gen", "--kind", "binomial-ward2", "--rows", str(rows),

@@ -1,7 +1,6 @@
 import decimal
 import math
 from decimal import Decimal
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -85,7 +84,10 @@ def test_closed_entry_equals_its_factorial_oracle(key, one):
             row = _closed_row(_CLOSED[key], n, one, first)
             assert row == [entry(n, k) for k in range(first, n + 1)], n
             assert {type(v) for v in row} == {type(one)}
-            assert _closed_row(_CLOSED[key], n, one, n, first) == row[::-1], n  # stepped down from k = n
+            if isinstance(key, Rescaling):  # written in j = n - k, a factor's row runs from k = n
+                reflected = [(e, a + b, -b, c) for e, a, b, c in _CLOSED[key]]
+                assert _closed_row(reflected, n, one) == row[::-1], n
+                assert key.factors(n, one) == row, n
 
 
 def test_exact_div():
@@ -97,13 +99,27 @@ def test_exact_div():
         exact_div(1, 0)
 
 
-@given(
-    st.integers(min_value=-10**6, max_value=10**6),
-    st.integers(min_value=-10**6, max_value=10**6).filter(lambda x: x != 0),
+# The context that gen steps its Decimal rows in (`triangles._exact_decimal_rows`).
+_GEN_CONTEXT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
 )
-def test_fraction_is_canonical(p, q):
-    f = Fraction(p, q)
-    assert f.denominator >= 1
-    assert math.gcd(abs(f.numerator), f.denominator) == 1
-    if p != 0:
-        assert f * Fraction(q, p) == 1
+
+
+@given(
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.integers(min_value=-10**12, max_value=10**12).filter(bool),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from([int, Decimal]),
+)
+def test_exact_div_is_divmods_quotient_or_raises(q, b, e, number):
+    # a = q*b + e is a multiple of b exactly when divmod leaves no remainder
+    with decimal.localcontext(_GEN_CONTEXT):
+        a, b = number(q * b + e), number(b)
+        quotient, remainder = divmod(a, b)
+        if remainder:
+            with pytest.raises(ExactnessError):
+                exact_div(a, b)
+        else:
+            got = exact_div(a, b)
+            assert got == quotient and type(got) is number

@@ -105,6 +105,14 @@ def test_unsupported_strategy_rejected_before_compute():
                 value(kind, 3, 2, strategy)
             with pytest.raises(UnsupportedStrategyError):
                 triangle(kind, 3, strategy)
+    # a name where a member belongs is refused by name, not by a crash
+    for call, given in [
+        (lambda: value(Kind.WARD1, 3, 2, "recurrence"), "'recurrence'"),
+        (lambda: stream(Kind.WARD1, "explicit"), "'explicit'"),
+        (lambda: value("ward1", 3, 2), "'ward1'"),
+    ]:
+        with pytest.raises(UnsupportedStrategyError, match=given):
+            call()
 
 
 def test_strategy_table_shape():
@@ -630,9 +638,9 @@ def test_concurrent_transform_table_growth_matches_a_serial_build():
 
 def test_concurrent_reads_on_new_columns_fall_through_to_the_fill():
     # Half the threads grow a table row by row, making its columns and
-    # values; the others read the same rows as they appear, without the
-    # lock, where the column or value may not exist yet.  Such a lookup
-    # must fill under the lock, never raise.
+    # values; the others read the same rows, each read waiting on the lock
+    # while a row is grown, and filling under it a column or value not
+    # made yet.  Every read must give the serial value, never raise.
     def rule(j):
         time.sleep(0.001)  # lets other threads run while a column is made
         return j, j + 1
