@@ -210,8 +210,8 @@ def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
     Returns (1, 1) for n = k = 0 (boundary convention) and (0, 1) whenever
     no partition of n has largest part k.  Values are memoized per rule
     (one table serves every (n, k)) until `clear_tables` or until the rule
-    is no longer referenced.  A value is made, with what it reads, if it is
-    not made yet, and read, under the lock.
+    is no longer referenced.  Under the lock, a value not made yet is made
+    with what it reads, and the value is read.
     """
     if not 0 < k <= n:
         if n < 0 or k < 0:

@@ -656,7 +656,7 @@ def test_concurrent_reads_on_new_columns_fall_through_to_the_fill():
     def read():
         return {cell: partition_transform(*cell, rule) for cell in cells}
 
-    grow(rule, 1)  # no reader waits on the lock for its first value, so the readers run ahead
+    grow(rule, 1)  # the readers start on a table that exists, with its first value made
     assert _run_in_threads([fill, read] * 4) == [None, expected] * 4
 
 
