@@ -67,34 +67,30 @@ raises only once it is too small for the integers it must make).
 as the pairs (H, Lambda_(n+k)).  A value P(n, k) reads the rule's terms
 a_1 ... a_(n+k-1), since Lambda_(n+k) reads e_(n+k).
 
-The values are memoized per rule.  Column 1 is made for every degree
-that the normalisers reach; columns k >= 2 are dicts cols[k] from n to
-H(n+k, k), whole from n = k up to tops[k].  The value (n, k) reads column
-k-1 for n' = k-1 .. n-1, so one fill makes the columns in one order: from
-left to right, each by rising n, every value once, extending the
-coefficients of each degree as a prefix.  One value costs one
+A `Table(rule)` holds what one rule has made: the normalisers, the steps,
+the coefficients of each degree as a prefix, and the columns, column k
+the list H(n+k, k) for n = k, k+1, ..., always a whole prefix.  Column 1
+is made for every degree that the normalisers reach.  The value (n, k)
+reads column k-1 for n' = k-1 .. n-1, so the columns are made from left
+to right, each by rising n, every value once; one value costs one
 `sum(map(mul, ...))` over its coefficients and column k-1.
-`grow(rule, n)` fills every column 2 <= k <= n up to n, exactly the
+`grow(table, n)` makes every column 2 <= k <= n whole to n, exactly the
 values of rows 1..n besides column 1, which it makes up to n' = 2n-1:
-the normalisers reach degree 2n, reading the rule to a_(2n-1).  The
-triangles' transform route calls it once per row, and reads the row it
-returns.  A lone value that is
-not made yet fills only what it reads, and then itself: P(1500, 1) makes
-column 1 alone, and P(1500, 2) column 1 and its one value in column 2.
-N rows keep about N^2 coefficients, which for ward1 and ward-lah are as
-large as the entries.  A table is kept while its rule object lives, and
-holds no reference to the rule; a rule that cannot be weakly referenced
-(an instance of a class whose `__slots__` leave out `__weakref__`) gets a
-table for one call only.
+the normalisers reach degree 2n, reading the rule to a_(2n-1).  N rows
+keep about N^2 coefficients, which for ward1 and ward-lah are as large as
+the entries.  `partition_transform` makes only what its value reads, in a
+new table for that call: column k' < k whole to n - k + k', and then the
+value itself, so P(1500, 1) makes column 1 alone, and P(1500, 2) column 1
+and one dot product.  It keeps nothing, so a repeated value is evaluated
+again.
 
-Every call fills and reads its table under the module's lock, one thread
-at a time, and skips the values already made.
+The module keeps no state.  A table belongs to its caller, who must not
+grow it from two threads at once: the triangles module keeps one per
+base, for its transform route, under its own lock.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from collections.abc import Callable
 from math import factorial, gcd, prod
 from operator import mul
@@ -120,27 +116,27 @@ def ward_second_kind(j: int) -> tuple[int, int]:
     return 1, j + 1
 
 
-class _Table:
-    """One rule's memo: norm[j] = Lambda_j up to the degree M reached;
-    steps[s-2], the ratio e_s / e_(s-1) for s <= M as a pair in lowest
-    terms; `dens`, the pairs (s, d_s) for the s whose e_s had to be put in
-    lowest terms, which hold every d_s > 1; e_M in lowest terms; coefs[m],
-    the list c(m, 1), c(m, 2), ... as far as made; the columns cols[k], n
-    to H(n+k, k); and tops[k], the n to which column k >= 2 is whole."""
+class Table:
+    """What one rule has made: norm[j] = Lambda_j up to the degree M
+    reached; steps[s-2], the ratio e_s / e_(s-1) for s <= M as a pair in
+    lowest terms; `dens`, the pairs (s, d_s) for the s whose e_s had to be
+    put in lowest terms, which hold every d_s > 1; e_M in lowest terms;
+    coefs[m], the list c(m, 1), c(m, 2), ... as far as made; and cols[k],
+    the list H(n+k, k) for n = k, k+1, ... as far as made (cols[0] is
+    empty)."""
 
-    __slots__ = ("norm", "steps", "dens", "e", "coefs", "cols", "tops")
+    __slots__ = ("rule", "norm", "steps", "dens", "e", "coefs", "cols")
 
-    def __init__(self) -> None:
-        self.norm, self.steps, self.dens, self.e = [1, 1], [], [], (1, 1)
-        self.coefs, self.cols, self.tops = {}, {1: {}}, {}
+    def __init__(self, rule: ArgumentRule) -> None:
+        self.rule, self.norm, self.steps, self.dens, self.e = rule, [1, 1], [], [], (1, 1)
+        self.coefs, self.cols = {}, [[], []]
 
 
-def _fill(table: _Table, rule: ArgumentRule, n: int, k: int, lone: bool) -> None:
-    """Make the value H(n+k, k) and what it reads when `lone`, else every
-    column up to k whole to n; call with `_lock` held."""
-    norm, steps, dens, cols, (p, q) = table.norm, table.steps, table.dens, table.cols, table.e
-    for s in range(len(norm), (n + k if lone else 2 * n) + 1):  # to the highest degree read
-        u, v = rule(s - 1)
+def _reach(table: Table, degree: int) -> None:
+    """Make the normalisers, and with them column 1, up to `degree`."""
+    norm, steps, dens, (p, q) = table.norm, table.steps, table.dens, table.e
+    for s in range(len(norm), degree + 1):
+        u, v = table.rule(s - 1)
         if v <= 0:
             raise ValueError(f"argument rule gave denominator {v} at j={s - 1}; it must be positive")
         g = gcd(s * u, v)
@@ -152,54 +148,37 @@ def _fill(table: _Table, rule: ArgumentRule, n: int, k: int, lone: bool) -> None
             p, q = p // g, q // g
             dens.append((s, q))
         norm.append(norm[-1] * prod([d for r, d in dens if s % r == 0]))
-        cols[1][s - 1] = p * (norm[s] // q)  # exact: Lambda_s / Lambda_(s-1) has the factor d_s = q
+        table.cols[1].append(p * (norm[s] // q))  # exact: Lambda_s / Lambda_(s-1) has the factor d_s = q
         table.e = p, q
-    for c in range(2, k + 1):
-        prev, col, whole = cols[c - 1], cols.setdefault(c, {}), table.tops.get(c, c - 1)
-        for i in (n,) if lone and c == k else range(whole + 1, (n - k + c if lone else n) + 1):
-            if i not in col:
-                m = i + c
-                coef = table.coefs.setdefault(m, [exact_div(norm[m], norm[m - 1])])  # c(m, 1) starts the steps
-                for s in range(len(coef) + 1, i - c + 3):
-                    a, b = steps[s - 2]
-                    coef.append(exact_div(coef[-1] * ((m - s + 1) * a * norm[m - s + 1]), (s - 1) * b * norm[m - s]))
-                col[i] = sum(map(mul, coef[1:], map(prev.__getitem__, range(i - 1, c - 2, -1))))  # e_1 = 0
-            if i == whole + 1:
-                whole = table.tops[c] = i
 
 
-# Held weakly by rule, so a table goes with the last reference to its rule
-# (a lambda made for one call leaves nothing behind); the named rules are
-# module functions and keep theirs.
-_tables: weakref.WeakKeyDictionary[ArgumentRule, _Table] = weakref.WeakKeyDictionary()
-_lock = threading.Lock()
+def _value(table: Table, k: int, n: int) -> int:
+    """H(n+k, k) for k >= 2, from column k-1 whole to n-1, extending the
+    coefficients of degree n+k as far as it reads."""
+    norm, steps, m = table.norm, table.steps, n + k
+    coef = table.coefs.setdefault(m, [exact_div(norm[m], norm[m - 1])])  # c(m, 1) starts the steps
+    for s in range(len(coef) + 1, n - k + 3):
+        a, b = steps[s - 2]
+        coef.append(exact_div(coef[-1] * ((m - s + 1) * a * norm[m - s + 1]), (s - 1) * b * norm[m - s]))
+    return sum(map(mul, coef[1:], table.cols[k - 1][n - k::-1]))  # e_1 = 0
 
 
-def clear_tables() -> None:
-    """Drop the memoized columns of every rule."""
-    with _lock:
-        _tables.clear()
+def _whole(table: Table, k: int, n: int) -> None:
+    """Make column k >= 2 whole to n, from column k-1 whole to n-1."""
+    if k == len(table.cols):
+        table.cols.append([])
+    col = table.cols[k]
+    col.extend(_value(table, k, i) for i in range(k + len(col), n + 1))
 
 
-def _table(rule: ArgumentRule) -> _Table:
-    """`rule`'s kept table (a new empty one if it has none yet), or for a
-    rule that cannot be weakly referenced a table for this call only; call
-    with `_lock` held."""
-    try:
-        return _tables.get(rule) or _tables.setdefault(rule, _Table())
-    except TypeError:
-        return _Table()
-
-
-def grow(rule: ArgumentRule, n: int) -> list[tuple[int, int]]:
-    """Fill `rule`'s table with every value of rows 1..n, each column
-    k <= n made whole to n, and return row n: B_(n+k,k)(e) for k = 1..n as
-    the pairs (H(n+k, k), Lambda_(n+k)) whose quotients are its values.
-    A rule that cannot be weakly referenced gets a table for this call
-    only, so it fills rows 1..n again at every call."""
-    with _lock:
-        _fill(table := _table(rule), rule, n, n, False)
-        return [(table.cols[k][n], table.norm[n + k]) for k in range(1, n + 1)]
+def grow(table: Table, n: int) -> list[tuple[int, int]]:
+    """Make every value of rows 1..n in `table`, each column k <= n whole
+    to n, and return row n: B_(n+k,k)(e) for k = 1..n as the pairs
+    (H(n+k, k), Lambda_(n+k)) whose quotients are its values."""
+    _reach(table, 2 * n)
+    for k in range(2, n + 1):
+        _whole(table, k, n)
+    return [(table.cols[k][n - k], table.norm[n + k]) for k in range(1, n + 1)]
 
 
 def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
@@ -208,16 +187,15 @@ def partition_transform(n: int, k: int, rule: ArgumentRule) -> tuple[int, int]:
     not reduced to lowest terms.
 
     Returns (1, 1) for n = k = 0 (boundary convention) and (0, 1) whenever
-    no partition of n has largest part k.  Values are memoized per rule
-    (one table serves every (n, k)) until `clear_tables` or until the rule
-    is no longer referenced.  Under the lock, a value not made yet is made
-    with what it reads, and the value is read.
+    no partition of n has largest part k.  Makes what the value reads in a
+    table of its own, which it drops, so every call evaluates anew.
     """
     if not 0 < k <= n:
         if n < 0 or k < 0:
             raise ValueError(f"partition bounds must be nonnegative, got ({n}, {k})")
         return (1 if n == k else 0), 1  # 1 only at n = k = 0
-    with _lock:
-        _fill(table := _table(rule), rule, n, k, True)
-        H = factorial(k) * table.cols[k][n]
-        return (-H if k & 1 else H), factorial(n + k) * table.norm[n + k]
+    _reach(table := Table(rule), n + k)
+    for j in range(2, k):
+        _whole(table, j, n - k + j)
+    H = factorial(k) * (_value(table, k, n) if k > 1 else table.cols[1][n - 1])
+    return (-H if k & 1 else H), factorial(n + k) * table.norm[n + k]

@@ -40,6 +40,10 @@ immutable rows read so far and the generator it reads on from, and drops
 both when a step raises.  A boundary entry makes no row.  No table grows
 another, and one thread at a time reads on, under the module's lock; a row
 is appended only once complete, so a reader of complete rows takes no lock.
+The transform routes of a base, in the memo or streamed, share one
+partition-transform `Table`, kept here and grown under the same lock,
+which is reentrant because the memo holds it while it steps a transform
+row.
 
 `Kind` and `Strategy` are defined in the package, where the command line
 reads them without loading this module, and re-exported here.
@@ -60,7 +64,7 @@ from . import Kind, Strategy
 from .exact_arith import exact_div
 from .partition_transform import (
     ArgumentRule,
-    clear_tables,
+    Table,
     constant_one,
     grow,
     partition_transform,  # not used here; the benchmark's tracer test reads triangles.partition_transform
@@ -98,7 +102,10 @@ def _closed_row(terms: tuple, n: int, one=1, first: int = 0) -> list[int]:
     """Entries k = first, ..., n of the product of (a*n + b*k + c)!^e over
     `terms`, in `one`'s type: entry `first` from factorials, then up the
     row by the ratio of neighbours, a term whose argument steps by b giving
-    its larger value, over the line if e*b = 1."""
+    its larger value, over the line if e*b = 1.  A row n < `first` has no
+    entries and raises `ValueError`."""
+    if n < first:
+        raise ValueError(f"row {n} has no entries from k = {first}")
     over, under, num, den = [], [], [], []
     for e, a, b, c in terms:
         m = a * n + b * first + c
@@ -163,18 +170,20 @@ Row = tuple[int, ...]
 
 # The memo, keyed by (kind, strategy) or by (classical name, RECURRENCE):
 # the rows read so far, and the `_rows` generator that makes the next ones.
+# `_tables` holds the partition-transform table of each base.
 _cache: dict[tuple[Kind | str, Strategy], list[Row]] = {}
 _sources: dict[tuple[Kind | str, Strategy], Iterator[Row]] = {}
-_lock = threading.Lock()
+_tables: dict[Base, Table] = {}
+_lock = threading.RLock()
 
 
 def clear_caches() -> None:
-    """Drop all memoized rows and partition-transform tables (used by
-    benchmarks to time cold builds)."""
+    """Drop all memoized rows and the partition-transform table of each
+    base (used by benchmarks to time cold builds)."""
     with _lock:
         _cache.clear()
         _sources.clear()
-        clear_tables()
+        _tables.clear()
 
 
 def reference_route(kind: Kind) -> Strategy:
@@ -262,7 +271,9 @@ def _explicit_row(kind: Kind, n: int, source, one) -> Row:
 
 def _transform_row(kind: Kind, n: int, source, one) -> Row:
     base, rescaling = SPEC[kind]
-    return (0, *map(mul, rescaling.factors(n)[1:], starmap(exact_div, grow(base.rule, n))))
+    with _lock:
+        pairs = grow(_tables.get(base) or _tables.setdefault(base, Table(base.rule)), n)
+    return (0, *map(mul, rescaling.factors(n)[1:], starmap(exact_div, pairs)))
 
 
 def _scaling_row(kind: Kind, n: int, source: Row, one) -> Row:

@@ -27,10 +27,18 @@ def test_factorial_values():
 
 
 def test_factorial_rejects_negative():
-    # a row product seeded by n! refuses a negative row; `value` answers
-    # the boundary there without building one
-    with pytest.raises(ValueError):
-        Rescaling.VARIED.factors(-1)
+    # every row product refuses a row before its first entry, also where
+    # no factorial of a negative number is formed (NONE has no terms, and
+    # BINOMIAL's cancel above and below the line); `value` answers the
+    # boundary there without building one
+    for rescaling in Rescaling:
+        with pytest.raises(ValueError):
+            rescaling.factors(-1)
+    for key in ("falling", "c", Kind.WARD_LAH):
+        with pytest.raises(ValueError):
+            _closed_row(_CLOSED[key], 0, first=1)
+        with pytest.raises(ValueError):
+            _closed_row(_CLOSED[key], -1, first=1)
     with pytest.raises(ValueError):
         _closed_row(_CLOSED["falling"], -1)
     assert value(Kind.VARIED_WARD_LAH, -1, 0, Strategy.EXPLICIT) == 0

@@ -1,5 +1,5 @@
-import gc
 import importlib
+import random
 from functools import cache
 from fractions import Fraction
 from math import comb, factorial, perm
@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from wardtri.exact_arith import ExactnessError
 from wardtri.partition_transform import (
+    Table,
     constant_one,
     grow,
     partition_transform,
     ward_first_kind,
     ward_second_kind,
 )
-from wardtri.triangles import Kind, Strategy, clear_caches, triangle, value
+from wardtri import triangles
+from wardtri.triangles import Base, Kind, Strategy, clear_caches, triangle, value
 
 
 @cache
@@ -123,17 +125,19 @@ def test_transform_matches_enumerated_sum(rule):
     st.randoms(use_true_random=False),
 )
 def test_random_rules_match_the_enumerated_sum(numerators, denominators, random):
-    # Zero and negative numerators, which no rule of RULES has; the values
-    # are read in a random order, some of them one by one before a grow.
+    # Zero and negative numerators, which no rule of RULES has; lone values
+    # are read in a random order, and one table is grown to rows in a
+    # random order, some below the rows it holds.
     def rule(j):
         return numerators[(j - 1) % 12], denominators[(j - 1) % 12]
 
     cells = [(n, k) for n in range(13) for k in range(n + 2)]
     random.shuffle(cells)
-    got = {cell: transform(*cell, rule) for cell in cells[: len(cells) // 2]}
-    grow(rule, random.randint(0, 12))
-    got.update((cell, transform(*cell, rule)) for cell in cells[len(cells) // 2 :])
-    assert got == {(n, k): enumerated_transform(n, k, rule) for n, k in cells}
+    expected = {(n, k): enumerated_transform(n, k, rule) for n, k in cells}
+    assert {cell: transform(*cell, rule) for cell in cells} == expected
+    table, rows = Table(rule), random.sample(range(13), random.randint(1, 13))
+    grown = {(n, k): Fraction(*lone_pair(n, k, pair)) for n in rows for k, pair in enumerate(grow(table, n), 1)}
+    assert grown == {(n, k): expected[n, k] for n in rows for k in range(1, n + 1)}
 
 
 def test_transform_rejects_negative():
@@ -143,83 +147,77 @@ def test_transform_rejects_negative():
         partition_transform(3, -1, constant_one)
 
 
-def test_a_lone_value_makes_only_what_it_reads():
+def tables_made_by(monkeypatch):
+    """The list that each table `partition_transform` makes is appended
+    to, from now on."""
+    made = []
+
+    class Recorded(Table):
+        __slots__ = ()
+
+        def __init__(self, rule):
+            super().__init__(rule)
+            made.append(self)
+
+    # the package's `partition_transform` attribute is the function
+    monkeypatch.setattr(importlib.import_module("wardtri.partition_transform"), "Table", Recorded)
+    return made
+
+
+def test_a_lone_value_makes_only_what_it_reads(monkeypatch):
     # The only partition with largest part 1 is 1^n, and a_1...a_n = 1/(n+1):
     # P(1500, 1) makes column 1 alone, to n = 1500, with no recursion 1500
     # deep.  P(n, 2) of a_j = j/(j+1) is the sum of 1/((t+1)(n-t+1)) over
     # t = 1..n-1, that is 2(H_n - 1)/(n+2) with H_n the n-th harmonic
     # number; it makes column 1 to n + 1, the degree n + 2 of its
-    # normaliser, and its one value of column 2.  A later grow keeps every
-    # value made.
-    clear_caches()
-    try:
-        assert transform(1500, 1, ward_first_kind) == Fraction(-1, 1501)
-        assert set(values_of(ward_first_kind)) == {(n, 1) for n in range(1, 1501)}
-        rule = copy_of(ward_first_kind)
-        harmonic = sum(Fraction(1, j) for j in range(1, 1501))
-        assert transform(1500, 2, rule) == 2 * (harmonic - 1) / 1502
-        made = values_of(rule)
-        assert set(made) == {(n, 1) for n in range(1, 1502)} | {(1500, 2)}
-        grow(rule, 30)
-        grown = values_of(rule)
-        assert all(grown[cell] is entry for cell, entry in made.items())
-        _, expected = demand_filled(ward_first_kind, 30)
-        assert {cell: partition_transform(*cell, rule) for cell in expected} == expected
-    finally:
-        clear_caches()
+    # normaliser, and reads its value from column 1 without storing it.
+    # P(30, 4) makes columns 2 and 3 as far as the value reads them.
+    made = tables_made_by(monkeypatch)
+    assert transform(1500, 1, ward_first_kind) == Fraction(-1, 1501)
+    harmonic = sum(Fraction(1, j) for j in range(1, 1501))
+    assert transform(1500, 2, ward_first_kind) == 2 * (harmonic - 1) / 1502
+    assert transform(30, 4, ward_first_kind) == enumerated_transform(30, 4, ward_first_kind)
+    assert [set(values_of(table)) for table in made] == [
+        {(n, 1) for n in range(1, 1501)},
+        {(n, 1) for n in range(1, 1502)},
+        {(n, 1) for n in range(1, 34)} | {(n, c) for c in (2, 3) for n in range(c, 26 + c + 1)},
+    ]
 
 
-def test_a_rule_no_longer_referenced_leaves_no_table():
-    # the package's `partition_transform` attribute is the function
-    tables = importlib.import_module("wardtri.partition_transform")._tables
-    before = len(tables)
-    for _ in range(10):
-        partition_transform(30, 5, lambda j: (1, j + 1))
-        grow(lambda j: (1, j + 1), 12)
-    gc.collect()
-    assert len(tables) == before
-    partition_transform(30, 5, ward_second_kind)  # a named rule keeps its table
-    gc.collect()
-    assert ward_second_kind in tables
-
-    class Slotted:  # no __weakref__ slot: cannot be weakly referenced
-        __slots__ = ()
-
-        def __call__(self, j):
-            return ward_second_kind(j)
-
-    kept = len(tables)
-    assert partition_transform(30, 5, Slotted()) == partition_transform(30, 5, ward_second_kind)
-    assert grow(Slotted(), 5) == grow(ward_second_kind, 5)  # a table for that one call
-    assert len(tables) == kept
-
-
-def test_clear_caches_drops_transform_tables():
-    calls = []
+def test_nothing_is_kept_between_calls():
+    reads = []
 
     def rule(j):
-        calls.append(j)
+        reads.append(j)
         return j, j + 2
 
-    partition_transform(12, 3, rule)
-    first = len(calls)
-    partition_transform(12, 3, rule)
-    assert len(calls) == first  # memoized
-    clear_caches()
-    partition_transform(12, 3, rule)
-    assert len(calls) == 2 * first
+    first = partition_transform(12, 3, rule)
+    assert reads == list(range(1, 15))
+    assert partition_transform(12, 3, rule) == first
+    assert reads == 2 * list(range(1, 15))  # read as far again: made anew
 
 
-def table_of(rule):
-    """`rule`'s memo."""
-    # the package's `partition_transform` attribute is the function
-    return importlib.import_module("wardtri.partition_transform")._tables[rule]
+def values_of(table):
+    """A read-only view of `table`: (n, k) to the integer H(n+k, k) of
+    each value made, from the columns that hold them."""
+    return {(k + i, k): entry for k, column in enumerate(table.cols) for i, entry in enumerate(column)}
 
 
-def values_of(rule):
-    """A read-only view of `rule`'s memo: (n, k) to the integer H(n+k, k)
-    of each value made, from the columns that hold them."""
-    return {(n, k): entry for k, column in table_of(rule).cols.items() for n, entry in column.items()}
+def lone_pair(n, k, pair):
+    """`grow`'s pair (H(n+k, k), Lambda_(n+k)) for (n, k) as the pair
+    `partition_transform` gives."""
+    H, norm = pair
+    return (-1) ** k * factorial(k) * H, factorial(n + k) * norm
+
+
+def sample_of(cells):
+    """The same 150 of `cells` at every run, or all of them if fewer."""
+    return random.Random(0).sample(sorted(cells), min(150, len(cells)))
+
+
+def lone_values(table):
+    """Each value that `table` holds as the pair `partition_transform` gives."""
+    return {(n, k): lone_pair(n, k, (H, table.norm[n + k])) for (n, k), H in values_of(table).items()}
 
 
 def rows_of(rows):
@@ -228,82 +226,50 @@ def rows_of(rows):
     return {(n, k) for n in range(1, rows + 1) for k in range(1, n + 1)} | {(n, 1) for n in range(rows, 2 * rows)}
 
 
-def copy_of(rule):
-    """A distinct rule object with the same terms, so it gets a table of its own."""
-    return lambda j: rule(j)
-
-
-def demand_filled(rule, rows):
-    """A fresh copy of `rule`, whose table is filled value by value with
-    rows 0..rows, and the values read."""
-    fresh = copy_of(rule)
-    values = {(n, k): partition_transform(n, k, fresh) for n in range(rows + 1) for k in range(n + 2)}
-    return fresh, values
-
-
 @pytest.mark.parametrize("rule", RULES)
 def test_grow_gives_the_pairs_of_a_demand_fill(rule):
-    grown = copy_of(rule)
-    grow(grown, 40)
-    _, expected = demand_filled(rule, 40)
-    assert {cell: partition_transform(*cell, grown) for cell in expected} == expected
+    # Rows grown one after another, rows read again below the grown ones,
+    # and lone values at a sample of the cells (each makes a table of its
+    # own): the same pairs.
+    table = Table(rule)
+    grown = {(n, k): lone_pair(n, k, pair) for n in range(1, 41) for k, pair in enumerate(grow(table, n), 1)}
+    again = {(n, k): lone_pair(n, k, pair) for n in range(40, 0, -1) for k, pair in enumerate(grow(table, n), 1)}
+    assert grown == again
+    assert all(grown[cell] == partition_transform(*cell, rule) for cell in sample_of(grown))
 
 
 @pytest.mark.parametrize("rows", [24, 60])
 def test_grow_makes_exactly_the_values_of_its_rows(rows):
-    grown = copy_of(ward_second_kind)
-    grow(grown, rows)
-    assert set(values_of(grown)) == rows_of(rows)
-    assert len(values_of(grown)) == rows * (rows + 1) // 2 + rows - 1
-    fresh, _ = demand_filled(ward_second_kind, rows)
-    assert values_of(grown) == values_of(fresh)  # the same cells, and the same entry at each
-
-
-@pytest.mark.parametrize("rule", RULES)
-def test_mixed_fill_orders_give_the_same_pairs(rule):
-    mixed = copy_of(rule)
-    lone = [(30, 4), (17, 2), (25, 1), (9, 9)]
-    values = {cell: partition_transform(*cell, mixed) for cell in lone}  # value by value, past any grow
-    made = values_of(mixed)
-    grow(mixed, 20)
-    kept = values_of(mixed)
-    assert all(kept[cell] is entry for cell, entry in made.items())  # kept, not made again
-    values[36, 3] = partition_transform(36, 3, mixed)  # value by value again, past the grown rows
-    grow(mixed, 26)
-    grow(mixed, 12)  # below the grown rows: makes nothing
-    _, expected = demand_filled(rule, 40)
-    assert values == {cell: expected[cell] for cell in values}
-    assert {cell: partition_transform(*cell, mixed) for cell in expected} == expected
-    reference = copy_of(rule)
-    grow(reference, 40)
-    whole = values_of(reference)
-    assert all(whole[cell] == entry for cell, entry in values_of(mixed).items())
+    table = Table(ward_second_kind)
+    grow(table, rows)
+    assert set(values_of(table)) == rows_of(rows)
+    assert len(values_of(table)) == rows * (rows + 1) // 2 + rows - 1
+    # the same entry as a lone value, at a sample of the cells
+    values = lone_values(table)
+    assert all(values[cell] == partition_transform(*cell, ward_second_kind) for cell in sample_of(values))
 
 
 def test_the_transform_route_grows_whole_rows():
     clear_caches()
     try:
         triangle(Kind.WARD1, 10, Strategy.PARTITION_TRANSFORM)
-        assert set(values_of(ward_first_kind)) == rows_of(10)
+        assert set(values_of(triangles._tables[Base.WARD1])) == rows_of(10)
     finally:
         clear_caches()
 
 
 def test_clear_caches_drops_the_grown_columns():
-    calls = []
-
-    def rule(j):
-        calls.append(j)
-        return j, j + 2
-
-    grow(rule, 12)
-    first = len(calls)
-    grow(rule, 12)
-    grow(rule, 7)
-    assert len(calls) == first  # grown already
     clear_caches()
-    grow(rule, 12)
-    assert len(calls) == 2 * first
+    try:
+        rows = triangle(Kind.WARD2, 12, Strategy.PARTITION_TRANSFORM).rows
+        grown = triangles._tables[Base.WARD2]
+        clear_caches()
+        assert triangles._tables == {}
+        assert triangle(Kind.WARD2, 12, Strategy.PARTITION_TRANSFORM).rows == rows
+        assert triangles._tables[Base.WARD2] is not grown  # grown anew
+        assert values_of(triangles._tables[Base.WARD2]) == values_of(grown)
+    finally:
+        clear_caches()
 
 
 def normaliser(rule, m):
@@ -329,7 +295,8 @@ def test_denominator_is_the_stated_normaliser(rule):
 
 def test_the_rule_is_read_to_a_n_plus_k_minus_1():
     # P(n, k) reads a_1 ... a_(n+k-1), each once, since Lambda_(n+k) reads
-    # e_(n+k); grow(rule, n) reads on to a_(2n-1).
+    # e_(n+k); grow(table, n) reads on to a_(2n-1), and rows already grown
+    # read nothing.
     reads = []
 
     def rule(j):
@@ -338,51 +305,49 @@ def test_the_rule_is_read_to_a_n_plus_k_minus_1():
 
     partition_transform(7, 3, rule)
     assert reads == list(range(1, 10))
-    partition_transform(7, 3, rule)
-    grow(rule, 4)
-    assert reads == list(range(1, 10))
-    grow(rule, 8)
+    reads.clear()
+    table = Table(rule)
+    grow(table, 4)
+    assert reads == list(range(1, 8))
+    grow(table, 4)
+    grow(table, 2)
+    assert reads == list(range(1, 8))
+    grow(table, 8)
     assert reads == list(range(1, 16))
 
 
-def patch_a_coefficient_too_small():
-    """Make rows 1..4 of a_j = 1/(j+1), then cut its stored coefficient
-    c(7, 3) = C(6, 2) from 15 to 5.  The values of row 5 step c(7, 4) from
-    it, which divides 5 * 4 by 3."""
-    grow(ward_second_kind, 4)
-    coefficients = table_of(ward_second_kind).coefs[7]
+def patch_a_coefficient_too_small(table):
+    """Grow `table`, of a_j = 1/(j+1), to row 4, then cut its stored
+    coefficient c(7, 3) = C(6, 2) from 15 to 5.  The values of row 5 step
+    c(7, 4) from it, which divides 5 * 4 by 3."""
+    grow(table, 4)
+    coefficients = table.coefs[7]
     assert coefficients == [1, 6, 15]  # c(7, 1), c(7, 2), c(7, 3)
     coefficients[2] = 5
 
 
 def test_a_coefficient_or_normaliser_too_small_raises():
-    clear_caches()
-    try:
-        patch_a_coefficient_too_small()
-        with pytest.raises(ExactnessError):
-            partition_transform(5, 2, ward_second_kind)
-        # a_1 = 1/3 and a_j = 1 after it: e_2 = 2/3 is the only e_s that is
-        # not an integer, so Lambda_m = 3^floor(m/2) has no factor to spare.
-        # With Lambda_4 cut from 9 to 3, the coefficients of degree 5 that
-        # read Lambda_4 / Lambda_3 come out fractional.
-        def one_third_first(j):
-            return (1, 3) if j == 1 else (1, 1)
-
-        partition_transform(2, 2, one_third_first)
-        norm = table_of(one_third_first).norm
-        assert norm == [1, 1, 3, 3, 9]
-        norm[4] = 3
-        with pytest.raises(ExactnessError):
-            partition_transform(3, 2, one_third_first)
-    finally:
-        clear_caches()
+    patch_a_coefficient_too_small(table := Table(ward_second_kind))
+    with pytest.raises(ExactnessError):
+        grow(table, 5)
+    # a_1 = 1/3 and a_j = 1 after it: e_2 = 2/3 is the only e_s that is
+    # not an integer, so Lambda_m = 3^floor(m/2) has no factor to spare.
+    # With Lambda_4 cut from 9 to 3, the coefficients of degree 5 that
+    # read Lambda_4 / Lambda_3 come out fractional.
+    grow(table := Table(lambda j: (1, 3) if j == 1 else (1, 1)), 2)
+    assert table.norm == [1, 1, 3, 3, 9]
+    table.norm[4] = 3
+    with pytest.raises(ExactnessError):
+        grow(table, 3)
 
 
 def test_a_coefficient_too_small_raises_on_the_transform_route():
-    # the same coefficient as above, reached through the rows that grow the table
+    # the same coefficient as above, in the table that ward2's transform
+    # route grows: its row 5 raises
     clear_caches()
     try:
-        patch_a_coefficient_too_small()
+        triangle(Kind.WARD2, 3, Strategy.PARTITION_TRANSFORM)
+        patch_a_coefficient_too_small(triangles._tables[Base.WARD2])
         with pytest.raises(ExactnessError):
             triangle(Kind.WARD2, 5, Strategy.PARTITION_TRANSFORM)
     finally:

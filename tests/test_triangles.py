@@ -1,10 +1,8 @@
 import decimal
 import functools
 import itertools
-import random
 import sys
 import threading
-import time
 from decimal import Decimal
 from math import comb, factorial, perm
 
@@ -14,9 +12,10 @@ from hypothesis import strategies as st
 
 from wardtri import triangles
 from wardtri.exact_arith import ExactnessError, exact_div
-from wardtri.partition_transform import grow, partition_transform, ward_second_kind
+from wardtri.partition_transform import partition_transform, ward_second_kind
 from wardtri.triangles import (
     SUPPORTED,
+    Base,
     Kind,
     Strategy,
     UnsupportedStrategyError,
@@ -245,11 +244,11 @@ def test_transform_route_refuses_a_non_integral_value(monkeypatch):
     # raises rather than being rounded.
     clear_caches()
     try:
-        monkeypatch.setattr(triangles, "grow", lambda rule, n: [(6, 2)])
+        monkeypatch.setattr(triangles, "grow", lambda table, n: [(6, 2)])
         _, entry = triangle(Kind.WARD2, 1, P).rows[1]
         assert entry == 3 and type(entry) is int
         clear_caches()
-        monkeypatch.setattr(triangles, "grow", lambda rule, n: [(1, 2)])
+        monkeypatch.setattr(triangles, "grow", lambda table, n: [(1, 2)])
         with pytest.raises(ExactnessError):
             triangle(Kind.WARD2, 1, P)
     finally:
@@ -616,55 +615,47 @@ def test_concurrent_classical_builds_match_a_serial_build():
         assert _run_in_threads([table] * 8) == [expected] * 8
 
 
-def test_concurrent_transform_table_growth_matches_a_serial_build():
-    def rule(j):
-        time.sleep(0.001)  # lets other threads run while the table grows
-        return j * j + 1, 3
-
-    cells = [(n, k) for n in range(19) for k in range(n + 2)]
-    # a distinct rule object gets a table of its own
-    expected = {cell: partition_transform(*cell, lambda j: (j * j + 1, 3)) for cell in cells}
-
-    def evaluate(seed):
-        rng = random.Random(seed)
-        order = rng.sample(cells, len(cells))
-        if seed % 2:  # half the threads first grow the table, to a row of their own
-            grow(rule, rng.randrange(19))
-        return {cell: partition_transform(*cell, rule) for cell in order}
-
-    results = _run_in_threads([functools.partial(evaluate, seed) for seed in range(8)])
-    assert results == [expected] * 8
+def test_the_transform_routes_of_a_base_share_one_table():
+    # ward1, varied-ward1 and binomial-ward1 read one table, in the memo
+    # and streamed; clear_caches drops it.
+    clear_caches()
+    try:
+        triangle(Kind.WARD1, 12, P)
+        table = triangles._tables[Base.WARD1]
+        triangle(Kind.VARIED_WARD1, 14, P)
+        assert len(list(itertools.islice(stream(Kind.BINOMIAL_WARD1, P), 17))) == 17
+        assert list(triangles._tables) == [Base.WARD1] and triangles._tables[Base.WARD1] is table
+        assert len(table.cols) == 17  # cols[0], then columns 1..16 of rows 1..16
+        clear_caches()
+        assert triangles._tables == {}
+    finally:
+        clear_caches()
 
 
-def test_concurrent_reads_on_new_columns_fall_through_to_the_fill():
-    # Half the threads grow a table row by row, making its columns and
-    # values; the others read the same rows, each read waiting on the lock
-    # while a row is grown, and filling under it a column or value not
-    # made yet.  Every read must give the serial value, never raise.
-    def rule(j):
-        time.sleep(0.001)  # lets other threads run while a column is made
-        return j, j + 1
+def test_concurrent_transform_streams_of_a_base_match_a_serial_build():
+    # The three ward2-based kinds' transform routes, streamed and memoized,
+    # grow ward2's one table from several threads at once.
+    def streamed(kind):
+        return tuple(itertools.islice(stream(kind, P), 31))
 
-    cells = [(n, k) for n in range(1, 31) for k in range(n, 0, -1)]
-    # a distinct rule object gets a table of its own
-    expected = {cell: partition_transform(*cell, lambda j: (j, j + 1)) for cell in cells}
+    def memoized(kind):
+        return triangle(kind, 30, P).rows
 
-    def fill():
-        for n in range(1, 31):
-            grow(rule, n)
-
-    def read():
-        return {cell: partition_transform(*cell, rule) for cell in cells}
-
-    grow(rule, 1)  # the readers start on a table that exists, with its first value made
-    assert _run_in_threads([fill, read] * 4) == [None, expected] * 4
+    kinds = (Kind.WARD2, Kind.VARIED_WARD2, Kind.BINOMIAL_WARD2)
+    tasks = [functools.partial(read, kind) for read in (streamed, memoized) for kind in kinds]
+    clear_caches()
+    expected = [task() for task in tasks]
+    for _ in range(3):
+        clear_caches()
+        assert _run_in_threads(tasks * 2) == expected * 2
+    clear_caches()
 
 
 def test_concurrent_mixed_table_growth_matches_a_serial_build():
     # Two mixes at once: ward1's recurrence table grown while varied-ward1's
     # scaling table steps its own ward1 recurrence, and ward2's transform
-    # route built while other threads read ward2's partition-transform table
-    # directly.
+    # route built while other threads evaluate lone ward2 values, each in a
+    # table of its own.
     cells = [(n, k) for n in range(31) for k in range(n + 2)]
 
     tasks = [
