@@ -249,6 +249,28 @@ def test_grow_makes_exactly_the_values_of_its_rows(rows):
     assert all(values[cell] == partition_transform(*cell, ward_second_kind) for cell in sample_of(values))
 
 
+@pytest.mark.parametrize("rule", RULES)
+def test_mixed_fill_orders_give_the_same_pairs(rule):
+    # Lone values read before, between and past the rows a table is grown
+    # to, and the table grown up, then below what it holds: the same pairs
+    # as a table grown straight to row 40, and what was grown is kept.
+    mixed, lone = Table(rule), [(30, 4), (17, 2), (25, 1), (9, 9)]
+    values = {cell: partition_transform(*cell, rule) for cell in lone}  # past any grow
+    grow(mixed, 20)
+    made = values_of(mixed)
+    values[36, 3] = partition_transform(36, 3, rule)  # past the grown rows
+    grow(mixed, 26)
+    grow(mixed, 12)  # below the grown rows: makes nothing
+    kept = values_of(mixed)
+    assert all(kept[cell] is entry for cell, entry in made.items())  # kept, not made again
+    assert set(kept) == rows_of(26)
+    reference = Table(rule)
+    grow(reference, 40)
+    whole = lone_values(reference)
+    assert values == {cell: whole[cell] for cell in values}
+    assert lone_values(mixed) == {cell: whole[cell] for cell in kept}
+
+
 def test_the_transform_route_grows_whole_rows():
     clear_caches()
     try:
@@ -268,6 +290,21 @@ def test_clear_caches_drops_the_grown_columns():
         assert triangle(Kind.WARD2, 12, Strategy.PARTITION_TRANSFORM).rows == rows
         assert triangles._tables[Base.WARD2] is not grown  # grown anew
         assert values_of(triangles._tables[Base.WARD2]) == values_of(grown)
+    finally:
+        clear_caches()
+
+
+def test_clear_caches_drops_transform_tables():
+    # The first transform route of each base makes that base's one table,
+    # of the base's rule; clear_caches drops all three.
+    clear_caches()
+    try:
+        for base in Base:
+            triangle(base.kind, 6, Strategy.PARTITION_TRANSFORM)
+        assert set(triangles._tables) == set(Base)
+        assert all(triangles._tables[base].rule is base.rule for base in Base)
+        clear_caches()
+        assert triangles._tables == {}
     finally:
         clear_caches()
 

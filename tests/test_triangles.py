@@ -1,6 +1,7 @@
 import decimal
 import functools
 import itertools
+import random
 import sys
 import threading
 from decimal import Decimal
@@ -630,6 +631,28 @@ def test_the_transform_routes_of_a_base_share_one_table():
         assert triangles._tables == {}
     finally:
         clear_caches()
+
+
+def test_concurrent_transform_table_growth_matches_a_serial_build():
+    # Threads read the values of ward1's three transform routes, each in an
+    # order of its own, half of them first building one route to a row of
+    # its own: ward1's one table grows from all of them at once.
+    kinds = (Kind.WARD1, Kind.VARIED_WARD1, Kind.BINOMIAL_WARD1)
+    cells = [(kind, n, k) for kind in kinds for n in range(25) for k in range(n + 2)]
+    clear_caches()
+    expected = {cell: value(*cell, P) for cell in cells}
+
+    def evaluate(seed):
+        rng = random.Random(seed)
+        order = rng.sample(cells, len(cells))
+        if seed % 2:
+            triangle(rng.choice(kinds), rng.randrange(25), P)
+        return {cell: value(*cell, P) for cell in order}
+
+    for _ in range(3):
+        clear_caches()
+        assert _run_in_threads([functools.partial(evaluate, seed) for seed in range(8)]) == [expected] * 8
+    clear_caches()
 
 
 def test_concurrent_transform_streams_of_a_base_match_a_serial_build():
