@@ -1,17 +1,20 @@
 """Check records and the route comparison behind `wardtri check`.
 
-A `_Sweep` accumulates one check's verdict over its parameter tuples and
-reports it as a `CheckReport`, naming the first `Counterexample`.  The
-identity suite in `identities` builds every check on these records, and
-`compare_routes`, the one route comparison, compares the routes of one
-kind entry by entry, reading their row streams in lockstep.  This module
-imports neither `identities` nor `fractions`: a `Fraction` is formed only
-to report a failed ratio comparison.
+A `_Sweep` accumulates one check's verdict and reports it as a
+`CheckReport`, naming the first `Counterexample`.  Every verdict is reached
+a row of cases at a time through its one method, `_Sweep.compare`, which
+compares two rows whole and scans them only to name a first mismatch.  The
+identity suite in `identities` builds every check on it, and
+`compare_routes`, the one route comparison, passes it the rows of each
+pair of routes, read from their row streams in lockstep.  This module
+imports neither `identities` nor, until a ratio comparison fails and
+`ratio` reports it, `fractions`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from itertools import combinations, islice
 
 from .triangles import Kind, Strategy, stream
@@ -64,8 +67,18 @@ class CheckReport(
         return line
 
 
+def ratio(num: int, den: int):
+    """num/den as a `Fraction`, for the counterexample of a ratio case: a
+    check states num/den == a/b as num * b == a * den, and only a failure
+    loads `fractions`."""
+    from fractions import Fraction
+
+    return Fraction(num, den)
+
+
 class _Sweep:
-    """Accumulates a pass/fail verdict over swept parameter tuples."""
+    """Accumulates a pass/fail verdict over swept parameter tuples, one row
+    of cases at a time; a check adds the tuples it skips to `skipped`."""
 
     def __init__(self, name: str, param_range: str, conjecture: bool = False):
         self.name = name
@@ -75,26 +88,13 @@ class _Sweep:
         self.skipped = 0
         self.counterexample: Counterexample | None = None
 
-    def skip(self) -> None:
-        self.skipped += 1
-
-    def compare(self, lhs, rhs, n: int, k: int, m: int | None = None) -> None:
-        self.cases += 1
-        if self.counterexample is None and lhs != rhs:
-            self.counterexample = Counterexample(n=n, k=k, lhs=lhs, rhs=rhs, m=m)
-
-    def compare_ratio(
-        self, lhs: int, num: int, den: int, n: int, k: int, m: int | None = None, lhs_den: int = 1
-    ) -> None:
-        """lhs/lhs_den == num/den for positive denominators, tested as
-        lhs * den == num * lhs_den."""
-        self.cases += 1
-        if self.counterexample is None and lhs * den != num * lhs_den:
-            from fractions import Fraction
-
-            self.counterexample = Counterexample(
-                n=n, k=k, lhs=Fraction(lhs, lhs_den), rhs=Fraction(num, den), m=m
-            )
+    def compare(self, lhs: Sequence, rhs: Sequence, where: Callable[[int], Counterexample]) -> None:
+        """Add one case per entry of `lhs` against the entry of `rhs` at the
+        same index; the two are of one length and type.  If they differ and
+        no counterexample is held, hold where(i) for the first unequal i."""
+        self.cases += len(lhs)
+        if lhs != rhs and self.counterexample is None:
+            self.counterexample = where(next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b))
 
     def report(self) -> CheckReport:
         return CheckReport(
@@ -113,8 +113,7 @@ def compare_routes(kind: Kind, rows: int, strategies: list[Strategy]) -> list[Ch
     `itertools.combinations` order, over rows 0..rows.
 
     The routes' streams are read in one lockstep pass, so each route builds
-    each row once and no whole triangle is held.  Two rows are compared
-    whole, and scanned entry by entry only to name the first mismatch.
+    each row once and no whole triangle is held.
     """
     pairs = list(combinations(range(len(strategies)), 2))
     sweeps = [
@@ -123,10 +122,6 @@ def compare_routes(kind: Kind, rows: int, strategies: list[Strategy]) -> list[Ch
     ]
     for n, row in enumerate(islice(zip(*(stream(kind, s) for s in strategies)), rows + 1)):
         for (i, j), sweep in zip(pairs, sweeps):
-            if row[i] == row[j]:
-                sweep.cases += n + 1
-            else:
-                for k in range(n + 1):
-                    sweep.compare(row[i][k], row[j][k], n, k)
+            sweep.compare(row[i], row[j], lambda k: Counterexample(n, k, row[i][k], row[j][k]))
     return [sweep.report() for sweep in sweeps]
 

@@ -11,9 +11,10 @@ check never validates a recurrence against values built by that same
 recurrence.  Tests inject a fault where the rows are made, in
 `triangles._rows`; entries are still read through this module's own
 `value` binding, so a tracer that rebinds it sees every lookup.  A check
-compares integers: a rational identity is multiplied through by its
-positive denominator, and fractions are formed only to report a
-counterexample.
+compares integers, a row of cases at a time, through its sweep's one
+method, `_Sweep.compare`: a rational identity is multiplied through by its
+positive denominator, and fractions are formed, by `compare.ratio`, only
+to report a counterexample.
 
 Every statement a check sweeps is one entry of the table `_CHECKS`, keyed
 by report name in the order the suite prints.  An entry has one of four
@@ -39,7 +40,7 @@ from itertools import accumulate
 from math import comb, factorial, perm
 from operator import mul
 
-from .compare import CheckReport, Counterexample, _Sweep  # noqa: F401
+from .compare import CheckReport, Counterexample, _Sweep, ratio  # noqa: F401
 from .triangles import SPEC, Kind, Rescaling, Strategy, central, lah, reference_route, triangle
 from .triangles import _RECURRENCE, value
 
@@ -69,12 +70,11 @@ class _Stencil(namedtuple("_Stencil", "kind domain step first_n first_k skip", d
         t = _table(kind, max_n)
         sweep = _Sweep(name, domain.format(max_n))
         for n in range(first_n, max_n + 1):
-            for k in range(first_k, n + 1):
-                if skip is not None and skip(n, k):
-                    sweep.skip()
-                    continue
-                num, den = step(n, k, t)
-                sweep.compare_ratio(t[n][k], num, den, n, k)
+            ks = [k for k in range(first_k, n + 1) if skip is None or not skip(n, k)]
+            sweep.skipped += len(range(first_k, n + 1)) - len(ks)
+            steps = [step(n, k, t) for k in ks]
+            sweep.compare([t[n][k] * den for k, (_, den) in zip(ks, steps)], [num for num, _ in steps],
+                          lambda i: Counterexample(n, ks[i], ratio(t[n][ks[i]], 1), ratio(*steps[i])))
         return sweep.report()
 
 
@@ -92,8 +92,9 @@ class _Horizontal(
     weights take f, f[i] = i!, first.  S(p, m) is the coefficient list of
     (1+x)^m times the weighted row p, so S(p, m) = S(p, m-1) + S(p, m-1)
     shifted by one: each n starts row n-1 at m = 0 and advances every p
-    by one m.  Tuples are swept in (n, k, m) order, m = 1..n-1, so the
-    first counterexample is the one a direct sum finds."""
+    by one m.  Each (n, k) compares one row of cases, over m = 1..n-1, so
+    tuples are compared in (n, k, m) order and the first counterexample is
+    the one a direct sum finds."""
 
     def sweep(self, name: str, max_n: int) -> CheckReport:
         kind, domain, lhs_weight, rhs_weight, row_weight, skip_diagonal = self
@@ -104,14 +105,14 @@ class _Horizontal(
         for n in range(2, max_n + 1):
             sums.append([row_weight(f, n - 1, kk) * t[n - 1][kk] for kk in range(n)])
             sums = [[x + y for x, y in zip(s + [0], [0] + s)] for s in sums]
-            for k in range(1, n + 1):
-                if skip_diagonal and k == n:
-                    sweep.skip()
-                    continue
-                lhs, a, c = t[n][k], lhs_weight(f, n, k), rhs_weight(f, n, k)
-                for m in range(1, n):
-                    p = n - m
-                    sweep.compare_ratio(lhs, c * sums[p - 1][k], a * f[2 * p], n, k, m)
+            last = n - 1 if skip_diagonal else n
+            sweep.skipped += n - last
+            for k in range(1, last + 1):
+                a, c = lhs_weight(f, n, k), rhs_weight(f, n, k)
+                dens = [a * f[2 * p] for p in range(n - 1, 0, -1)]  # m = 1..n-1
+                nums = [c * s[k] for s in reversed(sums)]
+                sweep.compare([t[n][k] * d for d in dens], nums,
+                              lambda i: Counterexample(n, k, ratio(t[n][k], 1), ratio(nums[i], dens[i]), i + 1))
         return sweep.report()
 
 
@@ -138,10 +139,12 @@ class _ColumnGF(namedtuple("_ColumnGF", "kind shift scale weight need")):
         e = default_entry(kind)
         sweep = _Sweep(f"{name}-k{k}", f"k={k}, n<={order}")
         series = [0] * shift + _geometric(k, order - shift)
-        for n in range(shift):
-            sweep.compare(series[n], 0, n, k)
-        for n in range(k, order + 1):
-            sweep.compare_ratio(series[n], e(n + k - shift, k), factorial(weight * n), n, k, lhs_den=scale)
+        sweep.compare(series[:shift], [0] * shift, lambda n: Counterexample(n, k, series[n], 0))
+        ns = range(k, order + 1)
+        dens = [factorial(weight * n) for n in ns]
+        refs = [e(n + k - shift, k) for n in ns]
+        sweep.compare([series[n] * d for n, d in zip(ns, dens)], [r * scale for r in refs],
+                      lambda i: Counterexample(ns[i], k, ratio(series[ns[i]], scale), ratio(refs[i], dens[i])))
         return sweep.report()
 
 
@@ -153,8 +156,8 @@ class _Reference(namedtuple("_Reference", "kind domain pairs conjecture", defaul
     def sweep(self, name: str, max_n: int) -> CheckReport:
         kind, domain, pairs, conjecture = self
         sweep = _Sweep(name, domain.format(max_n), conjecture=conjecture)
-        for n, k, lhs, rhs in pairs(kind, max_n):
-            sweep.compare(lhs, rhs, n, k)
+        cases = list(pairs(kind, max_n))
+        sweep.compare([c[2] for c in cases], [c[3] for c in cases], lambda i: Counterexample(*cases[i]))
         return sweep.report()
 
 
