@@ -1,0 +1,25 @@
+from __future__ import annotations
+
+import argparse
+
+from .. import Kind
+from . import routes
+
+
+def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    kinds = args.kinds or list(Kind)
+    plan = [(kind, routes(parser, kind, args.strategies, len(kinds) == 1)) for kind in kinds]
+    if all(len(strategies) < 2 for _, strategies in plan):
+        parser.error("no kind has two of the given strategies; nothing to compare")
+    from .. import compare
+
+    failures = 0
+    for kind, strategies in plan:
+        if len(strategies) < 2:
+            print(f"note: {kind.value}: fewer than two applicable strategies, skipped")
+            continue
+        for report in compare.compare_routes(kind, args.rows, strategies):
+            print(report.human())
+            if not report.passed:
+                failures += 1
+    return 1 if failures else 0

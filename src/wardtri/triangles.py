@@ -43,7 +43,9 @@ is appended only once complete, so a reader of complete rows takes no lock.
 The transform routes of a base, in the memo or streamed, share one
 partition-transform `Table`, kept here and grown under the same lock,
 which is reentrant because the memo holds it while it steps a transform
-row.
+row.  The first transform row loads `partition_transform`, so a process
+that runs no transform route never compiles it; a `Base` names its rule,
+and `triangles.partition_transform` is read from that module on demand.
 
 `Kind` and `Strategy` are defined in the package, where the command line
 reads them without loading this module, and re-exported here.
@@ -62,15 +64,6 @@ from operator import mul, sub
 
 from . import Kind, Strategy
 from .exact_arith import exact_div
-from .partition_transform import (
-    ArgumentRule,
-    Table,
-    constant_one,
-    grow,
-    partition_transform,  # not used here; the benchmark's tracer test reads triangles.partition_transform
-    ward_first_kind,
-    ward_second_kind,
-)
 
 
 class UnsupportedStrategyError(ValueError):
@@ -78,18 +71,27 @@ class UnsupportedStrategyError(ValueError):
 
 
 class Base(Enum):
-    """An unrescaled triangle, the argument rule of its partition transform
-    and its classical partner, whose central numbers the row sums of the
-    base's binomial kind are compared with."""
+    """An unrescaled triangle, the name of the argument rule of its
+    partition transform and its classical partner, whose central numbers
+    the row sums of the base's binomial kind are compared with."""
 
-    WARD1 = (Kind.WARD1, ward_first_kind, "stirling1")
-    WARD2 = (Kind.WARD2, ward_second_kind, "stirling2")
-    WARD_LAH = (Kind.WARD_LAH, constant_one, "lah")
+    WARD1 = (Kind.WARD1, "ward_first_kind", "stirling1")
+    WARD2 = (Kind.WARD2, "ward_second_kind", "stirling2")
+    WARD_LAH = (Kind.WARD_LAH, "constant_one", "lah")
 
-    def __init__(self, kind: Kind, rule: ArgumentRule, classical: str) -> None:
+    def __init__(self, kind: Kind, rule_name: str, classical: str) -> None:
         self.kind = kind
-        self.rule = rule
+        self.rule_name = rule_name
         self.classical = classical
+
+    @property
+    def rule(self) -> Callable[[int], tuple[int, int]]:
+        """The argument rule that `partition_transform` defines under
+        `rule_name`, read when asked for, so that only a transform route
+        loads that module."""
+        from importlib import import_module
+
+        return getattr(import_module(f"{__package__}.partition_transform"), self.rule_name)
 
 
 def _stepped(value: int, ratios: Iterable[tuple[int, int]]) -> list[int]:
@@ -270,6 +272,8 @@ def _explicit_row(kind: Kind, n: int, source, one) -> Row:
 
 
 def _transform_row(kind: Kind, n: int, source, one) -> Row:
+    from .partition_transform import Table, grow  # loaded by the first transform row
+
     base, rescaling = SPEC[kind]
     with _lock:
         pairs = grow(_tables.get(base) or _tables.setdefault(base, Table(base.rule)), n)
@@ -410,3 +414,13 @@ def central(name: str, n: int) -> int:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     return _entry(name, Strategy.RECURRENCE, 2 * n, n)
+
+
+def __getattr__(name: str):
+    # PEP 562: `partition_transform`, the function, is still read here (the
+    # benchmark's tracer test does), from its module loaded on first use.
+    if name != "partition_transform":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .partition_transform import partition_transform
+
+    return partition_transform

@@ -626,15 +626,17 @@ def test_check_builds_each_route_once(monkeypatch, capsys):
     assert made == {(kind, s, n): 1 for kind, s in routes for n in range(1, 13)}
 
 
-# Runs `main` in a fresh interpreter (this one has imported every module)
-# without `site`, and prints the exit code and the modules loaded.
+# Runs the command line as `python -m wardtri.cli` does, in a fresh
+# interpreter (this one has imported every module) without `site`, and
+# prints the exit code and the modules loaded.  There `wardtri.cli` runs as
+# `__main__`, so it is loaded as `wardtri.cli` only if a command imports it
+# a second time.
 _FOOTPRINT = """
-import io, sys
-from wardtri import cli
+import io, runpy, sys
 sys.stdout = io.StringIO()
 try:
-    code = cli.main(sys.argv[1:])
-except SystemExit as exc:  # --help and usage errors
+    runpy.run_module("wardtri.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
     code = exc.code
 sys.__stdout__.write(f"{code} {' '.join(sorted(sys.modules))}")
 """
@@ -656,25 +658,41 @@ def loaded_modules(*argv, status=0):
 
 ENGINE = {"wardtri.triangles", "wardtri.partition_transform", "wardtri.exact_arith",
           "wardtri.compare", "wardtri.bfile", "wardtri.identities"}
+TRANSFORM = "wardtri.partition_transform"
+
+
+def commands(modules):
+    return {m for m in modules if m.split(".")[:2] == ["wardtri", "commands"]}
 
 
 def test_each_command_loads_only_what_it_runs():
     check = loaded_modules("check", "--kind", "ward2", "--rows", "5",
                            "--strategies", "recurrence,partition-transform")
+    check_closed = loaded_modules("check", "--kind", "varied-ward1", "--rows", "5",
+                                  "--strategies", "recurrence,scaling")
     gen = loaded_modules("gen", "--kind", "ward2", "--rows", "3")
+    gen_transform = loaded_modules("gen", "--kind", "ward2", "--rows", "3", "--strategy", "partition-transform")
     compare = loaded_modules("bfile-compare", "--kind", "ward2", "--file", str(FIXTURES / "b269939.txt"))
     usage = loaded_modules("--help")
     bad_kind = loaded_modules("check", "--kind", "nope", status=2)
     package = set(run_bare("import sys, wardtri; print(*sys.modules)").split())
     identities = loaded_modules("identities", "--max-n", "3")
-    for modules in (check, gen, compare, usage, identities):
-        assert not modules & {"dataclasses", "inspect"}
-    for modules in (check, gen, compare, usage):
+    conjecture = loaded_modules("conjecture", "stirling2", "--max-n", "3")
+    ran = (check, check_closed, gen, gen_transform, compare, identities, conjecture)
+    for modules in (*ran, usage):
+        assert not modules & {"dataclasses", "inspect", "wardtri.cli"}
+    for modules in (check, check_closed, gen, gen_transform, compare, usage):
         assert not modules & {"fractions", "wardtri.identities"}
-    for modules in (check, compare, usage, identities):
+    for modules in (check, check_closed, compare, usage, identities, conjecture):
         assert "decimal" not in modules
     for modules in (usage, bad_kind, package):
-        assert "wardtri" in modules and not modules & ENGINE
+        assert "wardtri" in modules and not modules & ENGINE and not commands(modules)
+    for modules in (check_closed, gen, compare, identities, conjecture):
+        assert TRANSFORM not in modules
+    assert TRANSFORM in check and TRANSFORM in gen_transform
+    for modules, command in zip(ran, ("check", "check", "gen", "gen", "bfile_compare", "identities",
+                                      "conjecture")):
+        assert commands(modules) == {"wardtri.commands", f"wardtri.commands.{command}"}
     assert "decimal" in gen
     assert "wardtri.compare" in check and "wardtri.bfile" not in check
     assert "wardtri.bfile" in compare
@@ -714,6 +732,10 @@ print("ok")
     "import wardtri",
     "import wardtri.triangles",
     "importlib.import_module('wardtri.partition_transform')",
+    # the transform loaded by the first transform row, not by the import
+    "import wardtri.triangles as t; assert 'wardtri.partition_transform' not in sys.modules; "
+    "t.triangle(t.Kind.WARD2, 2, t.Strategy.PARTITION_TRANSFORM); "
+    "assert 'wardtri.partition_transform' in sys.modules",
 ])
 def test_each_public_name_is_its_defining_object_in_any_import_order(first):
     assert run_bare(_NAMESPACE, first) == "ok\n"

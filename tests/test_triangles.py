@@ -242,14 +242,17 @@ def test_rational_recurrence_rejects_a_perturbed_row():
 def test_transform_route_refuses_a_non_integral_value(monkeypatch):
     # Row 1's only entry is H / Lambda_2 from the row's one pair (H, Lambda_2):
     # an integral quotient collapses to an int, and a non-integral one
-    # raises rather than being rounded.
+    # raises rather than being rounded.  The route reads `grow` from the
+    # module `partition_transform` (not the package's function of that name)
+    # at each row.
+    module = sys.modules["wardtri.partition_transform"]
     clear_caches()
     try:
-        monkeypatch.setattr(triangles, "grow", lambda table, n: [(6, 2)])
+        monkeypatch.setattr(module, "grow", lambda table, n: [(6, 2)])
         _, entry = triangle(Kind.WARD2, 1, P).rows[1]
         assert entry == 3 and type(entry) is int
         clear_caches()
-        monkeypatch.setattr(triangles, "grow", lambda table, n: [(1, 2)])
+        monkeypatch.setattr(module, "grow", lambda table, n: [(1, 2)])
         with pytest.raises(ExactnessError):
             triangle(Kind.WARD2, 1, P)
     finally:
