@@ -3,9 +3,10 @@
 
 A command module never imports `wardtri.cli`: under `python -m
 wardtri.cli` that module is `__main__`, so importing it would compile and
-run the command line a second time.  Each reads the engine's modules by
-attribute (`triangles.stream`), never by a name imported into its own
-namespace.
+run the command line a second time.  Each reads the engine's functions
+through their modules (`triangles.stream`), not as names imported into
+its own namespace, so that it calls whatever those modules hold, such as
+the wrappers that the benchmark's tracer installs there.
 """
 
 from __future__ import annotations

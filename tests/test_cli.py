@@ -661,7 +661,7 @@ ENGINE = {"wardtri.triangles", "wardtri.partition_transform", "wardtri.exact_ari
 TRANSFORM = "wardtri.partition_transform"
 
 
-def commands(modules):
+def command_modules(modules):
     return {m for m in modules if m.split(".")[:2] == ["wardtri", "commands"]}
 
 
@@ -678,21 +678,23 @@ def test_each_command_loads_only_what_it_runs():
     package = set(run_bare("import sys, wardtri; print(*sys.modules)").split())
     identities = loaded_modules("identities", "--max-n", "3")
     conjecture = loaded_modules("conjecture", "stirling2", "--max-n", "3")
-    ran = (check, check_closed, gen, gen_transform, compare, identities, conjecture)
-    for modules in (*ran, usage):
-        assert not modules & {"dataclasses", "inspect", "wardtri.cli"}
+    bodies = {"check": (check, check_closed), "gen": (gen, gen_transform), "bfile_compare": (compare,),
+              "identities": (identities,), "conjecture": (conjecture,)}
+    for body, runs in bodies.items():
+        for modules in runs:
+            # wardtri.cli ran as __main__: no command loads it a second time.
+            assert not modules & {"dataclasses", "inspect", "wardtri.cli"}
+            assert command_modules(modules) == {"wardtri.commands", f"wardtri.commands.{body}"}
+    assert not usage & {"dataclasses", "inspect"}
     for modules in (check, check_closed, gen, gen_transform, compare, usage):
         assert not modules & {"fractions", "wardtri.identities"}
     for modules in (check, check_closed, compare, usage, identities, conjecture):
         assert "decimal" not in modules
     for modules in (usage, bad_kind, package):
-        assert "wardtri" in modules and not modules & ENGINE and not commands(modules)
+        assert "wardtri" in modules and not modules & ENGINE and not command_modules(modules)
     for modules in (check_closed, gen, compare, identities, conjecture):
         assert TRANSFORM not in modules
     assert TRANSFORM in check and TRANSFORM in gen_transform
-    for modules, command in zip(ran, ("check", "check", "gen", "gen", "bfile_compare", "identities",
-                                      "conjecture")):
-        assert commands(modules) == {"wardtri.commands", f"wardtri.commands.{command}"}
     assert "decimal" in gen
     assert "wardtri.compare" in check and "wardtri.bfile" not in check
     assert "wardtri.bfile" in compare
