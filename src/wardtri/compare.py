@@ -115,6 +115,8 @@ def compare_routes(kind: Kind, rows: int, strategies: list[Strategy]) -> list[Ch
     The routes' streams are read in one lockstep pass, so each route builds
     each row once and no whole triangle is held.
     """
+    if rows < 0:
+        raise ValueError(f"rows must be nonnegative, got {rows}")
     pairs = list(combinations(range(len(strategies)), 2))
     sweeps = [
         _Sweep(f"equivalence-{kind.value}-{strategies[i].value}~{strategies[j].value}", f"0<=k<=n<={rows}")

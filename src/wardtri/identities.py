@@ -19,8 +19,9 @@ to report a counterexample.
 Every statement a check sweeps is one entry of the table `_CHECKS`, keyed
 by report name in the order the suite prints.  An entry has one of four
 shapes, each with one sweep: a triangular stencil t[n][k] = num/den, an
-m-step horizontal sum, a generating-function column, or (n, k, lhs, rhs)
-pairs against a reference.  One maker, `_check`, enters each statement and
+m-step horizontal sum stated by its weight w = num/den, a
+generating-function column, or (n, k, lhs, rhs) pairs against a
+reference.  One maker, `_check`, enters each statement and
 returns its public check, which reads the entry each time it runs.  The
 seven stencils the builder runs are read from `triangles._RECURRENCE`, as
 the builder reads them.  The test oracles are the independent transcription.
@@ -36,12 +37,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb, factorial, perm
 from operator import mul
 
 from .compare import CheckReport, Counterexample, _Sweep, ratio  # noqa: F401
-from .triangles import SPEC, Kind, Rescaling, Strategy, central, lah, reference_route, triangle
+from . import triangles
+from .exact_arith import exact_div
+from .triangles import SPEC, Kind, Rescaling, Strategy, lah, reference_route, triangle
 from .triangles import _RECURRENCE, value
 
 
@@ -78,39 +81,45 @@ class _Stencil(namedtuple("_Stencil", "kind domain step first_n first_k skip", d
         return sweep.report()
 
 
-class _Horizontal(
-    namedtuple("_Horizontal", "kind domain lhs_weight rhs_weight row_weight skip_diagonal", defaults=(False,))
-):
+class _Horizontal(namedtuple("_Horizontal", "kind domain weight skip_diagonal", defaults=(False,))):
     """An m-step horizontal recurrence through row p = n - m, with the kind
-    it reads, its range text in k and n (formatted with max_n) and whether
-    the diagonal k = n is skipped:
+    it reads, its range text in k and n (formatted with max_n), its weight
+    w(n, k) = num/den as weight(f, n, k) -> (num, den), f[i] = i!, and
+    whether the diagonal k = n is skipped.  It states that U = w * T obeys
 
-        T(n, k) * lhs_weight(n, k) * (2p)! == rhs_weight(n, k) * S(p, m, k),
-        S(p, m, k) = sum_j C(m, j) * row_weight(p, k-j) * T(p, k-j),
+        U(n, k) = sum_j C(m, j) * U(p, k-j),
 
-    where row_weight puts row p over the common denominator (2p)! and the
-    weights take f, f[i] = i!, first.  S(p, m) is the coefficient list of
-    (1+x)^m times the weighted row p, so S(p, m) = S(p, m-1) + S(p, m-1)
-    shifted by one: each n starts row n-1 at m = 0 and advances every p
-    by one m.  Each (n, k) compares one row of cases, over m = 1..n-1, so
-    tuples are compared in (n, k, m) order and the first counterexample is
-    the one a direct sum finds."""
+    Pascal's rule U(n, k) = U(n-1, k) + U(n-1, k-1) applied m times.  Row
+    p is put over the common denominator (2p)!, as the integers
+    exact_div(num(p, kk) * (2p)!, den(p, kk)) * T(p, kk) (a weight for which
+    they are not integers raises `ExactnessError`), and each case is
+
+        T(n, k) * num(n, k) * (2p)! == den(n, k) * S(p, m, k),
+
+    S(p, m, k) the sum over j of that row, kk = k-j in 0..p (a statement
+    over kk >= 1 says the same, as T(p, 0) = 0 for p >= 1).  S(p, m) is
+    the coefficient list of (1+x)^m times the row, so S(p, m) = S(p, m-1)
+    + S(p, m-1) shifted by one: each n starts row n-1 at m = 0 and advances
+    every p by one m.  Each (n, k) compares one row of cases, over
+    m = 1..n-1, so tuples are compared in (n, k, m) order and the first
+    counterexample is the one a direct sum finds."""
 
     def sweep(self, name: str, max_n: int) -> CheckReport:
-        kind, domain, lhs_weight, rhs_weight, row_weight, skip_diagonal = self
+        kind, domain, weight, skip_diagonal = self
         t = _table(kind, max_n)
         f = list(accumulate(range(1, 2 * max_n + 1), mul, initial=1))  # 0!..(2 max_n)!
         sweep = _Sweep(name, f"{domain.format(max_n)}, 1<=m<=min({max_n - 1},n-1)")
         sums: list[list[int]] = []  # sums[p - 1] = S(p, n - p) for 1 <= p < n
         for n in range(2, max_n + 1):
-            sums.append([row_weight(f, n - 1, kk) * t[n - 1][kk] for kk in range(n)])
+            weights = [weight(f, n - 1, kk) for kk in range(n)]
+            sums.append([exact_div(num * f[2 * n - 2], den) * x for (num, den), x in zip(weights, t[n - 1])])
             sums = [[x + y for x, y in zip(s + [0], [0] + s)] for s in sums]
             last = n - 1 if skip_diagonal else n
             sweep.skipped += n - last
             for k in range(1, last + 1):
-                a, c = lhs_weight(f, n, k), rhs_weight(f, n, k)
-                dens = [a * f[2 * p] for p in range(n - 1, 0, -1)]  # m = 1..n-1
-                nums = [c * s[k] for s in reversed(sums)]
+                num, den = weight(f, n, k)
+                dens = [num * f[2 * p] for p in range(n - 1, 0, -1)]  # m = 1..n-1
+                nums = [den * s[k] for s in reversed(sums)]
                 sweep.compare([t[n][k] * d for d in dens], nums,
                               lambda i: Counterexample(n, k, ratio(t[n][k], 1), ratio(nums[i], dens[i]), i + 1))
         return sweep.report()
@@ -217,12 +226,20 @@ def _order5(n: int, k: int, t: Sequence[Sequence[int]]) -> tuple[int, int]:
 
 
 def _lah_pairs(kind: Kind, max_n: int):
-    t = _table(kind, max_n)
+    # sums[p][k - 1] = sum_j C(k, j) T(p, j), the a_0 of row p after k
+    # passes of a_j + a_(j+1), so the O(max_n^3) work is additions.
+    t, sums = _table(kind, max_n), []
+    for p in range(max_n):
+        row, sums_p = t[p][:p + 1], []
+        for _ in range(max_n - p):
+            row = [x + y for x, y in zip(row, row[1:] + [0])]
+            sums_p.append(row[0])
+        sums.append(sums_p)
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             # the rising factorial (n-k+1)^(n-k) is (2(n-k))!/(n-k)!
             lhs = perm(2 * (n - k), n - k) * lah(n, k)
-            yield n, k, lhs, comb(n, k) * sum(comb(k, j) * t[n - k][j] for j in range(k + 1))
+            yield n, k, lhs, comb(n, k) * sums[n - k][k - 1]
 
 
 def rowsum_pairs(kind: Kind, max_n: int) -> list[tuple[int, int, int]]:
@@ -232,7 +249,11 @@ def rowsum_pairs(kind: Kind, max_n: int) -> list[tuple[int, int, int]]:
     if rescaling is not Rescaling.BINOMIAL:
         raise ValueError(f"row sums are compared for the binomial kinds only, not {kind.value}")
     e = default_entry(kind)
-    return [(n, sum(e(n, k) for k in range(n + 1)), central(base.classical, n)) for n in range(max_n + 1)]
+    # Rows 0, 2, 4, ... of one stream of the classical triangle, one held at
+    # a time: the memo behind `central` would keep rows 0..2 max_n.  It is
+    # read through the module, where the tests' `flip_entry` reaches it.
+    rows = islice(triangles._rows(base.classical, Strategy.RECURRENCE), 0, None, 2)
+    return [(n, sum(e(n, k) for k in range(n + 1)), row[n]) for n, row in zip(range(max_n + 1), rows)]
 
 
 def _rowsums_at_k0(kind: Kind, max_n: int):
@@ -269,11 +290,7 @@ check_horizontal_wardlah = _check(
     T(n,k) = (n+k)!/k! * sum_j C(m,j) * kk!/(p+kk)! * T(p,kk), kk = k-j in
     1..p, p = n-m.
     """,
-    _Horizontal(
-        Kind.WARD_LAH, "1<=k<=n<={}", lambda f, n, k: f[k], lambda f, n, k: f[n + k],
-        # kk!/(p+kk)! = kk! * ((2p)!/(p+kk)!) / (2p)!, an exact quotient
-        lambda f, p, kk: f[kk] * (f[2 * p] // f[p + kk]) if kk else 0,
-    ),
+    _Horizontal(Kind.WARD_LAH, "1<=k<=n<={}", lambda f, n, k: (f[k], f[n + k])),
 )
 check_order3_wardlah = _check(
     "check_order3_wardlah", "order3-ward-lah", "Order-3 recurrence for ward-lah mixing rows n-1 and n-2.",
@@ -294,9 +311,7 @@ check_horizontal_varied_wardlah = _check(
 
     T(n,k) = (2n)! * sum_j C(m,j) * T(p,kk)/(2p)!, kk = k-j >= 0, p = n-m.
     """,
-    _Horizontal(
-        Kind.VARIED_WARD_LAH, "1<=k<=n<={}", lambda f, n, k: 1, lambda f, n, k: f[2 * n], lambda f, p, kk: 1
-    ),
+    _Horizontal(Kind.VARIED_WARD_LAH, "1<=k<=n<={}", lambda f, n, k: (1, f[2 * n])),
 )
 check_triangular_binomial_ward1 = _builder_check("check_triangular_binomial_ward1", Kind.BINOMIAL_WARD1)
 check_triangular_binomial_ward2 = _builder_check("check_triangular_binomial_ward2", Kind.BINOMIAL_WARD2)
@@ -308,10 +323,8 @@ check_horizontal_binomial_wardlah = _check(
     T(n,k) = (2n)!/(k!(n-k)!) * sum_j C(m,j) * kk!(p-kk)!/(2p)! * T(p,kk),
     kk = k-j in 1..p, p = n-m.
     """,
-    _Horizontal(
-        Kind.BINOMIAL_WARD_LAH, "1<=k<=n-1, n<={}", lambda f, n, k: f[k] * f[n - k], lambda f, n, k: f[2 * n],
-        lambda f, p, kk: f[kk] * f[p - kk] if kk else 0, skip_diagonal=True,
-    ),
+    _Horizontal(Kind.BINOMIAL_WARD_LAH, "1<=k<=n-1, n<={}", lambda f, n, k: (f[k] * f[n - k], f[2 * n]),
+                skip_diagonal=True),
 )
 check_order5_binomial_wardlah = _check(
     "check_order5_binomial_wardlah", "order5-binomial-ward-lah",

@@ -7,8 +7,9 @@ from wardtri import triangles
 def flip_entry(monkeypatch):
     """flip_entry(kind, strategy, n0, k0) adds 1 to entry (n0, k0) of that
     one route in `triangles._rows`, the one source of rows for the streams
-    that `compare.compare_routes` reads and for the memo behind the
-    identity suite's `value` lookups.  A later call replaces the earlier
+    that `compare.compare_routes` reads, for the memo behind the identity
+    suite's `value` lookups and for the classical stream that
+    `identities.rowsum_pairs` reads.  A later call replaces the earlier
     flip; the memo is cleared at each flip and at teardown."""
     real_rows = triangles._rows
 

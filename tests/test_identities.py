@@ -8,6 +8,7 @@ import pytest
 from wardtri import identities as ids
 from wardtri import triangles
 from wardtri.compare import compare_routes
+from wardtri.exact_arith import ExactnessError
 from wardtri.triangles import Kind, Strategy, lah
 
 
@@ -16,6 +17,13 @@ def test_compare_routes_passes():
     assert report.passed
     assert report.cases == 16 * 17 // 2
     assert report.counterexample is None
+
+
+@pytest.mark.parametrize("rows", [-1, -2])
+def test_compare_routes_refuses_negative_rows(rows):
+    # Not a vacuous PASS over no row, nor islice's own message.
+    with pytest.raises(ValueError, match=f"rows must be nonnegative, got {rows}"):
+        compare_routes(Kind.WARD_LAH, rows, [Strategy.RECURRENCE, Strategy.EXPLICIT])
 
 
 def test_compare_routes_detects_flip(flip_entry):
@@ -146,6 +154,17 @@ def test_egf_guard_is_an_order_below_2k():
     assert ids.check_egf_wardlah(4, 8).passed
 
 
+def test_a_horizontal_weight_off_by_one_factorial_raises_rather_than_rounds(monkeypatch):
+    # k!/(n+k+1)! for ward-lah's k!/(n+k)!: row p over (2p)! is no longer
+    # integral, and the sweep refuses it instead of flooring it.
+    name = "horizontal-ward-lah"
+    f = [factorial(i) for i in range(8)]
+    assert ids._CHECKS[name].weight(f, 3, 2) == (f[2], f[5])
+    monkeypatch.setitem(ids._CHECKS, name, ids._CHECKS[name]._replace(weight=lambda f, n, k: (f[k], f[n + k + 1])))
+    with pytest.raises(ExactnessError):
+        ids.check_horizontal_wardlah(10)
+
+
 def test_horizontal_varied_and_binomial_pass():
     assert ids.check_horizontal_varied_wardlah(12).passed
     assert ids.check_horizontal_binomial_wardlah(12).passed
@@ -208,6 +227,25 @@ def test_conjecture_rowsums():
         ids.check_conjecture_rowsums_stirling(Kind.WARD1, 5)
     with pytest.raises(ValueError, match="binomial"):
         ids.rowsum_pairs(Kind.WARD1, 3)
+
+
+def test_row_sums_read_the_classical_rows_from_one_stream():
+    # The central numbers come from one stream of the classical triangle,
+    # one row at a time, so the memo keeps no stirling1 table.
+    triangles.clear_caches()
+    try:
+        pairs = ids.rowsum_pairs(Kind.BINOMIAL_WARD1, 30)
+        assert ("stirling1", Strategy.RECURRENCE) not in triangles._cache
+        assert [ref for *_, ref in pairs] == [triangles.central("stirling1", n) for n in range(31)]
+    finally:
+        triangles.clear_caches()
+
+
+def test_a_flipped_central_number_fails_the_row_sum_check(flip_entry):
+    # The stream is `triangles._rows`, the seam the fixture corrupts.
+    flip_entry("lah", Strategy.RECURRENCE, 4, 2)
+    c = ids.check_central_lah_rowsums(8).counterexample
+    assert (c.n, c.k, c.lhs, c.rhs) == (2, 0, 36, 37)
 
 
 def test_central_lah_rowsums():
@@ -640,7 +678,8 @@ def test_the_suite_reports_the_table_in_order():
 
 def _falsified(entry):
     """`entry` with one side of its statement off by one: a stencil's step
-    gives num + den over den, one whole entry too many."""
+    gives num + den over den, one whole entry too many, and a horizontal
+    weight gains the factor n + 1, which row p's factor p + 1 cannot match."""
     if isinstance(entry, ids._Stencil):
         def step(n, k, t):
             num, den = entry.step(n, k, t)
@@ -648,7 +687,11 @@ def _falsified(entry):
 
         return entry._replace(step=step)
     if isinstance(entry, ids._Horizontal):
-        return entry._replace(rhs_weight=lambda f, n, k: entry.rhs_weight(f, n, k) + 1)
+        def weight(f, n, k):
+            num, den = entry.weight(f, n, k)
+            return num * (n + 1), den
+
+        return entry._replace(weight=weight)
     if isinstance(entry, ids._ColumnGF):
         return entry._replace(scale=lambda k: entry.scale(k) + 1)
     return entry._replace(
