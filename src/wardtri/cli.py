@@ -18,7 +18,7 @@ and conjecture, `bfile` for b-file output and bfile-compare.  `--help`
 and an argument that does not parse load none of them, as the package
 defines `Kind` and `Strategy` itself.  gen, check, bfile-compare
 and bench read each route as a stream of rows and hold one row at a time;
-gen builds its rows as exact Decimals (`decimal` is loaded for gen alone),
+gen alone loads `decimal`, for its output domain (see `wardtri.commands.gen`),
 and bfile-compare reads its file one line at a time and compares integers.
 """
 

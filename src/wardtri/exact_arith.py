@@ -9,9 +9,8 @@ route's division of each value by its normaliser (1 for the named rules).
 A wrongly transcribed formula raises `ExactnessError` instead of
 rounding.
 Everything is a Python ``int``, except the rows that `gen` prints, which
-are integral ``decimal.Decimal`` values built in a context that traps any
-rounding (`triangles._exact_decimal_rows`): no rationals, and never
-floating point.
+are integral ``decimal.Decimal`` values (see `wardtri.commands.gen`): no
+rationals, and never floating point.
 """
 
 from __future__ import annotations

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from itertools import accumulate, islice
+from itertools import accumulate, groupby, islice
 from math import comb, factorial, perm
-from operator import mul
+from operator import itemgetter, mul
 
 from .compare import CheckReport, Counterexample, _Sweep, ratio  # noqa: F401
 from . import triangles
@@ -159,14 +159,16 @@ class _ColumnGF(namedtuple("_ColumnGF", "kind shift scale weight need")):
 
 class _Reference(namedtuple("_Reference", "kind domain pairs conjecture", defaults=(False,))):
     """A sum against a reference: the kind it reads, its range text
-    (formatted with max_n), the (n, k, lhs, rhs) tuples pairs(kind, max_n),
-    and whether the relation is only conjectured."""
+    (formatted with max_n), the (n, k, lhs, rhs) tuples pairs(kind, max_n)
+    in (n, k) order, each n compared before the next is read, and whether
+    the relation is only conjectured."""
 
     def sweep(self, name: str, max_n: int) -> CheckReport:
         kind, domain, pairs, conjecture = self
         sweep = _Sweep(name, domain.format(max_n), conjecture=conjecture)
-        cases = list(pairs(kind, max_n))
-        sweep.compare([c[2] for c in cases], [c[3] for c in cases], lambda i: Counterexample(*cases[i]))
+        for _, row in groupby(pairs(kind, max_n), itemgetter(0)):
+            cases = list(row)
+            sweep.compare([c[2] for c in cases], [c[3] for c in cases], lambda i: Counterexample(*cases[i]))
         return sweep.report()
 
 

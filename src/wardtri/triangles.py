@@ -31,11 +31,10 @@ other row: the recurrence from its own row n-1, scaling from its base's
 recurrence row n.  One generator, `_rows`, runs a route's steps and keeps
 only that row (scaling steps its own base recurrence in lockstep);
 `stream` hands it to the caller, so a caller that reads each row once (as
-`check` and `bfile-compare` do) holds one row at a time.  `gen` reads the
-same steps through `_exact_decimal_rows`, seeded with an exact Decimal
-one, so that every route but the transform computes in `decimal`, whose
-text takes linear time to make where an int's takes quadratic time.  The memo
-behind `value`, `triangle` and the classical lookups keeps, per table, the
+`check` and `bfile-compare` do) holds one row at a time.  Every route but
+the transform computes in the type of its T(0, 0), the `one` that `_rows`
+is seeded with (a Decimal for `gen`: see `wardtri.commands.gen`).  The
+memo behind `value`, `triangle` and the classical lookups keeps, per table, the
 immutable rows read so far and the generator it reads on from, and drops
 both when a step raises.  A boundary entry makes no row.  No table grows
 another, and one thread at a time reads on, under the module's lock; a row
@@ -316,26 +315,6 @@ def _rows(kind: Kind | str, strategy: Strategy, one=1) -> Iterator[Row]:
                  if strategy is Strategy.SCALING else None)
     for n in count(1):
         row = step(kind, n, row if base_rows is None else next(base_rows), one)
-        yield row
-
-
-def _exact_decimal_rows(kind: Kind, strategy: Strategy) -> Iterator[Row]:
-    """`_rows` with every entry an exact `decimal.Decimal` (the transform's
-    stay ints), for output: `str` of a Decimal is linear in its length, and
-    of an int quadratic.  Every step runs in one context of the largest
-    precision and exponent range that traps any rounding, so no caller's
-    context can round a row, and a remainder still raises `ExactnessError`."""
-    import decimal
-
-    context = decimal.Context(
-        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
-               decimal.DivisionByZero, decimal.Overflow],
-    )
-    rows = _rows(kind, strategy, 1 if strategy is Strategy.PARTITION_TRANSFORM else decimal.Decimal(1))
-    while True:
-        with decimal.localcontext(context):
-            row = next(rows)
         yield row
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wardtri.commands import gen
 from wardtri.exact_arith import ExactnessError, exact_div
 from wardtri.triangles import _CLOSED, Kind, Rescaling, Strategy, _closed_row, value
 
@@ -83,9 +84,9 @@ _ORACLE = {
 @pytest.mark.parametrize("key", list(_CLOSED), ids=lambda key: getattr(key, "value", key))
 def test_closed_entry_equals_its_factorial_oracle(key, one):
     # Decimal rows are exact only in a context that holds their digits, as
-    # gen's is.
+    # gen's does.
     first, entry, by_hand = _ORACLE[key]
-    with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)):
+    with decimal.localcontext(gen.CONTEXT):
         for n, row in by_hand.items():
             assert _closed_row(_CLOSED[key], n, one, first) == row, n
         for n in range(first, 121):
@@ -107,13 +108,6 @@ def test_exact_div():
         exact_div(1, 0)
 
 
-# The context that gen steps its Decimal rows in (`triangles._exact_decimal_rows`).
-_GEN_CONTEXT = decimal.Context(
-    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
-)
-
-
 @given(
     st.integers(min_value=-10**40, max_value=10**40),
     st.integers(min_value=-10**12, max_value=10**12).filter(bool),
@@ -122,7 +116,7 @@ _GEN_CONTEXT = decimal.Context(
 )
 def test_exact_div_is_divmods_quotient_or_raises(q, b, e, number):
     # a = q*b + e is a multiple of b exactly when divmod leaves no remainder
-    with decimal.localcontext(_GEN_CONTEXT):
+    with decimal.localcontext(gen.CONTEXT):  # the context gen steps its Decimal rows in
         a, b = number(q * b + e), number(b)
         quotient, remainder = divmod(a, b)
         if remainder:

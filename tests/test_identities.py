@@ -213,6 +213,33 @@ def test_lah_variedwardlah():
     assert comb(4, 4) * sum(comb(4, j) * e(0, j) for j in range(5)) == 1
 
 
+def test_a_reference_sweep_compares_each_row_before_reading_the_next(monkeypatch):
+    # Reading on past the first pair of row n + 1 finds row n compared, so
+    # the sweep holds one row of pairs, not all of them.  The cases, their
+    # order and the first counterexample are those of the whole list.
+    compared, seen = [], []
+    compare = ids._Sweep.compare
+
+    def recorded(self, lhs, *rest):
+        compared.extend(lhs)
+        compare(self, lhs, *rest)
+
+    monkeypatch.setattr(ids._Sweep, "compare", recorded)
+
+    def pairs(kind, max_n):
+        for n in range(1, max_n + 1):
+            for k in range(1, n + 1):
+                yield n, k, 10 * n + k, 10 * n + k + ((n, k) in {(3, 2), (4, 1)})
+                if k == 1:
+                    seen.append(len(compared))
+
+    report = ids._Reference(Kind.WARD1, "1<=k<=n<={}", pairs).sweep("rows", 4)
+    assert seen == [0, 1, 3, 6]
+    assert compared == [10 * n + k for n in range(1, 5) for k in range(1, n + 1)]
+    assert (report.cases, report.skipped, report.passed) == (10, 0, False)
+    assert report.counterexample == ids.Counterexample(3, 2, 32, 33)
+
+
 def test_conjecture_rowsums():
     r1 = ids.check_conjecture_rowsums_stirling(Kind.BINOMIAL_WARD1, 12)
     r2 = ids.check_conjecture_rowsums_stirling(Kind.BINOMIAL_WARD2, 12)

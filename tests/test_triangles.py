@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wardtri import triangles
+from wardtri import cli, triangles
 from wardtri.exact_arith import ExactnessError, exact_div
 from wardtri.partition_transform import partition_transform, ward_second_kind
 from wardtri.triangles import (
@@ -302,19 +302,42 @@ def _int_rows_as_text(kind, strategy, rows):
     return [list(map(str, row)) for row in itertools.islice(stream(kind, strategy), rows + 1)]
 
 
+def _gen(capsys, kind, strategy, rows):
+    """The rows that `wardtri gen --format table` reads from its route, and
+    its output: rows 0..`rows` of (kind, strategy), recorded as `_rows`
+    yields them (a scaling route's base rows are left out)."""
+    read, real = [], triangles._rows
+
+    def recorded(*args):
+        for row in real(*args):
+            if args[:2] == (kind, strategy):
+                read.append(row)
+            yield row
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triangles, "_rows", recorded)
+        code = cli.main(["gen", "--kind", kind.value, "--strategy", strategy.value, "--rows", str(rows)])
+    assert code == 0
+    return read, capsys.readouterr().out
+
+
+def _as_table(rows):
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
 @pytest.mark.parametrize("caller_prec", [None, 5])
 @pytest.mark.parametrize("kind,strategy", EXACT_ROUTES, ids=lambda x: x.value)
-def test_decimal_rows_equal_the_int_stream_as_text(kind, strategy, caller_prec):
+def test_decimal_rows_equal_the_int_stream_as_text(capsys, kind, strategy, caller_prec):
     # gen prints these rows: every entry past the k = 0 column is a Decimal,
     # equal as text to the int route, and a caller's own context (here one
     # that rounds at 5 digits) cannot round a row.
     with decimal.localcontext() as context:
         if caller_prec is not None:
             context.prec = caller_prec
-        rows = list(itertools.islice(triangles._exact_decimal_rows(kind, strategy), 151))
+        rows, out = _gen(capsys, kind, strategy, 150)
     assert isinstance(rows[0][0], Decimal)
     assert all(isinstance(v, Decimal) for row in rows[1:] for v in row[1:])
-    assert [list(map(str, row)) for row in rows] == _int_rows_as_text(kind, strategy, 150)
+    assert out == _as_table(_int_rows_as_text(kind, strategy, 150))
 
 
 @pytest.mark.parametrize("one", [1, Decimal(1)], ids=["int", "Decimal"])
@@ -342,7 +365,7 @@ def test_every_decimal_step_runs_in_the_trapping_context(monkeypatch):
     # and both compute in Decimal.
     for strategy in (S, R):
         monkeypatch.setitem(triangles._STEP, strategy, recording(triangles._STEP[strategy]))
-    list(itertools.islice(triangles._exact_decimal_rows(Kind.VARIED_WARD1, S), 4))
+    assert cli.main(["gen", "--kind", "varied-ward1", "--strategy", "scaling", "--rows", "3"]) == 0
     traps = (decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow)
     assert len(steps) == 6
     for context, row in steps:
@@ -357,14 +380,15 @@ def test_a_remainder_raises_through_the_decimal_rows_as_through_the_stream(monke
     with pytest.raises(ExactnessError):
         list(itertools.islice(stream(Kind.VARIED_WARD1, R), 4))
     with pytest.raises(ExactnessError):
-        list(itertools.islice(triangles._exact_decimal_rows(Kind.VARIED_WARD1, R), 4))
+        cli.main(["gen", "--kind", "varied-ward1", "--strategy", "recurrence", "--rows", "3"])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda x: x.value)
-def test_decimal_rows_of_the_transform_are_ints(kind):
-    rows = list(itertools.islice(triangles._exact_decimal_rows(kind, P), 7))
+def test_decimal_rows_of_the_transform_are_ints(capsys, kind):
+    rows, out = _gen(capsys, kind, P, 6)
     assert all(type(v) is int for row in rows for v in row)
     assert rows == list(itertools.islice(stream(kind, P), 7))
+    assert out == _as_table(_int_rows_as_text(kind, P, 6))
 
 
 def test_stream_neither_fills_nor_reads_the_memo():
