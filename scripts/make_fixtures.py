@@ -15,8 +15,8 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-from wardtri import bfile, triangles
-from wardtri.triangles import Kind, Strategy
+from wardtri import bfile, streams
+from wardtri.streams import Kind, Strategy
 
 FIXTURE_ROWS = 25
 
@@ -36,7 +36,7 @@ def main() -> int:
     out_dir = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
     out_dir.mkdir(parents=True, exist_ok=True)
     for seq_id, kind in sorted(SEQUENCES.items()):
-        rows = islice(triangles.stream(kind, Strategy.PARTITION_TRANSFORM), FIXTURE_ROWS + 1)
+        rows = islice(streams.stream(kind, Strategy.PARTITION_TRANSFORM), FIXTURE_ROWS + 1)
         values = tuple(bfile.linearize(rows))
         bf = bfile.BFile(
             offset=1,

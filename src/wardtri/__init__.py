@@ -1,10 +1,10 @@
 """Exact construction and cross-validation of Ward-related integer triangles.
 
 `Kind` and `Strategy`, all that the command line needs to read its
-arguments, are defined here (`triangles` re-exports them).  Every other
-public name is read from its submodule on first use (PEP 562), so
-`import wardtri`, `wardtri --help` and a usage error compile none of the
-triangle engine.
+arguments, are defined here (`streams` and `triangles` re-export them).
+Every other public name is read from its submodule on first use (PEP
+562), so `import wardtri`, `wardtri --help` and a usage error compile
+none of the triangle engine.
 """
 
 import sys
@@ -43,12 +43,12 @@ _SOURCE = {
     "ward_first_kind": "partition_transform",
     "ward_second_kind": "partition_transform",
     "Triangle": "triangles",
-    "UnsupportedStrategyError": "triangles",
+    "UnsupportedStrategyError": "streams",
     "central": "triangles",
     "lah": "triangles",
     "stirling1_unsigned": "triangles",
     "stirling2": "triangles",
-    "stream": "triangles",
+    "stream": "streams",
     "triangle": "triangles",
     "value": "triangles",
 }

@@ -123,7 +123,7 @@ def render_bfile(bf: BFile) -> str:
 
 def linearize(rows: Iterable[tuple[int, ...]]) -> Iterator[int]:
     """Row-by-row reading of a triangle's rows 0, 1, ... (a `Triangle`'s
-    `rows`, or a `triangles.stream`), k = 1..n within row n >= 1.  It is
+    `rows`, or a `streams.stream`), k = 1..n within row n >= 1.  It is
     lazy: a row is read only when its first entry is asked for."""
     return chain.from_iterable(row[1:] for row in islice(rows, 1, None))
 

@@ -9,17 +9,19 @@ unsupported strategy names, an empty kind or strategy list, a check that
 compares no pair, unreadable or malformed files, a count of `sys.maxsize`
 or more), 141 a closed stdout.
 
-This module is the parser; each command's body is a module of its own,
+This module is the parser, which adds only the running command's
+arguments; each command's body is a module of its own,
 `wardtri.commands.<command>`, imported when that command runs.  Each
-command imports only the modules it runs: its body, `triangles` for gen,
-check, bfile-compare and bench (which loads `partition_transform` only
-for a transform route), `compare` for check, `identities` for identities
-and conjecture, `bfile` for b-file output and bfile-compare.  `--help`
-and an argument that does not parse load none of them, as the package
-defines `Kind` and `Strategy` itself.  gen, check, bfile-compare
-and bench read each route as a stream of rows and hold one row at a time;
-gen alone loads `decimal`, for its output domain (see `wardtri.commands.gen`),
-and bfile-compare reads its file one line at a time and compares integers.
+command imports only the modules it runs: its body, `streams` for every
+command (which loads `partition_transform` only for a transform route),
+the memo `triangles` for identities, conjecture and bench alone, `compare`
+for check, `identities` for identities and conjecture, `bfile` for b-file
+output and bfile-compare.  `--help` and an argument that does not parse
+load none of them, as the package defines `Kind` and `Strategy` itself.
+gen, check, bfile-compare and bench read each route as a stream of rows
+and hold one row at a time; gen alone loads `decimal`, for its output
+domain (see `wardtri.commands.gen`), and bfile-compare reads its file one
+line at a time and compares integers.
 """
 
 from __future__ import annotations
@@ -97,56 +99,75 @@ _CONJECTURES = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _gen(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", type=parse_kind, required=True)
+    p.add_argument("--rows", type=_count, required=True)
+    p.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
+    p.add_argument("--format", choices=["table", "csv", "bfile"], default="table")
+    p.add_argument("--offset", type=_index, default=None, help="first b-file index (default 1)")
+
+
+def _check(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", dest="kinds", type=_list_parser(parse_kind), default=None,
+                   help="comma-separated kinds or 'all' (default)")
+    p.add_argument("--rows", type=_count, default=15)
+    p.add_argument("--strategies", type=_list_parser(parse_strategy), default=None,
+                   help="comma-separated strategies or 'all' (default)")
+
+
+def _identities(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-n", type=_count, default=15)
+    p.add_argument("--machine", action="store_true", help="key=value output")
+
+
+def _conjecture(p: argparse.ArgumentParser) -> None:
+    p.add_argument("which", choices=sorted(_CONJECTURES))
+    p.set_defaults(conjectures=_CONJECTURES)
+    p.add_argument("--max-n", type=_count, default=15)
+
+
+def _bfile_compare(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", type=parse_kind, required=True)
+    p.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
+    p.add_argument("--file", required=True)
+    p.add_argument("--offset", type=_index, default=1)
+
+
+def _bench(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", type=parse_kind, required=True)
+    p.add_argument("--rows", type=_count, required=True)
+    p.add_argument("--strategies", type=_list_parser(parse_strategy), default=None)
+
+
+# Each command's help line and the function that adds its arguments.
+_COMMANDS = {
+    "gen": ("print one triangle", _gen),
+    "check": ("pairwise strategy cross-validation", _check),
+    "identities": ("run the identity suite", _identities),
+    "conjecture": ("row-sum evidence reports", _conjecture),
+    "bfile-compare": ("compare a b-file against a triangle", _bfile_compare),
+    "bench": ("time triangle construction per strategy", _bench),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of `argv`, where a command has its arguments only if its
+    name is a token of `argv`: argparse runs the subparser that a token
+    names exactly, and `--help` or a top-level usage error needs none."""
     parser = argparse.ArgumentParser(
         prog="wardtri",
         description="Construct, cross-validate and export Ward-related integer triangles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help: str) -> argparse.ArgumentParser:
+    for name, (help, add_arguments) in _COMMANDS.items():
         # A command reports its usage errors through its own subparser.  Its
         # body, `wardtri.commands.<name>.run`, is imported when it runs, by
         # `__import__`, which `-X importtime` lists (`import_module` is not).
         p = sub.add_parser(name, help=help)
         module = f"{__package__}.commands.{name.replace('-', '_')}"
-        p.set_defaults(func=lambda args: __import__(module, fromlist=["run"]).run(p, args))
-        return p
-
-    p_gen = command("gen", "print one triangle")
-    p_gen.add_argument("--kind", type=parse_kind, required=True)
-    p_gen.add_argument("--rows", type=_count, required=True)
-    p_gen.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
-    p_gen.add_argument("--format", choices=["table", "csv", "bfile"], default="table")
-    p_gen.add_argument("--offset", type=_index, default=None, help="first b-file index (default 1)")
-
-    p_check = command("check", "pairwise strategy cross-validation")
-    p_check.add_argument("--kind", dest="kinds", type=_list_parser(parse_kind), default=None,
-                         help="comma-separated kinds or 'all' (default)")
-    p_check.add_argument("--rows", type=_count, default=15)
-    p_check.add_argument("--strategies", type=_list_parser(parse_strategy), default=None,
-                         help="comma-separated strategies or 'all' (default)")
-
-    p_ident = command("identities", "run the identity suite")
-    p_ident.add_argument("--max-n", type=_count, default=15)
-    p_ident.add_argument("--machine", action="store_true", help="key=value output")
-
-    p_conj = command("conjecture", "row-sum evidence reports")
-    p_conj.add_argument("which", choices=sorted(_CONJECTURES))
-    p_conj.set_defaults(conjectures=_CONJECTURES)
-    p_conj.add_argument("--max-n", type=_count, default=15)
-
-    p_cmp = command("bfile-compare", "compare a b-file against a triangle")
-    p_cmp.add_argument("--kind", type=parse_kind, required=True)
-    p_cmp.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
-    p_cmp.add_argument("--file", required=True)
-    p_cmp.add_argument("--offset", type=_index, default=1)
-
-    p_bench = command("bench", "time triangle construction per strategy")
-    p_bench.add_argument("--kind", type=parse_kind, required=True)
-    p_bench.add_argument("--rows", type=_count, required=True)
-    p_bench.add_argument("--strategies", type=_list_parser(parse_strategy), default=None)
-
+        p.set_defaults(func=lambda args, p=p, module=module: __import__(module, fromlist=["run"]).run(p, args))
+        if name in argv:
+            add_arguments(p)
     return parser
 
 
@@ -159,7 +180,8 @@ def main(argv: list[str] | None = None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv).parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return status

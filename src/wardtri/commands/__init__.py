@@ -3,10 +3,7 @@
 
 A command module never imports `wardtri.cli`: under `python -m
 wardtri.cli` that module is `__main__`, so importing it would compile and
-run the command line a second time.  Each reads the engine's functions
-through their modules (`triangles.stream`), not as names imported into
-its own namespace, so that it calls whatever those modules hold, such as
-the wrappers that the benchmark's tracer installs there.
+run the command line a second time.
 """
 
 from __future__ import annotations
@@ -19,9 +16,9 @@ from .. import Kind
 def routes(parser: argparse.ArgumentParser, kind: Kind, wanted: list | None, strict: bool) -> list:
     """The strategies to run for `kind`: all it supports for None, else those
     `wanted` that it supports.  When `strict`, one it lacks is a usage error."""
-    from .. import triangles
+    from .. import streams
 
-    supported = triangles.SUPPORTED[kind]
+    supported = streams.SUPPORTED[kind]
     if wanted is None:
         return sorted(supported, key=lambda s: s.value)
     missing = [s for s in wanted if s not in supported]

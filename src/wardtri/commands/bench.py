@@ -13,14 +13,14 @@ def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.rows < 1:
         parser.error("--rows must be at least 1")
     strategies = routes(parser, args.kind, args.strategies, strict=True)
-    from .. import triangles
+    from .. import streams, triangles
 
     print("kind strategy rows entries max_bits seconds")
     entries = (args.rows + 1) * (args.rows + 2) // 2
     for strategy in strategies:
         triangles.clear_caches()  # the transform's tables start cold
         start = time.perf_counter()
-        rows = itertools.islice(triangles.stream(args.kind, strategy), args.rows + 1)
+        rows = itertools.islice(streams.stream(args.kind, strategy), args.rows + 1)
         max_bits = max(v.bit_length() for row in rows for v in row)
         elapsed = time.perf_counter() - start
         print(

@@ -24,7 +24,7 @@ def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     The whole file is read and validated even after a mismatch, so an
     unreadable or malformed file is a usage error wherever the fault is."""
     routes(parser, args.kind, [args.strategy], strict=True)  # before the file is read
-    from .. import bfile as bfile_mod, triangles
+    from .. import bfile as bfile_mod, streams
 
     first = entries = 0
     expected = mismatch = None
@@ -37,7 +37,7 @@ def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                         first = index
                         # A file that starts off --offset builds nothing.
                         if index == args.offset:
-                            expected = bfile_mod.linearize(triangles.stream(args.kind, args.strategy))
+                            expected = bfile_mod.linearize(streams.stream(args.kind, args.strategy))
                     entries += 1
                     if expected is None:
                         continue

@@ -31,12 +31,12 @@ def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.format != "bfile" and args.offset is not None:
         parser.error(f"--offset applies only to --format bfile, not {args.format}")
     routes(parser, args.kind, [args.strategy], strict=True)
-    from .. import triangles
+    from .. import streams
 
     one = 1 if args.strategy is Strategy.PARTITION_TRANSFORM else decimal.Decimal(1)
     out = sys.stdout
     with decimal.localcontext(CONTEXT):
-        rows = itertools.islice(triangles._rows(args.kind, args.strategy, one), args.rows + 1)
+        rows = itertools.islice(streams._rows(args.kind, args.strategy, one), args.rows + 1)
         if args.format == "bfile":
             from .. import bfile as bfile_mod
 

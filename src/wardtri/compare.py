@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from itertools import combinations, islice
 
-from .triangles import Kind, Strategy, stream
+from .streams import Kind, Strategy, stream
 
 
 class Counterexample(namedtuple("Counterexample", "n k lhs rhs m", defaults=(None,))):

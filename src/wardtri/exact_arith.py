@@ -1,7 +1,7 @@
 """The one exact primitive of the triangle formulas: a division that must
 leave no remainder.
 
-The routes make a row of every closed form (a `triangles._CLOSED` entry)
+The routes make a row of every closed form (a `streams._CLOSED` entry)
 by stepping from an entry made of `math.factorial`s, each step one
 `exact_div`, and every other division of a recurrence is one too.  So is
 each step of the partition transform's coefficients, and the transform

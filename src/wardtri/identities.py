@@ -5,12 +5,13 @@ Every check sweeps a parameter range, honours the side conditions under
 which its identity is stated (tuples outside them are skipped and counted,
 never evaluated), and reports the first counterexample on failure.  A
 check takes its range arguments and nothing else: it reads every entry
-through `default_entry`, from the kind's `triangles.reference_route`
+through `default_entry`, from the kind's `streams.reference_route`
 (explicit, scaling or partition transform, never the recurrence), so a
 check never validates a recurrence against values built by that same
 recurrence.  Tests inject a fault where the rows are made, in
-`triangles._rows`; entries are still read through this module's own
-`value` binding, so a tracer that rebinds it sees every lookup.  A check
+`streams._rows`, which the memo behind `value` reads too; entries are
+still read through this module's own `value` binding, so a tracer that
+rebinds it sees every lookup.  A check
 compares integers, a row of cases at a time, through its sweep's one
 method, `_Sweep.compare`: a rational identity is multiplied through by its
 positive denominator, and fractions are formed, by `compare.ratio`, only
@@ -23,7 +24,7 @@ m-step horizontal sum stated by its weight w = num/den, a
 generating-function column, or (n, k, lhs, rhs) pairs against a
 reference.  One maker, `_check`, enters each statement and
 returns its public check, which reads the entry each time it runs.  The
-seven stencils the builder runs are read from `triangles._RECURRENCE`, as
+seven stencils the builder runs are read from `streams._RECURRENCE`, as
 the builder reads them.  The test oracles are the independent transcription.
 Conjectured relations are flagged as such: their reports are evidence, and
 a disagreement is surfaced rather than treated as a library bug.
@@ -42,10 +43,10 @@ from math import comb, factorial, perm
 from operator import itemgetter, mul
 
 from .compare import CheckReport, Counterexample, _Sweep, ratio  # noqa: F401
-from . import triangles
+from . import streams
 from .exact_arith import exact_div
-from .triangles import SPEC, Kind, Rescaling, Strategy, lah, reference_route, triangle
-from .triangles import _RECURRENCE, value
+from .streams import SPEC, Kind, Rescaling, Strategy, _RECURRENCE, reference_route
+from .triangles import lah, triangle, value
 
 
 def default_entry(kind: Kind) -> Callable[[int, int], int]:
@@ -198,7 +199,7 @@ def _check(public: str, name: str, doc: str, statement) -> Callable[..., CheckRe
 
 def _builder_check(public: str, kind: Kind, suffix: str = "") -> Callable[[int], CheckReport]:
     """The check `public`, reported as triangular-<kind><suffix>, of the
-    recurrence `triangles` builds `kind` by, read from `_RECURRENCE[kind]`
+    recurrence the builder runs for `kind`, read from `_RECURRENCE[kind]`
     at each step; a binomial kind's holds off the diagonal only."""
 
     def step(n: int, k: int, t: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -254,7 +255,7 @@ def rowsum_pairs(kind: Kind, max_n: int) -> list[tuple[int, int, int]]:
     # Rows 0, 2, 4, ... of one stream of the classical triangle, one held at
     # a time: the memo behind `central` would keep rows 0..2 max_n.  It is
     # read through the module, where the tests' `flip_entry` reaches it.
-    rows = islice(triangles._rows(base.classical, Strategy.RECURRENCE), 0, None, 2)
+    rows = islice(streams._rows(base.classical, Strategy.RECURRENCE), 0, None, 2)
     return [(n, sum(e(n, k) for k in range(n + 1)), row[n]) for n, row in zip(range(max_n + 1), rows)]
 
 

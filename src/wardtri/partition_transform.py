@@ -85,7 +85,7 @@ and one dot product.  It keeps nothing, so a repeated value is evaluated
 again.
 
 The module keeps no state.  A table belongs to its caller, who must not
-grow it from two threads at once: the triangles module keeps one per
+grow it from two threads at once: the streams module keeps one per
 base, for its transform route, under its own lock.
 """
 

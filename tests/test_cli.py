@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import wardtri.cli
-from wardtri import triangles
+from wardtri import streams, triangles
 from wardtri.bfile import BFile, linearize, render_bfile
 from wardtri.cli import main
 from wardtri.triangles import Kind, Strategy, triangle, value
@@ -152,8 +153,8 @@ def test_identities_command(capsys):
 def test_identities_exits_1_when_an_identity_fails(monkeypatch, capsys):
     # A wrong builder recurrence for varied-ward-lah, checked on its
     # explicit route, which does not use it: that one report fails.
-    num, den = triangles._RECURRENCE[Kind.VARIED_WARD_LAH]
-    monkeypatch.setitem(triangles._RECURRENCE, Kind.VARIED_WARD_LAH,
+    num, den = streams._RECURRENCE[Kind.VARIED_WARD_LAH]
+    monkeypatch.setitem(streams._RECURRENCE, Kind.VARIED_WARD_LAH,
                         (lambda n, k, a, b: num(n, k, a, b) + 1, den))
     triangles.clear_caches()
     try:
@@ -230,7 +231,7 @@ def test_bfile_compare_off_by_one_offset(monkeypatch, capsys):
 
     # the first index decides
     monkeypatch.setattr(triangles, "triangle", no_build)
-    monkeypatch.setattr(triangles, "stream", no_build)
+    monkeypatch.setattr(streams, "stream", no_build)
     code, out = run(capsys, "bfile-compare", "--kind", "ward2",
                     "--file", str(FIXTURES / "b269939.txt"), "--offset", "2")
     assert code == 1
@@ -242,7 +243,7 @@ def test_bfile_compare_file_past_offset_is_usage_error(tmp_path, monkeypatch, ca
         raise AssertionError("built a triangle")
 
     monkeypatch.setattr(triangles, "triangle", no_build)
-    monkeypatch.setattr(triangles, "stream", no_build)
+    monkeypatch.setattr(streams, "stream", no_build)
     far = tmp_path / "far.txt"
     far.write_text("1000000000 1\n")
     with pytest.raises(SystemExit) as err:
@@ -612,18 +613,34 @@ def test_check_builds_each_route_once(monkeypatch, capsys):
     # Three routes of varied-ward-lah, three pairs: each route's step runs
     # once per row, and scaling's base (ward-lah's recurrence) once too.
     made = collections.Counter()
-    for strategy, step in list(triangles._STEP.items()):
+    for strategy, step in list(streams._STEP.items()):
         def counted(kind, n, *source, strategy=strategy, step=step):
             made[kind, strategy, n] += 1
             return step(kind, n, *source)
 
-        monkeypatch.setitem(triangles._STEP, strategy, counted)
+        monkeypatch.setitem(streams._STEP, strategy, counted)
     code, out = run(capsys, "check", "--kind", "varied-ward-lah", "--rows", "12",
                     "--strategies", "recurrence,explicit,scaling")
     assert code == 0 and out.count("PASS") == 3
     routes = [(Kind.VARIED_WARD_LAH, s) for s in (Strategy.RECURRENCE, Strategy.EXPLICIT, Strategy.SCALING)]
     routes.append((Kind.WARD_LAH, Strategy.RECURRENCE))
     assert made == {(kind, s, n): 1 for kind, s in routes for n in range(1, 13)}
+
+
+def test_a_run_adds_only_its_own_arguments(monkeypatch, capsys):
+    # The parser of a check run gets check's three options and the -h of
+    # every parser, the top level's and each command's, and nothing else.
+    added = collections.Counter()
+    real = argparse.ArgumentParser.add_argument
+
+    def recorded(self, *names, **kwargs):
+        added[names] += 1
+        return real(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recorded)
+    code, out = run(capsys, "check", "--kind", "ward2", "--rows", "3", "--strategies", "recurrence,partition-transform")
+    assert code == 0 and out.count("PASS") == 1
+    assert added == {("-h", "--help"): 7, ("--kind",): 1, ("--rows",): 1, ("--strategies",): 1}
 
 
 # Runs the command line as `python -m wardtri.cli` does, in a fresh
@@ -656,9 +673,10 @@ def loaded_modules(*argv, status=0):
     return set(modules)
 
 
-ENGINE = {"wardtri.triangles", "wardtri.partition_transform", "wardtri.exact_arith",
+ENGINE = {"wardtri.streams", "wardtri.triangles", "wardtri.partition_transform", "wardtri.exact_arith",
           "wardtri.compare", "wardtri.bfile", "wardtri.identities"}
 TRANSFORM = "wardtri.partition_transform"
+STREAMS, MEMO = "wardtri.streams", "wardtri.triangles"
 
 
 def command_modules(modules):
@@ -678,8 +696,9 @@ def test_each_command_loads_only_what_it_runs():
     package = set(run_bare("import sys, wardtri; print(*sys.modules)").split())
     identities = loaded_modules("identities", "--max-n", "3")
     conjecture = loaded_modules("conjecture", "stirling2", "--max-n", "3")
+    bench = loaded_modules("bench", "--kind", "ward2", "--rows", "3", "--strategies", "recurrence")
     bodies = {"check": (check, check_closed), "gen": (gen, gen_transform), "bfile_compare": (compare,),
-              "identities": (identities,), "conjecture": (conjecture,)}
+              "identities": (identities,), "conjecture": (conjecture,), "bench": (bench,)}
     for body, runs in bodies.items():
         for modules in runs:
             # wardtri.cli ran as __main__: no command loads it a second time.
@@ -692,8 +711,13 @@ def test_each_command_loads_only_what_it_runs():
         assert "decimal" not in modules
     for modules in (usage, bad_kind, package):
         assert "wardtri" in modules and not modules & ENGINE and not command_modules(modules)
-    for modules in (check_closed, gen, compare, identities, conjecture):
+    for modules in (check_closed, gen, compare, identities, conjecture, bench):
         assert TRANSFORM not in modules
+    # Streams alone, without the memo, for the commands that read each row once.
+    for modules in (check, check_closed, gen, gen_transform, compare):
+        assert STREAMS in modules and MEMO not in modules
+    for modules in (identities, conjecture, bench):
+        assert {STREAMS, MEMO} <= modules
     assert TRANSFORM in check and TRANSFORM in gen_transform
     assert "decimal" in gen
     assert "wardtri.compare" in check and "wardtri.bfile" not in check
@@ -707,8 +731,9 @@ _PUBLIC = {
     "wardtri.exact_arith": ["ExactnessError", "exact_div"],
     "wardtri.partition_transform": ["constant_one", "partition_transform", "ward_first_kind",
                                     "ward_second_kind"],
-    "wardtri.triangles": ["Kind", "Strategy", "Triangle", "UnsupportedStrategyError", "central", "lah",
-                          "stirling1_unsigned", "stirling2", "stream", "triangle", "value"],
+    "wardtri.streams": ["UnsupportedStrategyError", "stream"],
+    "wardtri.triangles": ["Kind", "Strategy", "Triangle", "central", "lah", "stirling1_unsigned", "stirling2",
+                          "triangle", "value"],
 }
 
 # Imports the package by `sys.argv[1]` and then checks, for each public
@@ -733,6 +758,7 @@ print("ok")
 @pytest.mark.parametrize("first", [
     "import wardtri",
     "import wardtri.triangles",
+    "import wardtri.streams",
     "importlib.import_module('wardtri.partition_transform')",
     # the transform loaded by the first transform row, not by the import
     "import wardtri.triangles as t; assert 'wardtri.partition_transform' not in sys.modules; "

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from wardtri.commands import gen
 from wardtri.exact_arith import ExactnessError, exact_div
-from wardtri.triangles import _CLOSED, Kind, Rescaling, Strategy, _closed_row, value
+from wardtri.streams import _CLOSED, Rescaling, _closed_row
+from wardtri.triangles import Kind, Strategy, value
 
 # The routes form their factorials and binomials as `_CLOSED` entries
 # stepped along a row, one `exact_div` a step.  These tests pin those

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from wardtri import identities as ids
-from wardtri import triangles
+from wardtri import streams, triangles
 from wardtri.compare import compare_routes
 from wardtri.exact_arith import ExactnessError
 from wardtri.triangles import Kind, Strategy, lah
@@ -60,7 +60,7 @@ def test_a_fault_in_the_falling_entry_fails_only_the_alternating_sum(monkeypatch
     # rule: with k! made (k+1)! there, the recurrence, explicit and the
     # transform refute alternating-sum from the first entry and still agree
     # with each other.
-    monkeypatch.setitem(triangles._CLOSED, "falling", ((1, 1, 1, 0), (-1, 0, 1, 1)))
+    monkeypatch.setitem(streams._CLOSED, "falling", ((1, 1, 1, 0), (-1, 0, 1, 1)))
     routes = [Strategy.RECURRENCE, Strategy.EXPLICIT, Strategy.PARTITION_TRANSFORM, Strategy.ALTERNATING_SUM]
     reports = compare_routes(Kind.WARD_LAH, 8, routes)
     independent = [r for r in reports if "alternating-sum" not in r.name]
@@ -269,7 +269,7 @@ def test_row_sums_read_the_classical_rows_from_one_stream():
 
 
 def test_a_flipped_central_number_fails_the_row_sum_check(flip_entry):
-    # The stream is `triangles._rows`, the seam the fixture corrupts.
+    # The stream is `streams._rows`, the seam the fixture corrupts.
     flip_entry("lah", Strategy.RECURRENCE, 4, 2)
     c = ids.check_central_lah_rowsums(8).counterexample
     assert (c.n, c.k, c.lhs, c.rhs) == (2, 0, 36, 37)
@@ -396,7 +396,7 @@ def test_horizontal_counterexample_carries_m(flip_entry):
 # Test-only oracles: the rational checks as they read before their
 # denominators were cleared, one Fraction sum per tuple over entry calls,
 # and direct sums for the integer ones.  They are typed out here and never
-# read `triangles._RECURRENCE`, the statement that the builder runs and the
+# read `streams._RECURRENCE`, the statement that the builder runs and the
 # checks read.  The integer checks must give the same verdict, counts and
 # first counterexample.  Each oracle tallies its verdict one case at a time
 # in a `_Tally`, which shares no code with `compare._Sweep`, the row
@@ -660,9 +660,9 @@ def test_flipped_entry_gives_the_oracles_first_counterexample(flip_entry, name):
 def test_a_builder_recurrence_is_checked_by_both_guards(monkeypatch):
     # Double one coefficient of the single statement of varied-ward-lah's
     # recurrence: the route comparison and the identity check both fail.
-    num, den = triangles._RECURRENCE[Kind.VARIED_WARD_LAH]
+    num, den = streams._RECURRENCE[Kind.VARIED_WARD_LAH]
     monkeypatch.setitem(
-        triangles._RECURRENCE, Kind.VARIED_WARD_LAH, (lambda n, k, a, b: num(n, k, a, 2 * b), den)
+        streams._RECURRENCE, Kind.VARIED_WARD_LAH, (lambda n, k, a, b: num(n, k, a, 2 * b), den)
     )
     triangles.clear_caches()
     try:

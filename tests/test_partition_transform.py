@@ -17,7 +17,7 @@ from wardtri.partition_transform import (
     ward_first_kind,
     ward_second_kind,
 )
-from wardtri import triangles
+from wardtri import streams
 from wardtri.triangles import Base, Kind, Strategy, clear_caches, triangle, value
 
 
@@ -275,7 +275,7 @@ def test_the_transform_route_grows_whole_rows():
     clear_caches()
     try:
         triangle(Kind.WARD1, 10, Strategy.PARTITION_TRANSFORM)
-        assert set(values_of(triangles._tables[Base.WARD1])) == rows_of(10)
+        assert set(values_of(streams._tables[Base.WARD1])) == rows_of(10)
     finally:
         clear_caches()
 
@@ -284,12 +284,12 @@ def test_clear_caches_drops_the_grown_columns():
     clear_caches()
     try:
         rows = triangle(Kind.WARD2, 12, Strategy.PARTITION_TRANSFORM).rows
-        grown = triangles._tables[Base.WARD2]
+        grown = streams._tables[Base.WARD2]
         clear_caches()
-        assert triangles._tables == {}
+        assert streams._tables == {}
         assert triangle(Kind.WARD2, 12, Strategy.PARTITION_TRANSFORM).rows == rows
-        assert triangles._tables[Base.WARD2] is not grown  # grown anew
-        assert values_of(triangles._tables[Base.WARD2]) == values_of(grown)
+        assert streams._tables[Base.WARD2] is not grown  # grown anew
+        assert values_of(streams._tables[Base.WARD2]) == values_of(grown)
     finally:
         clear_caches()
 
@@ -301,10 +301,10 @@ def test_clear_caches_drops_transform_tables():
     try:
         for base in Base:
             triangle(base.kind, 6, Strategy.PARTITION_TRANSFORM)
-        assert set(triangles._tables) == set(Base)
-        assert all(triangles._tables[base].rule is base.rule for base in Base)
+        assert set(streams._tables) == set(Base)
+        assert all(streams._tables[base].rule is base.rule for base in Base)
         clear_caches()
-        assert triangles._tables == {}
+        assert streams._tables == {}
     finally:
         clear_caches()
 
@@ -384,7 +384,7 @@ def test_a_coefficient_too_small_raises_on_the_transform_route():
     clear_caches()
     try:
         triangle(Kind.WARD2, 3, Strategy.PARTITION_TRANSFORM)
-        patch_a_coefficient_too_small(triangles._tables[Base.WARD2])
+        patch_a_coefficient_too_small(streams._tables[Base.WARD2])
         with pytest.raises(ExactnessError):
             triangle(Kind.WARD2, 5, Strategy.PARTITION_TRANSFORM)
     finally:

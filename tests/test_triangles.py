@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wardtri import cli, triangles
+from wardtri import cli, streams, triangles
 from wardtri.exact_arith import ExactnessError, exact_div
 from wardtri.partition_transform import partition_transform, ward_second_kind
 from wardtri.triangles import (
@@ -199,8 +199,8 @@ def test_the_closed_forms_and_the_transform_read_no_recurrence(monkeypatch):
     # route that reads no recurrence row still gives its rows.
     routes = [(kind, P) for kind in ALL_KINDS] + [(kind, E) for kind in LAH_FAMILY] + [(Kind.WARD_LAH, A)]
     expected = {route: tuple(itertools.islice(stream(*route), 13)) for route in routes}
-    for key in list(triangles._RECURRENCE):
-        monkeypatch.delitem(triangles._RECURRENCE, key)
+    for key in list(streams._RECURRENCE):
+        monkeypatch.delitem(streams._RECURRENCE, key)
     clear_caches()
     try:
         with pytest.raises(KeyError):
@@ -211,9 +211,9 @@ def test_the_closed_forms_and_the_transform_read_no_recurrence(monkeypatch):
 
 
 def test_stepped_refuses_an_inexact_ratio():
-    assert triangles._stepped(3, [(4, 2), (5, 3)]) == [3, 6, 10]
+    assert streams._stepped(3, [(4, 2), (5, 3)]) == [3, 6, 10]
     with pytest.raises(ExactnessError):
-        triangles._stepped(1, [(1, 2)])
+        streams._stepped(1, [(1, 2)])
 
 
 def test_a_perturbed_running_product_step_is_not_rounded(monkeypatch):
@@ -221,8 +221,8 @@ def test_a_perturbed_running_product_step_is_not_rounded(monkeypatch):
     # explicit ward-lah row, by (n+2)(n-1)/(2*1): at n = 4 the k = 2 step
     # then divides T(4, 2) + 1 = 1081 times 7*2 by 3*2, which is inexact, so
     # the build raises rather than rounding.
-    real = triangles.exact_div
-    monkeypatch.setattr(triangles, "exact_div", lambda a, b: real(a, b) + (b == 2))
+    real = streams.exact_div
+    monkeypatch.setattr(streams, "exact_div", lambda a, b: real(a, b) + (b == 2))
     clear_caches()
     try:
         with pytest.raises(ExactnessError):
@@ -233,10 +233,10 @@ def test_a_perturbed_running_product_step_is_not_rounded(monkeypatch):
 
 def test_rational_recurrence_rejects_a_perturbed_row():
     rows = list(triangle(Kind.BINOMIAL_WARD1, 3).rows)
-    assert triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, rows[2], 1) == rows[3]
+    assert streams._recurrence_row(Kind.BINOMIAL_WARD1, 3, rows[2], 1) == rows[3]
     perturbed = (0, rows[2][1] + 1, rows[2][2])  # T(2,1) + 1
     with pytest.raises(ExactnessError):
-        triangles._recurrence_row(Kind.BINOMIAL_WARD1, 3, perturbed, 1)
+        streams._recurrence_row(Kind.BINOMIAL_WARD1, 3, perturbed, 1)
 
 
 def test_transform_route_refuses_a_non_integral_value(monkeypatch):
@@ -306,7 +306,7 @@ def _gen(capsys, kind, strategy, rows):
     """The rows that `wardtri gen --format table` reads from its route, and
     its output: rows 0..`rows` of (kind, strategy), recorded as `_rows`
     yields them (a scaling route's base rows are left out)."""
-    read, real = [], triangles._rows
+    read, real = [], streams._rows
 
     def recorded(*args):
         for row in real(*args):
@@ -315,7 +315,7 @@ def _gen(capsys, kind, strategy, rows):
             yield row
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(triangles, "_rows", recorded)
+        patch.setattr(streams, "_rows", recorded)
         code = cli.main(["gen", "--kind", kind.value, "--strategy", strategy.value, "--rows", str(rows)])
     assert code == 0
     return read, capsys.readouterr().out
@@ -346,7 +346,7 @@ def test_stepped_row_products_take_the_type_of_their_seed(one):
     # at every entry, a cost quadratic in its length.
     for n in (1, 6):
         for products in (*(r.factors(n, one) for r in triangles.Rescaling),
-                         *(triangles._closed_row(terms, n, one, 1) for terms in triangles._CLOSED.values())):
+                         *(streams._closed_row(terms, n, one, 1) for terms in streams._CLOSED.values())):
             assert {type(v) for v in products} == {type(one)}
 
 
@@ -364,7 +364,7 @@ def test_every_decimal_step_runs_in_the_trapping_context(monkeypatch):
     # A scaling route steps both its own rows and its base's recurrence,
     # and both compute in Decimal.
     for strategy in (S, R):
-        monkeypatch.setitem(triangles._STEP, strategy, recording(triangles._STEP[strategy]))
+        monkeypatch.setitem(streams._STEP, strategy, recording(streams._STEP[strategy]))
     assert cli.main(["gen", "--kind", "varied-ward1", "--strategy", "scaling", "--rows", "3"]) == 0
     traps = (decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow)
     assert len(steps) == 6
@@ -375,8 +375,8 @@ def test_every_decimal_step_runs_in_the_trapping_context(monkeypatch):
 
 
 def test_a_remainder_raises_through_the_decimal_rows_as_through_the_stream(monkeypatch):
-    num, _ = triangles._RECURRENCE[Kind.VARIED_WARD1]
-    monkeypatch.setitem(triangles._RECURRENCE, Kind.VARIED_WARD1, (num, lambda n, k: 7))
+    num, _ = streams._RECURRENCE[Kind.VARIED_WARD1]
+    monkeypatch.setitem(streams._RECURRENCE, Kind.VARIED_WARD1, (num, lambda n, k: 7))
     with pytest.raises(ExactnessError):
         list(itertools.islice(stream(Kind.VARIED_WARD1, R), 4))
     with pytest.raises(ExactnessError):
@@ -411,7 +411,7 @@ def test_a_step_that_raises_once_leaves_the_memo_usable(monkeypatch, kind, strat
     # lookup starts over.
     clear_caches()
     expected = triangle(kind, 8, strategy).rows
-    step, failed = triangles._STEP[R], []
+    step, failed = streams._STEP[R], []
 
     def fails_once(kind, n, source, one):
         if n == 5 and not failed:
@@ -419,7 +419,7 @@ def test_a_step_that_raises_once_leaves_the_memo_usable(monkeypatch, kind, strat
             raise RuntimeError("step failed")
         return step(kind, n, source, one)
 
-    monkeypatch.setitem(triangles._STEP, R, fails_once)
+    monkeypatch.setitem(streams._STEP, R, fails_once)
     clear_caches()
     try:
         assert value(kind, 3, 2, strategy) == expected[3][2]
@@ -649,13 +649,13 @@ def test_the_transform_routes_of_a_base_share_one_table():
     clear_caches()
     try:
         triangle(Kind.WARD1, 12, P)
-        table = triangles._tables[Base.WARD1]
+        table = streams._tables[Base.WARD1]
         triangle(Kind.VARIED_WARD1, 14, P)
         assert len(list(itertools.islice(stream(Kind.BINOMIAL_WARD1, P), 17))) == 17
-        assert list(triangles._tables) == [Base.WARD1] and triangles._tables[Base.WARD1] is table
+        assert list(streams._tables) == [Base.WARD1] and streams._tables[Base.WARD1] is table
         assert len(table.cols) == 17  # cols[0], then columns 1..16 of rows 1..16
         clear_caches()
-        assert triangles._tables == {}
+        assert streams._tables == {}
     finally:
         clear_caches()
 
