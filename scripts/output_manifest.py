@@ -31,6 +31,7 @@ from pathlib import Path
 from unittest import mock
 
 from wardtri import cli, triangles
+from wardtri.commands.conjecture import _CONJECTURES
 from wardtri.triangles import Kind, Strategy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,7 +52,7 @@ def commands() -> list[list[str]]:
         *gen,
         ["check", "--kind", "all", "--rows", "40", "--strategies", "all"],
         *(["identities", "--max-n", str(n), "--machine"] for n in (2, 22, 39, 60)),
-        *(["conjecture", which, "--max-n", "25"] for which in sorted(cli._CONJECTURES)),
+        *(["conjecture", which, "--max-n", "25"] for which in sorted(_CONJECTURES)),
         *(["bfile-compare", "--kind", "ward2", "--file", path] for path in fixtures),
     ]
 

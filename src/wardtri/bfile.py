@@ -20,10 +20,6 @@ class BFileParseError(ValueError):
     """Malformed b-file text (bad line, or indices not contiguous)."""
 
 
-# A token int() accepts unless it is longer than the interpreter's digit limit.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
 def abbreviate(text: str) -> str:
     """`text` for a message: past 60 characters, its two ends and its length."""
     return text if len(text) <= 60 else f"{text[:30]}...{text[-30:]} ({len(text)} characters)"
@@ -91,7 +87,8 @@ def _split_pair(lineno: int, raw: str, line: str) -> tuple[int, int]:
     try:
         return int(parts[0]), int(parts[1])
     except ValueError:
-        if all(_INTEGER.fullmatch(part) for part in parts):
+        # A token int() accepts unless it is longer than the interpreter's digit limit.
+        if all(re.fullmatch(r"[+-]?[0-9]+", part) for part in parts):
             raise BFileParseError(
                 f"line {lineno}: integer in {abbreviate(raw)!r} exceeds the "
                 f"interpreter's int/str digit limit (sys.set_int_max_str_digits)"

@@ -4,7 +4,13 @@ import argparse
 import itertools
 import time
 
-from . import routes
+from . import _count, _list_parser, parse_kind, parse_strategy, routes
+
+
+def arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", type=parse_kind, required=True)
+    p.add_argument("--rows", type=_count, required=True)
+    p.add_argument("--strategies", type=_list_parser(parse_strategy), default=None)
 
 
 def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

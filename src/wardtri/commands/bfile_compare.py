@@ -2,7 +2,15 @@ from __future__ import annotations
 
 import argparse
 
-from . import routes
+from .. import Strategy
+from . import _index, parse_kind, parse_strategy, routes
+
+
+def arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", type=parse_kind, required=True)
+    p.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
+    p.add_argument("--file", required=True)
+    p.add_argument("--offset", type=_index, default=1)
 
 
 def _decode_error(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError:

@@ -3,7 +3,15 @@ from __future__ import annotations
 import argparse
 
 from .. import Kind
-from . import routes
+from . import _count, _list_parser, parse_kind, parse_strategy, routes
+
+
+def arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", dest="kinds", type=_list_parser(parse_kind), default=None,
+                   help="comma-separated kinds or 'all' (default)")
+    p.add_argument("--rows", type=_count, default=15)
+    p.add_argument("--strategies", type=_list_parser(parse_strategy), default=None,
+                   help="comma-separated strategies or 'all' (default)")
 
 
 def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

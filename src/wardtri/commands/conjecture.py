@@ -2,11 +2,25 @@ from __future__ import annotations
 
 import argparse
 
+from .. import Kind
+from . import _count
+
+_CONJECTURES = {
+    "stirling1": (Kind.BINOMIAL_WARD1, "central Stirling cycle"),
+    "stirling2": (Kind.BINOMIAL_WARD2, "central Stirling set"),
+    "central-lah": (Kind.BINOMIAL_WARD_LAH, "central Lah"),
+}
+
+
+def arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("which", choices=sorted(_CONJECTURES))
+    p.add_argument("--max-n", type=_count, default=15)
+
 
 def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from .. import identities
 
-    kind, label = args.conjectures[args.which]
+    kind, label = _CONJECTURES[args.which]
     agree = True
     for n, rowsum, ref in identities.rowsum_pairs(kind, args.max_n):
         ok = rowsum == ref

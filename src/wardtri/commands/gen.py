@@ -14,12 +14,20 @@ import itertools
 import sys
 
 from .. import Strategy
-from . import routes
+from . import _count, _index, parse_kind, parse_strategy, routes
 
 CONTEXT = decimal.Context(
     prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
 )
+
+
+def arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", type=parse_kind, required=True)
+    p.add_argument("--rows", type=_count, required=True)
+    p.add_argument("--strategy", type=parse_strategy, default=Strategy.RECURRENCE)
+    p.add_argument("--format", choices=["table", "csv", "bfile"], default="table")
+    p.add_argument("--offset", type=_index, default=None, help="first b-file index (default 1)")
 
 
 def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -2,6 +2,13 @@ from __future__ import annotations
 
 import argparse
 
+from . import _count
+
+
+def arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-n", type=_count, default=15)
+    p.add_argument("--machine", action="store_true", help="key=value output")
+
 
 def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.max_n < 2:  # below row 2 some checks would compare no case

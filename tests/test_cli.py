@@ -629,7 +629,7 @@ def test_check_builds_each_route_once(monkeypatch, capsys):
 
 def test_a_run_adds_only_its_own_arguments(monkeypatch, capsys):
     # The parser of a check run gets check's three options and the -h of
-    # every parser, the top level's and each command's, and nothing else.
+    # its two parsers, the top level's and check's, and nothing else.
     added = collections.Counter()
     real = argparse.ArgumentParser.add_argument
 
@@ -640,7 +640,38 @@ def test_a_run_adds_only_its_own_arguments(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recorded)
     code, out = run(capsys, "check", "--kind", "ward2", "--rows", "3", "--strategies", "recurrence,partition-transform")
     assert code == 0 and out.count("PASS") == 1
-    assert added == {("-h", "--help"): 7, ("--kind",): 1, ("--rows",): 1, ("--strategies",): 1}
+    assert added == {("-h", "--help"): 2, ("--kind",): 1, ("--rows",): 1, ("--strategies",): 1}
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["check", "--kind", "ward2", "--rows", "3", "--strategies", "recurrence,partition-transform"], 2),
+    (["--help"], 7),
+    (["nope", "--rows", "3"], 7),
+])
+def test_a_run_builds_only_its_own_subparser(monkeypatch, capsys, argv, parsers):
+    # A run builds the top-level parser and its command's subparser; --help
+    # and an unknown command build every command's.
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def recorded(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    assert len(built) == parsers, built
+
+
+def test_a_top_level_usage_error_after_a_command_names_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal's width
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--rows", "3", "extra"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["usage: wardtri [-h] {gen,check,identities,conjecture,bfile-compare,bench} ...",
+                     "wardtri: error: unrecognized arguments: extra"]
 
 
 # Runs the command line as `python -m wardtri.cli` does, in a fresh
@@ -709,8 +740,11 @@ def test_each_command_loads_only_what_it_runs():
         assert not modules & {"fractions", "wardtri.identities"}
     for modules in (check, check_closed, compare, usage, identities, conjecture):
         assert "decimal" not in modules
-    for modules in (usage, bad_kind, package):
+    for modules in (usage, package):
         assert "wardtri" in modules and not modules & ENGINE and not command_modules(modules)
+    # A usage error inside a command loads that command's arguments, no engine.
+    assert command_modules(bad_kind) == {"wardtri.commands", "wardtri.commands.check"}
+    assert "wardtri" in bad_kind and not bad_kind & ENGINE
     for modules in (check_closed, gen, compare, identities, conjecture, bench):
         assert TRANSFORM not in modules
     # Streams alone, without the memo, for the commands that read each row once.
