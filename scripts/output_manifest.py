@@ -36,7 +36,6 @@ from wardtri.triangles import Kind, Strategy
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "fixtures" / "outputs.manifest"
-COMMANDS = ("gen", "check", "identities", "conjecture", "bfile-compare", "bench")
 
 
 def commands() -> list[list[str]]:
@@ -48,7 +47,7 @@ def commands() -> list[list[str]]:
     fixtures = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "tests" / "fixtures").glob("b*.txt"))
     return [
         ["--help"],
-        *([name, "--help"] for name in COMMANDS),
+        *([name, "--help"] for name in cli._COMMANDS),
         *gen,
         ["check", "--kind", "all", "--rows", "40", "--strategies", "all"],
         *(["identities", "--max-n", str(n), "--machine"] for n in (2, 22, 39, 60)),

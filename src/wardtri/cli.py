@@ -16,10 +16,11 @@ parser imports only for a command named among the arguments; a run builds
 that command's subparser alone.  Each command imports only the modules it
 runs: its module and `wardtri.commands` (the shared argument types),
 `streams` for every command (which loads `partition_transform` only for a
-transform route), the memo `triangles` for identities, conjecture and
-bench alone, `compare` for check, `identities` for identities and
-conjecture, `bfile` for b-file output and bfile-compare.  `import
-wardtri`, `--help` and a top-level usage error load none of them, as the
+transform route), the memo `triangles` for identities and conjecture
+alone, which read it only through `value`, `compare` for check,
+`identities` for identities and conjecture, `bfile` for b-file output and
+bfile-compare.  `import wardtri`, `--help` and a top-level usage error
+load none of them, as the
 package defines `Kind` and `Strategy` itself; a usage error inside a
 command loads that command's module and no engine module.
 gen, check, bfile-compare and bench read each route as a stream of rows

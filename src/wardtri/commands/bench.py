@@ -15,16 +15,16 @@ def arguments(p: argparse.ArgumentParser) -> None:
 
 def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Time rows 0..--rows of each route's stream, read one row at a time,
-    together with the scan for the largest entry's bit length."""
+    together with the scan for the largest entry's bit length.  Each route
+    runs once per process, so a transform route's table starts cold."""
     if args.rows < 1:
         parser.error("--rows must be at least 1")
     strategies = routes(parser, args.kind, args.strategies, strict=True)
-    from .. import streams, triangles
+    from .. import streams
 
     print("kind strategy rows entries max_bits seconds")
     entries = (args.rows + 1) * (args.rows + 2) // 2
     for strategy in strategies:
-        triangles.clear_caches()  # the transform's tables start cold
         start = time.perf_counter()
         rows = itertools.islice(streams.stream(args.kind, strategy), args.rows + 1)
         max_bits = max(v.bit_length() for row in rows for v in row)

@@ -113,10 +113,13 @@ def compare_routes(kind: Kind, rows: int, strategies: list[Strategy]) -> list[Ch
     `itertools.combinations` order, over rows 0..rows.
 
     The routes' streams are read in one lockstep pass, so each route builds
-    each row once and no whole triangle is held.
+    each row once and no whole triangle is held.  A strategy listed twice
+    raises `ValueError`: it would compare a route with itself and pass.
     """
     if rows < 0:
         raise ValueError(f"rows must be nonnegative, got {rows}")
+    if len(set(strategies)) < len(strategies):
+        raise ValueError(f"each strategy may be listed once, got {', '.join(s.value for s in strategies)}")
     pairs = list(combinations(range(len(strategies)), 2))
     sweeps = [
         _Sweep(f"equivalence-{kind.value}-{strategies[i].value}~{strategies[j].value}", f"0<=k<=n<={rows}")

@@ -4,14 +4,16 @@ Ward-related triangles.
 Every check sweeps a parameter range, honours the side conditions under
 which its identity is stated (tuples outside them are skipped and counted,
 never evaluated), and reports the first counterexample on failure.  A
-check takes its range arguments and nothing else: it reads every entry
-through `default_entry`, from the kind's `streams.reference_route`
+check takes its range arguments and nothing else: it reads its kind's
+entries through `default_entry`, from the kind's `streams.reference_route`
 (explicit, scaling or partition transform, never the recurrence), so a
 check never validates a recurrence against values built by that same
-recurrence.  Tests inject a fault where the rows are made, in
-`streams._rows`, which the memo behind `value` reads too; entries are
-still read through this module's own `value` binding, so a tracer that
-rebinds it sees every lookup.  A check
+recurrence.  Those lookups, through this module's own `value` binding
+(which a tracer rebinds to see every lookup), are its only reads of the
+memo: every other table a check reads (the Lah numbers, the alternating
+sums, the central numbers) is one stream of `streams._rows`, read a row at
+a time through the module.  Tests inject a fault there, where the memo
+behind `value` reads its rows too.  A check
 compares integers, a row of cases at a time, through its sweep's one
 method, `_Sweep.compare`: a rational identity is multiplied through by its
 positive denominator, and fractions are formed, by `compare.ratio`, only
@@ -46,7 +48,7 @@ from .compare import CheckReport, Counterexample, _Sweep, ratio  # noqa: F401
 from . import streams
 from .exact_arith import exact_div
 from .streams import SPEC, Kind, Rescaling, Strategy, _RECURRENCE, reference_route
-from .triangles import lah, triangle, value
+from .triangles import value
 
 
 def default_entry(kind: Kind) -> Callable[[int, int], int]:
@@ -214,10 +216,9 @@ def _builder_check(public: str, kind: Kind, suffix: str = "") -> Callable[[int],
 
 
 def _alternating_sum(kind: Kind, max_n: int):
-    # The alternating-sum route is the left-hand side, the reference the right.
-    t = _table(kind, max_n)
-    sums = triangle(kind, max(max_n, 0), Strategy.ALTERNATING_SUM).rows
-    return ((n, k, sums[n][k], t[n][k]) for n in range(1, max_n + 1) for k in range(1, n + 1))
+    # The alternating-sum route, one stream, is the left-hand side, the reference the right.
+    t, sums = _table(kind, max_n), islice(streams._rows(kind, Strategy.ALTERNATING_SUM), 1, None)
+    return ((n, k, row[k], t[n][k]) for n, row in zip(range(1, max_n + 1), sums) for k in range(1, n + 1))
 
 
 def _order5(n: int, k: int, t: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -238,10 +239,11 @@ def _lah_pairs(kind: Kind, max_n: int):
             row = [x + y for x, y in zip(row, row[1:] + [0])]
             sums_p.append(row[0])
         sums.append(sums_p)
-    for n in range(1, max_n + 1):
+    # The Lah numbers, rows 1..max_n of one stream of the classical triangle.
+    for n, lah in zip(range(1, max_n + 1), islice(streams._rows("lah", Strategy.RECURRENCE), 1, None)):
         for k in range(1, n + 1):
             # the rising factorial (n-k+1)^(n-k) is (2(n-k))!/(n-k)!
-            lhs = perm(2 * (n - k), n - k) * lah(n, k)
+            lhs = perm(2 * (n - k), n - k) * lah[k]
             yield n, k, lhs, comb(n, k) * sums[n - k][k - 1]
 
 

@@ -35,9 +35,11 @@ only that row (scaling steps its own base recurrence in lockstep);
 the transform computes in the type of its T(0, 0), the `one` that `_rows`
 is seeded with (a Decimal for `gen`: see `wardtri.commands.gen`).  The
 memo, `triangles`, reads its rows from `_rows`; this module never loads
-it.  The transform routes of a base, in the memo or streamed, share one
-partition-transform `Table`, kept here and grown under `_lock`, which
-the memo reads on under too: it is reentrant because the memo holds it
+it, and the identity suite reads it only through `value`, reading every
+other table as a `_rows` stream.  The transform routes of a base, in the
+memo or streamed, share one partition-transform `Table`, kept here and
+grown under `_lock`, which the memo reads on under too: it is reentrant
+because the memo holds it
 while it steps a transform row.  The first transform row loads
 `partition_transform`, so a process that runs no transform route never
 compiles it; a `Base` names its rule, read from that module on demand.

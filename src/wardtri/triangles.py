@@ -4,8 +4,10 @@ as the immutable rows read so far and the `streams._rows` generator they
 are read on from, both dropped when a step raises.  A boundary entry makes
 no row, and no table grows another.  One thread at a time reads on, under
 `streams._lock`; a row is appended only once complete, so a reader of
-complete rows takes no lock.  Of the commands, only identities, conjecture
-and bench load this module; check, gen and bfile-compare read streams.
+complete rows takes no lock.  Of the commands, only identities and
+conjecture load this module, and read it only through `value`, for the
+reference routes; every other table they read, and every table of check,
+gen, bfile-compare and bench, is a stream.
 The route names (`SPEC`, `stream`, ...), `Kind` and `Strategy` are
 re-exported here.
 """

@@ -8,8 +8,9 @@ def flip_entry(monkeypatch):
     """flip_entry(kind, strategy, n0, k0) adds 1 to entry (n0, k0) of that
     one route in `streams._rows`, the one source of rows for the streams
     that `compare.compare_routes` reads, for the memo in `triangles` behind
-    the identity suite's `value` lookups and for the classical stream that
-    `identities.rowsum_pairs` reads.  A later call replaces the earlier
+    the identity suite's `value` lookups and for the streams that suite
+    reads besides: the Lah numbers, the alternating sums and the central
+    numbers of `identities.rowsum_pairs`.  A later call replaces the earlier
     flip; the memo is cleared at each flip and at teardown."""
     real_rows = streams._rows
 

@@ -748,9 +748,9 @@ def test_each_command_loads_only_what_it_runs():
     for modules in (check_closed, gen, compare, identities, conjecture, bench):
         assert TRANSFORM not in modules
     # Streams alone, without the memo, for the commands that read each row once.
-    for modules in (check, check_closed, gen, gen_transform, compare):
+    for modules in (check, check_closed, gen, gen_transform, compare, bench):
         assert STREAMS in modules and MEMO not in modules
-    for modules in (identities, conjecture, bench):
+    for modules in (identities, conjecture):
         assert {STREAMS, MEMO} <= modules
     assert TRANSFORM in check and TRANSFORM in gen_transform
     assert "decimal" in gen

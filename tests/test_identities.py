@@ -26,6 +26,15 @@ def test_compare_routes_refuses_negative_rows(rows):
         compare_routes(Kind.WARD_LAH, rows, [Strategy.RECURRENCE, Strategy.EXPLICIT])
 
 
+def test_compare_routes_refuses_a_repeated_strategy():
+    # Not a PASS of a route compared with itself.
+    r = Strategy.RECURRENCE
+    with pytest.raises(ValueError, match="listed once, got recurrence, recurrence"):
+        compare_routes(Kind.WARD1, 5, [r, r])
+    with pytest.raises(ValueError, match="listed once"):
+        compare_routes(Kind.WARD_LAH, 5, [r, Strategy.EXPLICIT, r])
+
+
 def test_compare_routes_detects_flip(flip_entry):
     flip_entry(Kind.WARD_LAH, Strategy.EXPLICIT, 7, 4)
     (report,) = compare_routes(Kind.WARD_LAH, 10, [Strategy.RECURRENCE, Strategy.EXPLICIT])
@@ -273,6 +282,17 @@ def test_a_flipped_central_number_fails_the_row_sum_check(flip_entry):
     flip_entry("lah", Strategy.RECURRENCE, 4, 2)
     c = ids.check_central_lah_rowsums(8).counterexample
     assert (c.n, c.k, c.lhs, c.rhs) == (2, 0, 36, 37)
+
+
+def test_a_flipped_lah_or_alternating_sum_entry_fails_its_check(flip_entry):
+    # Each is read from one stream, `streams._rows`, not the reference route.
+    flip_entry("lah", Strategy.RECURRENCE, 5, 2)
+    c = ids.check_lah_variedwardlah(8).counterexample
+    assert (c.n, c.k, c.lhs, c.rhs) == (5, 2, perm(6, 3) * 241, perm(6, 3) * 240)  # L(5, 2) = 240
+    flip_entry(Kind.WARD_LAH, Strategy.ALTERNATING_SUM, 5, 2)
+    assert ids.check_lah_variedwardlah(8).passed
+    c = ids.check_alternating_sum_wardlah(8).counterexample
+    assert (c.n, c.k, c.lhs, c.rhs) == (5, 2, 10081, 10080)  # ward-lah(5, 2) = 10080
 
 
 def test_central_lah_rowsums():
@@ -869,22 +889,20 @@ def test_each_identity_holds_on_the_other_routes_of_its_kind(monkeypatch, name, 
 
 
 def test_the_suite_builds_no_route_it_checks():
-    # The suite reads reference-route entries (and the Lah numbers), so the
-    # only recurrence table it fills is the classical Lah triangle's: none
-    # for a kind whose recurrence it checks.  A scaling route steps its own
-    # base recurrence and fills no table of its base.
-    r = Strategy.RECURRENCE
+    # The suite reads reference-route entries through `value`, and the Lah
+    # numbers and the alternating sums as streams, so the memo holds the
+    # seven reference routes alone: no recurrence table, none for a kind
+    # whose recurrence it checks.  A scaling route steps its own base
+    # recurrence and fills no table of its base.
     triangles.clear_caches()
     try:
         ids.run_identity_suite(12)
         built = set(triangles._cache)
     finally:
         triangles.clear_caches()
-    assert {key for key in built if key[1] is r} == {("lah", r)}
     assert built == {
-        ("lah", r),
         (Kind.VARIED_WARD1, Strategy.SCALING), (Kind.VARIED_WARD2, Strategy.SCALING),
         (Kind.BINOMIAL_WARD1, Strategy.SCALING), (Kind.BINOMIAL_WARD2, Strategy.SCALING),
-        (Kind.WARD_LAH, Strategy.EXPLICIT), (Kind.WARD_LAH, Strategy.ALTERNATING_SUM),
-        (Kind.VARIED_WARD_LAH, Strategy.EXPLICIT), (Kind.BINOMIAL_WARD_LAH, Strategy.EXPLICIT),
+        (Kind.WARD_LAH, Strategy.EXPLICIT), (Kind.VARIED_WARD_LAH, Strategy.EXPLICIT),
+        (Kind.BINOMIAL_WARD_LAH, Strategy.EXPLICIT),
     }
