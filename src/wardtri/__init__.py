@@ -4,7 +4,8 @@
 arguments, are defined here (`streams` and `triangles` re-export them).
 Every other public name is read from its submodule on first use (PEP
 562), so `import wardtri`, `wardtri --help` and a usage error compile
-none of the triangle engine.
+none of the triangle engine.  The Ward argument rules come from
+`streams`, where each base holds its own; `partition_transform` is generic.
 """
 
 import sys
@@ -38,10 +39,10 @@ __version__ = "0.1.0"
 _SOURCE = {
     "ExactnessError": "exact_arith",
     "exact_div": "exact_arith",
-    "constant_one": "partition_transform",
+    "constant_one": "streams",
     "partition_transform": "partition_transform",
-    "ward_first_kind": "partition_transform",
-    "ward_second_kind": "partition_transform",
+    "ward_first_kind": "streams",
+    "ward_second_kind": "streams",
     "Triangle": "triangles",
     "UnsupportedStrategyError": "streams",
     "central": "triangles",

@@ -15,6 +15,8 @@ rationals, and never floating point.
 
 from __future__ import annotations
 
+import sys
+
 
 class ExactnessError(ArithmeticError):
     """A division that must be exact was not.
@@ -29,5 +31,14 @@ def exact_div(a: int, b: int) -> int:
     raises ExactnessError otherwise."""
     q, r = divmod(a, b)
     if r:
-        raise ExactnessError(f"{a} is not divisible by {b}")
+        raise ExactnessError(f"{_text(a)} is not divisible by {_text(b)}")
     return q
+
+
+def _text(x) -> str:
+    """x in decimal, or by its bit length if it is an int with more digits
+    than `str` may give (`sys.get_int_max_str_digits`, none before 3.11)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if isinstance(x, int) and limit and abs(x) >= 10**limit:
+        return f"a {x.bit_length()}-bit integer"
+    return str(x)

@@ -8,8 +8,8 @@ array:
                  (-1)^(q_0) * prod_{j=0..len(q)-1} C(q_j, q_{j+1}) * a_{j+1}^(q_j)
 
 with the trailing part q_{len(q)} taken as 0.  A rule states a_j = u_j/v_j
-as the integer pair (u_j, v_j), with v_j > 0.  The three argument families
-used by the Ward triangles are provided as named rules.
+as the integer pair (u_j, v_j), with v_j > 0.  The module is generic and
+defines no rule: each Ward base in `streams` holds its own.
 
 The sum is evaluated without listing partitions, by regrouping it over the
 conjugate partitions.  Read column by column, q has k columns; their
@@ -30,7 +30,7 @@ the partial Bell polynomial, with Comtet's recurrence
     B_(m,k) = sum_{s>=2} C(m-1, s-1) * e_s * B_(m-s,k-1),   B_(0,0) = 1.
 
 This is the defining sum regrouped, not a recurrence of the triangles, so
-the route stays independent of the others.  For the three named rules
+the route stays independent of the others.  For the three Ward rules
 B_(m,k) is the Ward entry T(n, k) itself, and every e_s is an integer:
 (s-1)! for a_j = j/(j+1), 1 for a_j = 1/(j+1) and s! for a_j = 1.
 
@@ -48,10 +48,10 @@ H(m, k) = Lambda_m * B_(m,k) is an integer, and
 
     H(m, 1) = Lambda_m * e_m,   H(m, k) = sum_{s=2..m-2k+2} c(m, s) * H(m-s, k-1).
 
-Lambda is 1 for the named rules, so there H is the entry.  Lambda_m is
+Lambda is 1 for the Ward rules, so there H is the entry.  Lambda_m is
 Lambda_(m-1) times the d_s > 1 whose s divides m, so a rule whose e_s are
 integers spends nothing on it.  e_s is stepped from e_(s-1) by the ratio
-s * u_(s-1) / v_(s-1), put in lowest terms first, so the named rules
+s * u_(s-1) / v_(s-1), put in lowest terms first, so the Ward rules
 step by one product and never divide a large e_s.  The coefficients of
 degree m do not depend on k, and step along s from
 c(m, 1) = Lambda_m / Lambda_(m-1) (as if e_1 were 1) by
@@ -99,21 +99,6 @@ from .exact_arith import exact_div
 
 # Rule mapping index j >= 1 to the j-th argument term u_j/v_j as (u_j, v_j).
 ArgumentRule = Callable[[int], tuple[int, int]]
-
-
-def constant_one(j: int) -> tuple[int, int]:
-    """a_j = 1: the rule behind the Lah-flavoured triangles."""
-    return 1, 1
-
-
-def ward_first_kind(j: int) -> tuple[int, int]:
-    """a_j = j/(j+1): the rule behind first-kind Ward triangles."""
-    return j, j + 1
-
-
-def ward_second_kind(j: int) -> tuple[int, int]:
-    """a_j = 1/(j+1): the rule behind second-kind Ward triangles."""
-    return 1, j + 1
 
 
 class Table:

@@ -21,10 +21,12 @@ result that is not an integer raises `ExactnessError` and is never rounded.
 All triangles share the same boundary: T(0,0) = 1, T(n,0) = T(0,k) = 0 for
 n, k >= 1, and T(n,k) = 0 for k > n.
 
-Each base also names its classical partner (Stirling cycle, Stirling set
-or Lah numbers), whose central numbers the row sums of the base's binomial
-kind are compared with.  The three classical triangles are `_RECURRENCE`
-entries too, keyed by that name and built by the recurrence builder.
+Each base holds the argument rule that the generic partition transform
+turns into it, and names its classical partner (Stirling cycle, Stirling
+set or Lah numbers), whose central numbers the row sums of the base's
+binomial kind are compared with.  The three classical triangles are
+`_RECURRENCE` entries too, keyed by that name and built by the recurrence
+builder.
 
 Each route has one step function, which makes row n from at most one
 other row: the recurrence from its own row n-1, scaling from its base's
@@ -39,10 +41,9 @@ it, and the identity suite reads it only through `value`, reading every
 other table as a `_rows` stream.  The transform routes of a base, in the
 memo or streamed, share one partition-transform `Table`, kept here and
 grown under `_lock`, which the memo reads on under too: it is reentrant
-because the memo holds it
-while it steps a transform row.  The first transform row loads
-`partition_transform`, so a process that runs no transform route never
-compiles it; a `Base` names its rule, read from that module on demand.
+because the memo holds it while it steps a transform row.  The first
+transform row loads `partition_transform`, so a process that runs no
+transform route never compiles it.
 
 `Kind` and `Strategy` are defined in the package, where the command line
 reads them without loading this module, and re-exported here.
@@ -66,28 +67,34 @@ class UnsupportedStrategyError(ValueError):
     """Raised when a (kind, strategy) pair has no computation route."""
 
 
+def constant_one(j: int) -> tuple[int, int]:
+    """a_j = 1: the rule behind the Lah-flavoured triangles."""
+    return 1, 1
+
+
+def ward_first_kind(j: int) -> tuple[int, int]:
+    """a_j = j/(j+1): the rule behind first-kind Ward triangles."""
+    return j, j + 1
+
+
+def ward_second_kind(j: int) -> tuple[int, int]:
+    """a_j = 1/(j+1): the rule behind second-kind Ward triangles."""
+    return 1, j + 1
+
+
 class Base(Enum):
-    """An unrescaled triangle, the name of the argument rule of its
-    partition transform and its classical partner, whose central numbers
-    the row sums of the base's binomial kind are compared with."""
+    """An unrescaled triangle, the argument rule of its partition
+    transform and its classical partner, whose central numbers the row
+    sums of the base's binomial kind are compared with."""
 
-    WARD1 = (Kind.WARD1, "ward_first_kind", "stirling1")
-    WARD2 = (Kind.WARD2, "ward_second_kind", "stirling2")
-    WARD_LAH = (Kind.WARD_LAH, "constant_one", "lah")
+    WARD1 = (Kind.WARD1, ward_first_kind, "stirling1")
+    WARD2 = (Kind.WARD2, ward_second_kind, "stirling2")
+    WARD_LAH = (Kind.WARD_LAH, constant_one, "lah")
 
-    def __init__(self, kind: Kind, rule_name: str, classical: str) -> None:
+    def __init__(self, kind: Kind, rule: Callable[[int], tuple[int, int]], classical: str) -> None:
         self.kind = kind
-        self.rule_name = rule_name
+        self.rule = rule
         self.classical = classical
-
-    @property
-    def rule(self) -> Callable[[int], tuple[int, int]]:
-        """The argument rule that `partition_transform` defines under
-        `rule_name`, read when asked for, so that only a transform route
-        loads that module."""
-        from importlib import import_module
-
-        return getattr(import_module(f"{__package__}.partition_transform"), self.rule_name)
 
 
 def _stepped(value: int, ratios: Iterable[tuple[int, int]]) -> list[int]:

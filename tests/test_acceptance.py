@@ -15,11 +15,8 @@ from wardtri import bfile as bf
 from wardtri import identities as ids
 from wardtri.cli import main as cli_main
 from wardtri.compare import compare_routes
-from wardtri.partition_transform import (
-    partition_transform,
-    ward_first_kind,
-    ward_second_kind,
-)
+from wardtri.partition_transform import partition_transform
+from wardtri.streams import ward_first_kind, ward_second_kind
 from wardtri.triangles import (
     SUPPORTED,
     Kind,

@@ -763,9 +763,9 @@ def test_each_command_loads_only_what_it_runs():
 _PUBLIC = {
     "wardtri": ["Kind", "Strategy"],
     "wardtri.exact_arith": ["ExactnessError", "exact_div"],
-    "wardtri.partition_transform": ["constant_one", "partition_transform", "ward_first_kind",
-                                    "ward_second_kind"],
-    "wardtri.streams": ["UnsupportedStrategyError", "stream"],
+    "wardtri.partition_transform": ["partition_transform"],
+    "wardtri.streams": ["UnsupportedStrategyError", "constant_one", "stream", "ward_first_kind",
+                        "ward_second_kind"],
     "wardtri.triangles": ["Kind", "Strategy", "Triangle", "central", "lah", "stirling1_unsigned", "stirling2",
                           "triangle", "value"],
 }

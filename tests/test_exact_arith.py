@@ -1,5 +1,6 @@
 import decimal
 import math
+import sys
 from decimal import Decimal
 
 import pytest
@@ -107,6 +108,26 @@ def test_exact_div():
         exact_div(12, 5)
     with pytest.raises(ZeroDivisionError):
         exact_div(1, 0)
+    with pytest.raises(ExactnessError, match="^12 is not divisible by 5$"):
+        exact_div(12, 5)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_an_operand_longer_than_the_digit_limit_is_named_by_its_bits():
+    # Outside the CLI, which lifts it, str() of an int past the limit raises
+    # ValueError; the failed division still raises ExactnessError.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for a in (10**5000 + 1, -(10**5000) - 1):
+            with pytest.raises(ExactnessError, match="^a 16610-bit integer is not divisible by 10$"):
+                exact_div(a, 10)
+        with pytest.raises(ExactnessError, match="^3 is not divisible by a 16610-bit integer$"):
+            exact_div(3, 10**5000)
+        with pytest.raises(ExactnessError, match=f"^{10**4300 - 1} is not divisible by 10$"):
+            exact_div(10**4300 - 1, 10)  # 4300 digits, as many as str may give
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(

@@ -9,15 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wardtri.exact_arith import ExactnessError
-from wardtri.partition_transform import (
-    Table,
-    constant_one,
-    grow,
-    partition_transform,
-    ward_first_kind,
-    ward_second_kind,
-)
+from wardtri.partition_transform import Table, grow, partition_transform
 from wardtri import streams
+from wardtri.compare import compare_routes
+from wardtri.streams import SPEC, constant_one, ward_first_kind, ward_second_kind
 from wardtri.triangles import Base, Kind, Strategy, clear_caches, triangle, value
 
 
@@ -305,6 +300,31 @@ def test_clear_caches_drops_transform_tables():
         assert all(streams._tables[base].rule is base.rule for base in Base)
         clear_caches()
         assert streams._tables == {}
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("rule, raises", [(lambda j: (2, j + 1), False), (lambda j: (1, j + 2), True)],
+                         ids=["mismatch", "inexact"])
+def test_a_perturbed_base_rule_is_caught_on_every_kind_of_that_base(monkeypatch, rule, raises):
+    # The transform route reads each base's rule from `Base`: with ward2's
+    # rule perturbed, its three kinds disagree with their recurrences (or,
+    # when the values come out fractional, raise), and the other six
+    # kinds, whose tables read other rules, still agree.
+    clear_caches()
+    monkeypatch.setattr(Base.WARD2, "rule", rule)
+    try:
+        for kind in Kind:
+            routes = [Strategy.RECURRENCE, Strategy.PARTITION_TRANSFORM]
+            if SPEC[kind][0] is not Base.WARD2:
+                (report,) = compare_routes(kind, 8, routes)
+                assert report.passed, report.human()
+            elif raises:
+                with pytest.raises(ExactnessError):
+                    compare_routes(kind, 8, routes)
+            else:
+                (report,) = compare_routes(kind, 8, routes)
+                assert not report.passed, kind
     finally:
         clear_caches()
 

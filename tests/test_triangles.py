@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from wardtri import cli, streams, triangles
 from wardtri.exact_arith import ExactnessError, exact_div
-from wardtri.partition_transform import partition_transform, ward_second_kind
+from wardtri.partition_transform import partition_transform
+from wardtri.streams import ward_second_kind
 from wardtri.triangles import (
     SUPPORTED,
     Base,
