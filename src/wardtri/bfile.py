@@ -14,6 +14,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
+from math import isqrt
 
 
 class BFileParseError(ValueError):
@@ -126,16 +127,14 @@ def linearize(rows: Iterable[tuple[int, ...]]) -> Iterator[int]:
 
 
 def index_to_entry(index: int, offset: int = 1) -> tuple[int, int]:
-    """Invert the linearization: b-file index -> (n, k).
-
-    For offset 1 this is the unique (n, k) with n(n-1)/2 + k = index.
+    """Invert the linearization: b-file index -> (n, k), the unique pair
+    with n(n-1)/2 + k = pos and 1 <= k <= n, where pos = index - offset + 1.
+    That n is the one with (2n-1)^2 <= 8 pos - 7 < (2n+1)^2, so it is read
+    off the integer square root, in time polynomial in the index's digits.
     """
     pos = index - offset + 1
     if pos < 1:
         raise ValueError(f"index {index} below offset {offset}")
-    n = 1
-    while n * (n + 1) // 2 < pos:
-        n += 1
-    k = pos - n * (n - 1) // 2
-    return n, k
+    n = (isqrt(8 * pos - 7) + 1) // 2
+    return n, pos - n * (n - 1) // 2
 

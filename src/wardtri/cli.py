@@ -3,8 +3,10 @@
 Subcommands: gen, check, identities, conjecture, bfile-compare, bench.
 Exit codes: 0 success/agreement, 1 mismatch or identity failure, 2 usage
 error (argparse errors, negative row counts, `gen --format bfile --rows 0`,
-`gen --offset` with `--format table` or `csv`, `bench --rows 0`, an
-integer option that is not ASCII digits, `identities --max-n` below 2,
+`gen --offset` with `--format table` or `csv`, `check` or `bench` with
+`--rows 0` and `conjecture --max-n 0` (row 0 is the seed every route
+starts from), an integer option that is not ASCII digits,
+`identities --max-n` below 2,
 unsupported strategy names, an empty kind or strategy list, a check that
 compares no pair, unreadable or malformed files, a count of `sys.maxsize`
 or more), 141 a closed stdout.
@@ -77,10 +79,8 @@ def main(argv: list[str] | None = None) -> int:
     # Entries outgrow CPython's 4300-digit limit on int<->str conversion
     # (1600! alone has over 4400); lift it while the command runs, and give
     # an in-process caller its own limit back once all output is written.
-    lift = hasattr(sys, "set_int_max_str_digits")
-    if lift:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         argv = sys.argv[1:] if argv is None else argv
         args = build_parser(argv).parse_args(argv)
@@ -95,8 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 141
     finally:
-        if lift:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

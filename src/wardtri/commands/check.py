@@ -15,6 +15,8 @@ def arguments(p: argparse.ArgumentParser) -> None:
 
 
 def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.rows < 1:  # row 0 alone is the seed T(0, 0) = 1 that every route starts from
+        parser.error("--rows must be at least 1")
     kinds = args.kinds or list(Kind)
     plan = [(kind, routes(parser, kind, args.strategies, len(kinds) == 1)) for kind in kinds]
     if all(len(strategies) < 2 for _, strategies in plan):

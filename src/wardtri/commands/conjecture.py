@@ -18,6 +18,8 @@ def arguments(p: argparse.ArgumentParser) -> None:
 
 
 def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.max_n < 1:  # row 0 alone is the seed T(0, 0) = 1 that every route starts from
+        parser.error("--max-n must be at least 1")
     from .. import identities
 
     kind, label = _CONJECTURES[args.which]

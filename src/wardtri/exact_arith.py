@@ -37,8 +37,8 @@ def exact_div(a: int, b: int) -> int:
 
 def _text(x) -> str:
     """x in decimal, or by its bit length if it is an int with more digits
-    than `str` may give (`sys.get_int_max_str_digits`, none before 3.11)."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    than `str` may give (`sys.get_int_max_str_digits`, where 0 is no limit)."""
+    limit = sys.get_int_max_str_digits()
     if isinstance(x, int) and limit and abs(x) >= 10**limit:
         return f"a {x.bit_length()}-bit integer"
     return str(x)

@@ -128,20 +128,12 @@ class _Horizontal(namedtuple("_Horizontal", "kind domain weight skip_diagonal", 
         return sweep.report()
 
 
-def _geometric(k: int, order: int) -> list[int]:
-    """Coefficients 0..order of (1-x)^-k: 1 divided by (1-x) k times, each
-    division the prefix sum b_n = a_n + b_(n-1)."""
-    c = [1] + [0] * order
-    for _ in range(k):
-        c = list(accumulate(c))
-    return c
-
-
 class _ColumnGF(namedtuple("_ColumnGF", "kind shift scale weight need")):
-    """Column k of x^(shift*k) (1-x)^-k / scale(k), expanded by integer
-    prefix sums: each coefficient c below x^(shift*k) is 0, and for
-    k <= n <= order c * (weight*n)! == T(n+k-shift*k, k) * scale(k).  `need`
-    states k >= 1 and order >= shift*k, which the check raises without."""
+    """Column k of x^(shift*k) (1-x)^-k / scale(k).  The coefficient c of
+    x^n in x^(shift*k) (1-x)^-k is 0 below x^(shift*k) and C(m+k-1, m) at
+    n = shift*k + m, and for k <= n <= order c * (weight*n)! ==
+    T(n+k-shift*k, k) * scale(k).  `need` states k >= 1 and
+    order >= shift*k, which the check raises without."""
 
     def sweep(self, name: str, k: int, order: int) -> CheckReport:
         kind, shift, scale, weight, need = self
@@ -150,7 +142,7 @@ class _ColumnGF(namedtuple("_ColumnGF", "kind shift scale weight need")):
         shift, scale = shift * k, scale(k)
         e = default_entry(kind)
         sweep = _Sweep(f"{name}-k{k}", f"k={k}, n<={order}")
-        series = [0] * shift + _geometric(k, order - shift)
+        series = [0] * shift + [comb(m + k - 1, m) for m in range(order - shift + 1)]
         sweep.compare(series[:shift], [0] * shift, lambda n: Counterexample(n, k, series[n], 0))
         ns = range(k, order + 1)
         dens = [factorial(weight * n) for n in ns]

@@ -549,7 +549,6 @@ def test_bfile_compare_value_past_the_digit_limit(tmp_path, capsys):
     assert len(out) < 200
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
 def test_gen_value_past_the_digit_limit(capsys):
     # 640 is the lowest limit CPython accepts; T(170, 170) = 340! has 715 digits
     limit = sys.get_int_max_str_digits()
@@ -563,7 +562,6 @@ def test_gen_value_past_the_digit_limit(capsys):
     assert out.splitlines()[-1] == f"{170 * 171 // 2} {factorial(340)}"
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
 @pytest.mark.parametrize("argv", [
     ["gen", "--kind", "ward2", "--rows", "3"],
     ["gen", "--kind", "ward2", "--rows", "-1"],  # a usage error exits through SystemExit
@@ -813,6 +811,26 @@ def test_a_closed_stdout_ends_quietly_with_status_141():
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--kind", "ward1", "--rows", "0"], "--rows must be at least 1"),
+        (["conjecture", "stirling1", "--max-n", "0"], "--max-n must be at least 1"),
+    ],
+    ids=["check", "conjecture"],
+)
+def test_a_range_of_row_0_alone_is_refused(capsys, argv, message):
+    # Row 0 is the seeded T(0, 0) = 1 that every route starts from, so a
+    # verdict on it alone would be vacuous.
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.splitlines()[-1] == f"wardtri {argv[0]}: error: {message}"
+    assert not loaded_modules(*argv, status=2) & ENGINE
 
 
 def test_bench_rejects_zero_rows():

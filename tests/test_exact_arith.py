@@ -112,7 +112,6 @@ def test_exact_div():
         exact_div(12, 5)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
 def test_an_operand_longer_than_the_digit_limit_is_named_by_its_bits():
     # Outside the CLI, which lifts it, str() of an int past the limit raises
     # ValueError; the failed division still raises ExactnessError.

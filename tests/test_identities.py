@@ -188,11 +188,6 @@ def test_alternating_sum_equals_explicit_to_20():
 def test_egf_wardlah():
     assert ids.check_egf_wardlah(1, 8).passed
     assert ids.check_egf_wardlah(2, 6).passed
-    # k=1: the series is x^2 + x^3 + ..., all unit coefficients
-    assert [0, 0] + ids._geometric(1, 6) == [0, 0, 1, 1, 1, 1, 1, 1, 1]
-    # k=2 coefficient of x^4 is coefficient 0 of (1-x)^-2 over 2!, and
-    # wardlah(2,2)/4! = 12/24
-    assert Fraction(ids._geometric(2, 2)[0], factorial(2)) == Fraction(12, factorial(4)) == Fraction(1, 2)
     with pytest.raises(ValueError):
         ids.check_egf_wardlah(3, 5)  # order below 2k
 
