@@ -101,6 +101,23 @@ def test_linearization_bijection():
         index_to_entry(0, offset=1)
 
 
+@pytest.mark.parametrize("offset", [0, 1, 5, -3])
+def test_index_to_entry_at_the_ends_of_rows(offset):
+    # the row walk the square root replaces is the oracle near the start
+    n, k = 1, 1
+    for index in range(offset, offset + 5000):
+        assert index_to_entry(index, offset) == (n, k)
+        n, k = (n, k + 1) if k < n else (n + 1, 1)
+    # far out, the first and last entries of a row, where a square root
+    # rounded the wrong way lands one row off
+    for n in [10**6, 10**15 + 1, 10**30, 2**100 - 1]:
+        first = n * (n - 1) // 2 + offset
+        assert index_to_entry(first, offset) == (n, 1)
+        assert index_to_entry(first - 1, offset) == (n - 1, n - 1)
+        assert index_to_entry(first + n - 1, offset) == (n, n)
+        assert index_to_entry(first + n, offset) == (n + 1, 1)
+
+
 @pytest.mark.parametrize("kind", list(Kind))
 def test_roundtrip_byte_identical_for_every_kind(kind):
     tri = triangle(kind, 30, Strategy.RECURRENCE)

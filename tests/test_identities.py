@@ -205,6 +205,23 @@ def test_gf_variedwardlah():
         ids.check_gf_variedwardlah(5, 4)
 
 
+@pytest.mark.parametrize("check,shift,scale", [
+    (ids.check_egf_wardlah, 2, 2),
+    (ids.check_gf_variedwardlah, 1, 1),
+], ids=["egf", "ogf"])
+def test_a_wrong_binomial_fails_its_gf_column(monkeypatch, check, shift, scale):
+    # The column's coefficient of x^(shift*k + m) is C(m+k-1, m); raise the
+    # one at k=2, m=3 and only column 2 fails, at n = 2*shift + 3, where the
+    # series side reads C(4, 3) + 1 over scale(2).
+    monkeypatch.setattr(ids, "comb", lambda a, b: comb(a, b) + ((a, b) == (4, 3)))
+    assert check(1, 12).passed and check(3, 12).passed
+    report = check(2, 12)
+    assert not report.passed
+    c = report.counterexample
+    assert (c.n, c.k) == (2 * shift + 3, 2)
+    assert c.lhs == Fraction(comb(4, 3) + 1, scale) != c.rhs
+
+
 def test_lah_variedwardlah():
     assert ids.check_lah_variedwardlah(12).passed
     e = ids.default_entry(Kind.VARIED_WARD_LAH)
